@@ -4,7 +4,15 @@ Commands regenerate the figure data tables from a flat key-value config
 file plus command-line overrides. All physical inputs are dimensionless or
 in units of the mode frequency omega = 1. Output is CSV with 17 significant
 digits, one provenance comment line (config hash and cutoffs), and a header
-row; reruns with the same config are byte-identical.
+row. Reruns with the same config digest and the same BLAS thread count are
+byte-identical; the digest does not record the BLAS thread count, and
+changing it can move values in the last digits. `threads` parallelizes only
+the absorbed-well solves of `s-figs` and never changes a row.
+
+Every table command opens its file before it computes anything and streams
+rows into it; a failure leaves the file ending in a `# TRUNCATED` line
+(for `s-figs`, only the sheet that was being written). `spectrum` writes its
+file only after its one solve succeeds.
 
 Exit codes: 0 success, 2 validation, 3 convergence, 4 budget.
 """
@@ -15,10 +23,10 @@ import json
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 from . import dipole, exactn, gauge, thermo
-from .dipole import GridSpec, MainText, SelfEnergyInBare, WellShape
+from .dipole import GridSpec, SelfEnergyInBare, WellShape
 from .errors import (
     BudgetError,
     ConventionMismatch,
@@ -31,11 +39,8 @@ from .errors import (
     RootError,
     ValidationError,
 )
-from .exactn import CollectiveSpin, HilbertConfig, ProductBasis
+from .exactn import CollectiveSpin, HilbertConfig
 from .gauge import ReducedParams, derive_couplings
-
-COMMANDS = ("spectrum", "thermo-sweep", "exact-sweep", "fig1", "fig2",
-            "fig3a", "fig3b", "s-figs", "jc-curve", "convergence")
 
 EXIT_VALIDATION = 2
 EXIT_CONVERGENCE = 3
@@ -56,7 +61,6 @@ class RunConfig:
     n_dipoles: int = 1
     dipole_levels: int = 8
     fock_cutoff: int = 40
-    representation: str = "product"
     convention: str = "main-text"
     energy_scale: str = "resonance"
     levels: int = 12
@@ -83,21 +87,10 @@ class RunConfig:
             raise ValidationError("threads must be positive")
         if self.convention not in ("main-text", "self-energy-in-bare"):
             raise ValidationError(f"unknown convention {self.convention!r}")
-        if self.representation not in ("product", "collective"):
-            raise ValidationError(f"unknown representation {self.representation!r}")
 
     def eta_values(self):
         start, stop, steps = self.eta_grid
         return [start + (stop - start) * i / (steps - 1) for i in range(steps)]
-
-    def hilbert(self, n_dipoles=None, representation=None):
-        rep = representation or self.representation
-        rep_obj = CollectiveSpin() if rep == "collective" else ProductBasis()
-        return HilbertConfig(
-            n_dipoles if n_dipoles is not None else self.n_dipoles,
-            self.dipole_levels, self.fock_cutoff,
-            representation=rep_obj, budget=self.budget,
-        )
 
     def digest(self):
         # Identifies the data, so the output location and worker count
@@ -106,18 +99,6 @@ class RunConfig:
         keys = sorted(k for k in vars(self) if k not in skip)
         text = ";".join(f"{k}={getattr(self, k)!r}" for k in keys)
         return hashlib.sha256(text.encode()).hexdigest()[:12]
-
-
-def _parse_scalar(value):
-    value = value.strip()
-    try:
-        return int(value)
-    except ValueError:
-        pass
-    try:
-        return float(value)
-    except ValueError:
-        return value
 
 
 def read_config_file(path):
@@ -152,7 +133,7 @@ def build_config(items):
         items.setdefault(key, value)
     known = {
         "command": str, "beta": float, "n_dipoles": int, "dipole_levels": int,
-        "fock_cutoff": int, "representation": str, "convention": str,
+        "fock_cutoff": int, "convention": str,
         "energy_scale": str, "levels": int, "output_path": str,
         "threads": int, "budget": int, "gap_tol": float, "grid_points": int,
         "eta_point": float, "alpha_point": float,
@@ -188,7 +169,11 @@ def _fmt(value):
 
 
 class CsvWriter:
-    """Streams rows; on failure the partial file ends with a marker line."""
+    """Streams rows to one CSV file; use it as a context manager.
+
+    Leaving the `with` block by an exception ends the partial file with a
+    `# TRUNCATED` line before closing it, so it cannot pass for complete.
+    """
 
     def __init__(self, path, header, provenance):
         self.path = path
@@ -199,12 +184,18 @@ class CsvWriter:
     def write_row(self, values):
         self.fh.write(",".join(_fmt(v) for v in values) + "\n")
 
-    def truncate_marker(self):
-        self.fh.write("# TRUNCATED\n")
-        self.fh.flush()
-
     def close(self):
         self.fh.close()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        try:
+            if exc_type is not None:
+                self.fh.write("# TRUNCATED\n")
+        finally:
+            self.close()
 
 
 def _pmap(fn, items, threads):
@@ -217,18 +208,13 @@ def _pmap(fn, items, threads):
 _SPECTRUM_CACHE = {}
 
 
-def _resonant_scale(beta, grid_points, gap_tol):
-    key = ("res", beta, grid_points, gap_tol)
-    if key not in _SPECTRUM_CACHE:
-        grid = GridSpec(points=grid_points)
-        _SPECTRUM_CACHE[key] = dipole.resonance_energy_scale(
-            beta, 1.0, grid, gap_tol=gap_tol)
-    return _SPECTRUM_CACHE[key]
-
-
 def _energy_scale(cfg):
     if cfg.energy_scale == "resonance":
-        return _resonant_scale(cfg.beta, cfg.grid_points, cfg.gap_tol)
+        key = ("res", cfg.beta, cfg.grid_points, cfg.gap_tol)
+        if key not in _SPECTRUM_CACHE:
+            _SPECTRUM_CACHE[key] = dipole.resonance_energy_scale(
+                cfg.beta, 1.0, GridSpec(points=cfg.grid_points), gap_tol=cfg.gap_tol)
+        return _SPECTRUM_CACHE[key]
     try:
         value = float(cfg.energy_scale)
     except ValueError:
@@ -247,6 +233,13 @@ def _main_spectrum(cfg, levels=None):
             WellShape(cfg.beta, e_scale), grid, levels or cfg.levels,
             gap_tol=cfg.gap_tol)
     return _SPECTRUM_CACHE[key]
+
+
+def _base_params(cfg, levels=None):
+    """One dipole at eta = 0 in the multipolar gauge, on the plain well."""
+    spectrum = _main_spectrum(cfg, levels)
+    return ReducedParams(omega=1.0, beta=cfg.beta, energy_scale=spectrum.shape.energy_scale,
+                         eta=0.0, n_dipoles=1, alpha=1.0, spectrum=spectrum)
 
 
 def _alpha_tokens(cfg, params_eta0):
@@ -268,6 +261,17 @@ def _alpha_tokens(cfg, params_eta0):
     return out
 
 
+def _table(header, rows):
+    """Handler for a one-file command: opens the file, then streams `rows(cfg)`."""
+
+    def handler(cfg, path, provenance):
+        with CsvWriter(path, header, provenance) as writer:
+            for row in rows(cfg):
+                writer.write_row(row)
+
+    return handler
+
+
 THERMO_HEADER = ("alpha", "eta", "tau", "phase", "E_plus", "E_minus",
                  "ground_density", "pi_average", "p_t_average")
 
@@ -280,33 +284,20 @@ def _thermo_row(params):
             point.p_t_average)
 
 
-def _cmd_thermo_like(cfg, writer):
-    spectrum = _main_spectrum(cfg)
-    base = ReducedParams(omega=1.0, beta=cfg.beta, energy_scale=spectrum.shape.energy_scale,
-                         eta=0.0, n_dipoles=1, alpha=1.0, spectrum=spectrum)
-    alphas = _alpha_tokens(cfg, base)
-    etas = cfg.eta_values()
-    points = [base.with_(alpha=alpha, eta=eta) for alpha in alphas for eta in etas]
-    for row in _pmap(_thermo_row, points, cfg.threads):
-        writer.write_row(row)
+def _thermo_rows(cfg):
+    base = _base_params(cfg)
+    for alpha in _alpha_tokens(cfg, base):
+        for eta in cfg.eta_values():
+            yield _thermo_row(base.with_(alpha=alpha, eta=eta))
 
 
-def _cmd_fig2(cfg, writer):
+def _fig2_rows(cfg):
     """d<Pi> sweeps in the eta-dependent JC gauge and the multipolar gauge."""
-    spectrum = _main_spectrum(cfg)
-    base = ReducedParams(omega=1.0, beta=cfg.beta, energy_scale=spectrum.shape.energy_scale,
-                         eta=0.0, n_dipoles=1, alpha=1.0, spectrum=spectrum)
-    etas = cfg.eta_values()
-
-    def point_rows(eta):
+    base = _base_params(cfg)
+    for eta in cfg.eta_values():
         p_eta = base.with_(eta=eta)
-        alpha_jc = gauge.jc_gauge(p_eta)
-        return [_thermo_row(p_eta.with_(alpha=alpha_jc)),
-                _thermo_row(p_eta.with_(alpha=1.0))]
-
-    for rows in _pmap(point_rows, etas, cfg.threads):
-        for row in rows:
-            writer.write_row(row)
+        yield _thermo_row(p_eta.with_(alpha=gauge.jc_gauge(p_eta)))
+        yield _thermo_row(p_eta.with_(alpha=1.0))
 
 
 def _phase_label(params):
@@ -318,28 +309,23 @@ EXACT_HEADER = ("eta", "alpha", "phase", "n_dipoles", "model", "G", "E",
                 "gap_over_omega")
 
 
-def _cmd_exact_sweep(cfg, writer, n_list=None, alpha=None, include_two_level=True):
-    spectrum = _main_spectrum(cfg)
-    base = ReducedParams(omega=1.0, beta=cfg.beta, energy_scale=spectrum.shape.energy_scale,
-                         eta=0.0, n_dipoles=1, alpha=1.0, spectrum=spectrum)
-    if alpha is None:
-        alphas = _alpha_tokens(cfg, base)
-    else:
-        alphas = [alpha]
+def _exact_rows(cfg, include_two_level=True):
+    n = cfg.n_dipoles
+    base = _base_params(cfg)
+    alphas = _alpha_tokens(cfg, base)
     etas = cfg.eta_values()
-    for n in n_list or [cfg.n_dipoles]:
-        hil = cfg.hilbert(n_dipoles=n, representation="product")
-        for a in alphas:
-            template = base.with_(n_dipoles=n, alpha=a)
-            if cfg.convention == "self-energy-in-bare":
-                rows = _seib_rows(cfg, hil, template, etas)
-            else:
-                rows = exactn.transition_sweep(hil, template, etas,
-                                               include_two_level=include_two_level)
-            for row in rows:
-                phase = _phase_label(base.with_(alpha=row["alpha"], eta=row["eta"]))
-                writer.write_row((row["eta"], row["alpha"], phase, n, row["model"],
-                                  row["G"], row["E"], row["gap_over_omega"]))
+    hil = HilbertConfig(n, cfg.dipole_levels, cfg.fock_cutoff, budget=cfg.budget)
+    for a in alphas:
+        template = base.with_(n_dipoles=n, alpha=a)
+        if cfg.convention == "self-energy-in-bare":
+            rows = _seib_rows(cfg, hil, template, etas)
+        else:
+            rows = exactn.transition_sweep(hil, template, etas,
+                                           include_two_level=include_two_level)
+        for row in rows:
+            phase = _phase_label(base.with_(alpha=row["alpha"], eta=row["eta"]))
+            yield (row["eta"], row["alpha"], phase, n, row["model"],
+                   row["G"], row["E"], row["gap_over_omega"])
 
 
 def _seib_rows(cfg, hil, template, etas):
@@ -361,158 +347,135 @@ def _seib_rows(cfg, hil, template, etas):
     return rows
 
 
-def _cmd_fig3a(cfg, writer):
+def _fig3a_rows(cfg):
+    """Exact against two-level rows in the multipolar gauge, N = 1..4."""
     for n in (1, 2, 3, 4):
-        sub = RunConfig(command="exact-sweep", beta=cfg.beta, eta_grid=cfg.eta_grid,
-                        n_dipoles=n,
-                        dipole_levels=8 if n <= 3 else 6,
-                        fock_cutoff=40 if n <= 3 else 30,
-                        energy_scale=cfg.energy_scale, levels=cfg.levels,
-                        threads=cfg.threads, budget=cfg.budget,
-                        gap_tol=cfg.gap_tol, grid_points=cfg.grid_points)
-        _cmd_exact_sweep(sub, writer, n_list=[n], alpha=1.0)
+        hil = exactn.default_hilbert(n, cfg.budget)
+        yield from _exact_rows(replace(
+            cfg, n_dipoles=n, dipole_levels=hil.dipole_levels,
+            fock_cutoff=hil.fock_cutoff, convention="main-text", alpha_list=("1",)))
 
 
 FIG3B_HEADER = ("eta", "alpha", "phase", "d2_n1", "d2_n2", "d2_n3", "d2_n4",
                 "d2_thermo")
 
 
-def _cmd_fig3b(cfg, writer):
+def _fig3b_rows(cfg):
     """Second derivative of G_s per dipole: N = 1..4 plus the analytic limit.
 
     The finite-N curves use the collective two-level model, the family whose
     thermodynamic limit the analytic column describes.
     """
-    spectrum = _main_spectrum(cfg)
-    base = ReducedParams(omega=1.0, beta=cfg.beta, energy_scale=spectrum.shape.energy_scale,
-                         eta=0.0, n_dipoles=1, alpha=1.0, spectrum=spectrum)
+    base = _base_params(cfg)
     etas = cfg.eta_values()
-    by_n = {}
+    by_n = []
     for n in (1, 2, 3, 4):
         hil = HilbertConfig(n, 2, cfg.fock_cutoff, representation=CollectiveSpin(),
                             budget=cfg.budget)
-        rows = exactn.second_derivative_sweep(hil, base.with_(n_dipoles=n), etas)
-        by_n[n] = {eta: val for eta, val in rows}
+        by_n.append(dict(exactn.second_derivative_sweep(hil, base.with_(n_dipoles=n), etas)))
     interior = etas[1:-1]
     analytic = dict(thermo.ground_density_second_derivative(base, interior))
     for eta in interior:
         phase = _phase_label(base.with_(eta=eta))
-        writer.write_row((eta, 1.0, phase, by_n[1][eta], by_n[2][eta],
-                          by_n[3][eta], by_n[4][eta], analytic[eta]))
+        yield (eta, 1.0, phase, *(d2[eta] for d2 in by_n), analytic[eta])
 
 
-def _cmd_sfigs(cfg, writer_factory):
+def _sfigs(cfg, path, provenance):
     """Companion sweeps: absorbed-self-energy polaritons and small-N gauges."""
+    stem = path[:-4] if path.endswith(".csv") else path
     # Sheet 1: thermodynamic-limit E-/E+ with the self-energy absorbed into
     # the well, at the scale where the unshifted gap is resonant.
-    e_scale = _resonant_scale(2.4, cfg.grid_points, cfg.gap_tol)
-    grid = GridSpec(points=cfg.grid_points)
-    writer = writer_factory("absorbed", THERMO_HEADER)
-    base0 = ReducedParams(omega=1.0, beta=2.4, energy_scale=e_scale, eta=0.0,
-                          n_dipoles=1, alpha=1.0,
-                          spectrum=dipole.solve_double_well(
-                              WellShape(2.4, e_scale), grid, cfg.levels,
-                              gap_tol=cfg.gap_tol))
-    alphas = _alpha_tokens(cfg, base0)
-    well_memo = {}
-
-    def absorbed_row(task):
-        alpha, eta = task
-        shape = WellShape(2.4, e_scale, SelfEnergyInBare(alpha, eta, 1.0))
+    base = _base_params(replace(cfg, beta=2.4, energy_scale="resonance"))
+    with CsvWriter(f"{stem}_absorbed.csv", THERMO_HEADER, provenance) as writer:
         # The well depends on (alpha, eta) only through its quadratic
-        # coefficient, so alpha=0 and eta=0 points share one solve.
-        q = shape.quadratic_coefficient()
-        if q not in well_memo:
-            well_memo[q] = dipole.solve_double_well(shape, grid, 2,
-                                                    gap_tol=cfg.gap_tol)
-        return _thermo_row(base0.with_(alpha=alpha, eta=eta,
-                                       spectrum=well_memo[q]))
-
-    tasks = [(alpha, eta) for alpha in alphas for eta in cfg.eta_values()]
-    for row in _pmap(absorbed_row, tasks, cfg.threads):
-        writer.write_row(row)
-    writer.close()
+        # coefficient, so alpha=0 and eta=0 points share one solve. The
+        # distinct wells are collected first, so no two threads solve one.
+        tasks, shapes = [], {}
+        for alpha in _alpha_tokens(cfg, base):
+            for eta in cfg.eta_values():
+                shape = WellShape(2.4, base.energy_scale, SelfEnergyInBare(alpha, eta, 1.0))
+                tasks.append((alpha, eta, shape.quadratic_coefficient()))
+                shapes.setdefault(tasks[-1][2], shape)
+        grid = GridSpec(points=cfg.grid_points)
+        solved = _pmap(lambda shape: dipole.solve_double_well(shape, grid, 2,
+                                                              gap_tol=cfg.gap_tol),
+                       list(shapes.values()), cfg.threads)
+        wells = dict(zip(shapes, solved))
+        for alpha, eta, q in tasks:
+            writer.write_row(_thermo_row(base.with_(alpha=alpha, eta=eta, spectrum=wells[q])))
 
     # Sheet 2: N in {1,2,3} at beta=1.5, exact multipolar model against the
     # two-level models in the Coulomb, JC (eta-dependent), and multipolar
     # gauges.
-    sub = RunConfig(command="exact-sweep", beta=1.5, eta_grid=cfg.eta_grid,
-                    dipole_levels=cfg.dipole_levels, fock_cutoff=cfg.fock_cutoff,
-                    energy_scale="resonance", levels=cfg.levels,
-                    threads=cfg.threads, budget=cfg.budget,
-                    gap_tol=cfg.gap_tol, grid_points=cfg.grid_points)
-    spectrum = _main_spectrum(sub)
-    base = ReducedParams(omega=1.0, beta=1.5, energy_scale=spectrum.shape.energy_scale,
-                         eta=0.0, n_dipoles=1, alpha=1.0, spectrum=spectrum)
-    writer = writer_factory("gauges", EXACT_HEADER)
-    etas = sub.eta_values()
-    for n in (1, 2, 3):
-        hil = sub.hilbert(n_dipoles=n, representation="product")
-        two = HilbertConfig(n, 2, sub.fock_cutoff, representation=CollectiveSpin(),
-                            budget=sub.budget)
-        rows = exactn.transition_sweep(hil, base.with_(n_dipoles=n, alpha=1.0),
-                                       etas, include_two_level=False)
-        for row in rows:
-            phase = _phase_label(base.with_(eta=row["eta"]))
-            writer.write_row((row["eta"], row["alpha"], phase, n, "exact",
-                              row["G"], row["E"], row["gap_over_omega"]))
-        for eta in etas:
-            p_eta = base.with_(n_dipoles=n, eta=eta)
-            gauges = [("two_level_coulomb", 0.0),
-                      ("two_level_jc", gauge.jc_gauge(p_eta)),
-                      ("two_level_multipolar", 1.0)]
-            for label, alpha in gauges:
-                h2 = exactn.dicke_two_level(two, p_eta.with_(alpha=alpha), spectrum)
-                vals = exactn.lowest_eigenvalues(h2, 2)
-                phase = _phase_label(base.with_(alpha=alpha, eta=eta))
-                writer.write_row((eta, alpha, phase, n, label,
-                                  float(vals[0]), float(vals[1]),
-                                  float(vals[1] - vals[0])))
-    writer.close()
+    sheet = replace(cfg, beta=1.5, energy_scale="resonance", convention="main-text",
+                    alpha_list=("1",))
+    base = _base_params(sheet)
+    with CsvWriter(f"{stem}_gauges.csv", EXACT_HEADER, provenance) as writer:
+        for n in (1, 2, 3):
+            for row in _exact_rows(replace(sheet, n_dipoles=n), include_two_level=False):
+                writer.write_row(row)
+            two = HilbertConfig(n, 2, sheet.fock_cutoff, representation=CollectiveSpin(),
+                                budget=sheet.budget)
+            for eta in sheet.eta_values():
+                p_eta = base.with_(n_dipoles=n, eta=eta)
+                gauges = [("two_level_coulomb", 0.0),
+                          ("two_level_jc", gauge.jc_gauge(p_eta)),
+                          ("two_level_multipolar", 1.0)]
+                for label, alpha in gauges:
+                    h2 = exactn.dicke_two_level(two, p_eta.with_(alpha=alpha), base.spectrum)
+                    vals = exactn.lowest_eigenvalues(h2, 2)
+                    phase = _phase_label(base.with_(alpha=alpha, eta=eta))
+                    writer.write_row((eta, alpha, phase, n, label,
+                                      float(vals[0]), float(vals[1]),
+                                      float(vals[1] - vals[0])))
 
 
-def _cmd_jc_curve(cfg, writer):
-    spectrum = _main_spectrum(cfg)
-    base = ReducedParams(omega=1.0, beta=cfg.beta, energy_scale=spectrum.shape.energy_scale,
-                         eta=0.0, n_dipoles=1, alpha=1.0, spectrum=spectrum)
-
-    def jc_row(eta):
+def _jc_rows(cfg):
+    base = _base_params(cfg)
+    for eta in cfg.eta_values():
         p_eta = base.with_(eta=eta)
         alpha_jc = gauge.jc_gauge(p_eta)
-        return (eta, alpha_jc, _phase_label(p_eta.with_(alpha=alpha_jc)))
-
-    for row in _pmap(jc_row, cfg.eta_values(), cfg.threads):
-        writer.write_row(row)
+        yield eta, alpha_jc, _phase_label(p_eta.with_(alpha=alpha_jc))
 
 
 CONV_HEADER = ("eta", "alpha", "phase", "dipole_levels", "fock_cutoff",
                "dimension", "G", "E", "delta_G", "delta_E", "fock_tail", "flags")
 
 
-def _cmd_convergence(cfg, writer):
-    spectrum = _main_spectrum(cfg, levels=max(cfg.levels,
-                                              max(l for l, _ in cfg.ladder)))
-    params = ReducedParams(omega=1.0, beta=cfg.beta,
-                           energy_scale=spectrum.shape.energy_scale,
-                           eta=cfg.eta_point, n_dipoles=cfg.n_dipoles,
-                           alpha=cfg.alpha_point, spectrum=spectrum)
+def _convergence_rows(cfg):
+    levels = max(cfg.levels, max(l for l, _ in cfg.ladder))
+    params = _base_params(cfg, levels).with_(
+        eta=cfg.eta_point, n_dipoles=cfg.n_dipoles, alpha=cfg.alpha_point)
     ladder = [HilbertConfig(cfg.n_dipoles, l, m, budget=cfg.budget)
               for l, m in cfg.ladder]
     phase = _phase_label(params)
-    for row in exactn.convergence_report(ladder, params, spectrum):
-        writer.write_row((cfg.eta_point, cfg.alpha_point, phase,
-                          row["dipole_levels"], row["fock_cutoff"],
-                          row["dimension"], row["G"], row["E"],
-                          "" if row["delta_G"] is None else row["delta_G"],
-                          "" if row["delta_E"] is None else row["delta_E"],
-                          row["fock_tail"], row["flags"]))
+    for row in exactn.convergence_report(ladder, params, params.spectrum):
+        yield (cfg.eta_point, cfg.alpha_point, phase,
+               row["dipole_levels"], row["fock_cutoff"],
+               row["dimension"], row["G"], row["E"],
+               "" if row["delta_G"] is None else row["delta_G"],
+               "" if row["delta_E"] is None else row["delta_E"],
+               row["fock_tail"], row["flags"])
 
 
-def _cmd_spectrum(cfg, provenance):
-    spectrum = _main_spectrum(cfg)
-    path = cfg.output_path or "spectrum.csv"
-    dipole.export_csv(spectrum, path, provenance=provenance)
-    return path
+def _spectrum(cfg, path, provenance):
+    dipole.export_csv(_main_spectrum(cfg), path, provenance=provenance)
+
+
+# Command name -> handler(cfg, path, provenance), which writes the command's
+# file(s) at `path` (`s-figs` derives its two sheet names from it).
+COMMANDS = {
+    "spectrum": _spectrum,
+    "thermo-sweep": _table(THERMO_HEADER, _thermo_rows),
+    "exact-sweep": _table(EXACT_HEADER, _exact_rows),
+    "fig1": _table(THERMO_HEADER, _thermo_rows),
+    "fig2": _table(THERMO_HEADER, _fig2_rows),
+    "fig3a": _table(EXACT_HEADER, _fig3a_rows),
+    "fig3b": _table(FIG3B_HEADER, _fig3b_rows),
+    "s-figs": _sfigs,
+    "jc-curve": _table(("eta", "alpha_jc", "phase"), _jc_rows),
+    "convergence": _table(CONV_HEADER, _convergence_rows),
+}
 
 
 def run(cfg: RunConfig) -> int:
@@ -521,56 +484,7 @@ def run(cfg: RunConfig) -> int:
                   f"eta_grid={cfg.eta_grid[0]:g}:{cfg.eta_grid[1]:g}:{cfg.eta_grid[2]} "
                   f"L={cfg.dipole_levels} M={cfg.fock_cutoff} "
                   f"convention={cfg.convention} grid_points={cfg.grid_points}")
-    if cfg.command == "spectrum":
-        _cmd_spectrum(cfg, provenance)
-        return 0
-
-    out = cfg.output_path or f"{cfg.command}.csv"
-    if cfg.command == "s-figs":
-        stem = out[:-4] if out.endswith(".csv") else out
-        writers = []
-
-        def factory(tag, header):
-            w = CsvWriter(f"{stem}_{tag}.csv", header, provenance)
-            writers.append(w)
-            return w
-
-        try:
-            _cmd_sfigs(cfg, factory)
-        except BaseException:
-            for w in writers:
-                w.truncate_marker()
-                w.close()
-            raise
-        return 0
-
-    headers = {
-        "thermo-sweep": THERMO_HEADER, "fig1": THERMO_HEADER, "fig2": THERMO_HEADER,
-        "exact-sweep": EXACT_HEADER, "fig3a": EXACT_HEADER,
-        "fig3b": FIG3B_HEADER, "jc-curve": ("eta", "alpha_jc", "phase"),
-        "convergence": CONV_HEADER,
-    }
-    writer = CsvWriter(out, headers[cfg.command], provenance)
-    try:
-        if cfg.command in ("thermo-sweep", "fig1"):
-            _cmd_thermo_like(cfg, writer)
-        elif cfg.command == "fig2":
-            _cmd_fig2(cfg, writer)
-        elif cfg.command == "exact-sweep":
-            _cmd_exact_sweep(cfg, writer)
-        elif cfg.command == "fig3a":
-            _cmd_fig3a(cfg, writer)
-        elif cfg.command == "fig3b":
-            _cmd_fig3b(cfg, writer)
-        elif cfg.command == "jc-curve":
-            _cmd_jc_curve(cfg, writer)
-        elif cfg.command == "convergence":
-            _cmd_convergence(cfg, writer)
-    except BaseException:
-        writer.truncate_marker()
-        writer.close()
-        raise
-    writer.close()
+    COMMANDS[cfg.command](cfg, cfg.output_path or f"{cfg.command}.csv", provenance)
     return 0
 
 

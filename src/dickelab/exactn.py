@@ -154,7 +154,7 @@ def assemble(config: HilbertConfig, params: ReducedParams,
 
     Raises
     ------
-    BudgetError, ConventionMismatch, ValidationError
+    ConventionMismatch, ValidationError
     """
     if not isinstance(config.representation, ProductBasis):
         raise ValidationError("assemble works in the product basis")
@@ -165,8 +165,6 @@ def assemble(config: HilbertConfig, params: ReducedParams,
         raise ValidationError("spectrum holds fewer levels than requested")
     _check_convention(config, params, spectrum, convention)
     dim = config.dimension
-    if dim > config.budget:
-        raise BudgetError(f"dimension {dim} exceeds budget {config.budget}")
 
     alpha, eta = params.alpha, params.eta
     omega, e_scale = params.omega, params.energy_scale
@@ -446,8 +444,6 @@ def gauge_fixing_unitary(config: HilbertConfig, params: ReducedParams,
     if not isinstance(config.representation, ProductBasis):
         raise ValidationError("gauge unitary works in the product basis")
     n_sites, levels, m = config.n_dipoles, config.dipole_levels, config.fock_cutoff
-    if config.dimension > config.budget:
-        raise BudgetError(f"dimension {config.dimension} exceeds budget")
     z_op = spectrum.zeta_elements[:levels, :levels]
     _, _, t_ph, _ = _photon_ops(m)
     zeta_sum = sum(_site_op(z_op, i, n_sites, levels) for i in range(n_sites))

@@ -234,6 +234,47 @@ def test_s_figs_writes_two_files(tmp_path):
     assert {int(r["n_dipoles"]) for r in rows_g} == {1, 2, 3}
 
 
+def test_s_figs_failure_marks_only_the_interrupted_sheet(tmp_path, capsys):
+    """A budget violation at N = 2 in sheet 2 keeps the N = 1 rows behind a
+    marker, leaves the finished sheet 1 unmarked, and does not depend on the
+    worker count that sheet 1's well solves ran on."""
+    args = ["--command", "s-figs", "eta_grid=0,0.6,3", "dipole_levels=4",
+            "fock_cutoff=10", "grid_points=16000", "gap_tol=1e-5", "--budget", "100"]
+    sheets = {}
+    for threads in ("1", "2"):
+        out = tmp_path / f"t{threads}" / "sup.csv"
+        out.parent.mkdir()
+        assert main(args + ["--out", str(out), "--threads", threads]) == EXIT_BUDGET
+        assert json.loads(capsys.readouterr().err)["error"] == "BudgetError"
+        sheets[threads] = [(out.parent / f"sup_{tag}.csv").read_bytes()
+                           for tag in ("absorbed", "gauges")]
+    assert sheets["1"] == sheets["2"]
+
+    absorbed, gauges = (text.decode() for text in sheets["1"])
+    assert "# TRUNCATED" not in absorbed
+    assert len(absorbed.splitlines()) == 2 + 3 * 3
+    lines = gauges.splitlines()
+    assert lines[-1] == "# TRUNCATED"
+    rows = list(csv.DictReader(lines[1:-1]))
+    assert rows and {int(r["n_dipoles"]) for r in rows} == {1}
+    assert {r["model"] for r in rows} == {
+        "exact", "two_level_coulomb", "two_level_jc", "two_level_multipolar"}
+
+
+def test_failure_before_first_row_replaces_stale_table(tmp_path, capsys):
+    """A table command opens its file before computing, so a run that fails
+    at its first solve cannot leave an earlier complete table in place."""
+    out = tmp_path / "jc.csv"
+    out.write_text("# config stale\neta,alpha_jc,phase\n0,0.5,normal\n")
+    code = main(["--command", "jc-curve", "--out", str(out),
+                 "grid_points=4000", "gap_tol=1e-9"])
+    assert code == EXIT_CONVERGENCE
+    assert json.loads(capsys.readouterr().err)["error"] == "ConvergenceError"
+    lines = out.read_text().splitlines()
+    assert lines[0].startswith("# config ") and "stale" not in lines[0]
+    assert lines[1:] == ["eta,alpha_jc,phase", "# TRUNCATED"]
+
+
 def test_reruns_are_byte_identical(tmp_path):
     args = ["--command", "fig1", "eta_grid=0,1.2,4"] + FAST
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
