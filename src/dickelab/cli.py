@@ -10,9 +10,11 @@ changing it can move values in the last digits. `threads` parallelizes only
 the absorbed-well solves of `s-figs` and never changes a row.
 
 Every table command opens its file before it computes anything and streams
-rows into it; a failure leaves the file ending in a `# TRUNCATED` line
-(for `s-figs`, only the sheet that was being written). `spectrum` writes its
-file only after its one solve succeeds.
+rows into it; a failure leaves the file ending in a `# TRUNCATED` line.
+`s-figs` opens both sheets first and completes sheet 1 before sheet 2, so a
+failure in sheet 1 marks both and one in sheet 2 marks only sheet 2; each
+sheet's provenance line states the beta the sheet was computed at.
+`spectrum` writes its file only after its one solve succeeds.
 
 Exit codes: 0 success, 2 validation, 3 convergence, 4 budget.
 """
@@ -168,6 +170,14 @@ def _fmt(value):
     return str(value)
 
 
+def _provenance(cfg, beta):
+    """The `# config` line: the run's digest and the inputs the rows used."""
+    return (f"config {cfg.digest()} command={cfg.command} beta={beta} "
+            f"eta_grid={cfg.eta_grid[0]:g}:{cfg.eta_grid[1]:g}:{cfg.eta_grid[2]} "
+            f"L={cfg.dipole_levels} M={cfg.fock_cutoff} "
+            f"convention={cfg.convention} grid_points={cfg.grid_points}")
+
+
 class CsvWriter:
     """Streams rows to one CSV file; use it as a context manager.
 
@@ -264,8 +274,8 @@ def _alpha_tokens(cfg, params_eta0):
 def _table(header, rows):
     """Handler for a one-file command: opens the file, then streams `rows(cfg)`."""
 
-    def handler(cfg, path, provenance):
-        with CsvWriter(path, header, provenance) as writer:
+    def handler(cfg, path):
+        with CsvWriter(path, header, _provenance(cfg, cfg.beta)) as writer:
             for row in rows(cfg):
                 writer.write_row(row)
 
@@ -339,11 +349,10 @@ def _seib_rows(cfg, hil, template, etas):
                                            eta / math.sqrt(hil.n_dipoles), 1.0))
         spec_pt = dipole.solve_double_well(shape, grid, max(cfg.levels, hil.dipole_levels),
                                            gap_tol=cfg.gap_tol)
-        h = exactn.assemble(hil, params, spec_pt, SelfEnergyInBare)
-        vals = exactn.lowest_eigenvalues(h, 2)
+        ground, excited, _ = exactn.ground_pair(
+            exactn.assemble(hil, params, spec_pt, SelfEnergyInBare))
         rows.append({"eta": float(eta), "alpha": params.alpha, "model": "exact",
-                     "G": float(vals[0]), "E": float(vals[1]),
-                     "gap_over_omega": float(vals[1] - vals[0])})
+                     "G": ground, "E": excited, "gap_over_omega": excited - ground})
     return rows
 
 
@@ -380,40 +389,50 @@ def _fig3b_rows(cfg):
         yield (eta, 1.0, phase, *(d2[eta] for d2 in by_n), analytic[eta])
 
 
-def _sfigs(cfg, path, provenance):
+SFIGS_ABSORBED_BETA = 2.4
+SFIGS_GAUGES_BETA = 1.5
+
+
+def _sfigs(cfg, path):
     """Companion sweeps: absorbed-self-energy polaritons and small-N gauges."""
     stem = path[:-4] if path.endswith(".csv") else path
-    # Sheet 1: thermodynamic-limit E-/E+ with the self-energy absorbed into
-    # the well, at the scale where the unshifted gap is resonant.
-    base = _base_params(replace(cfg, beta=2.4, energy_scale="resonance"))
-    with CsvWriter(f"{stem}_absorbed.csv", THERMO_HEADER, provenance) as writer:
-        # The well depends on (alpha, eta) only through its quadratic
-        # coefficient, so alpha=0 and eta=0 points share one solve. The
-        # distinct wells are collected first, so no two threads solve one.
-        tasks, shapes = [], {}
-        for alpha in _alpha_tokens(cfg, base):
-            for eta in cfg.eta_values():
-                shape = WellShape(2.4, base.energy_scale, SelfEnergyInBare(alpha, eta, 1.0))
-                tasks.append((alpha, eta, shape.quadratic_coefficient()))
-                shapes.setdefault(tasks[-1][2], shape)
-        grid = GridSpec(points=cfg.grid_points)
-        solved = _pmap(lambda shape: dipole.solve_double_well(shape, grid, 2,
-                                                              gap_tol=cfg.gap_tol),
-                       list(shapes.values()), cfg.threads)
-        wells = dict(zip(shapes, solved))
-        for alpha, eta, q in tasks:
-            writer.write_row(_thermo_row(base.with_(alpha=alpha, eta=eta, spectrum=wells[q])))
+    # Both sheets open before any solve, so a failure replaces both files;
+    # sheet 1 closes, unmarked, before sheet 2 is computed.
+    with CsvWriter(f"{stem}_gauges.csv", EXACT_HEADER,
+                   _provenance(cfg, SFIGS_GAUGES_BETA)) as gauges_sheet:
+        # Sheet 1: thermodynamic-limit E-/E+ with the self-energy absorbed
+        # into the well, at the scale where the unshifted gap is resonant.
+        with CsvWriter(f"{stem}_absorbed.csv", THERMO_HEADER,
+                       _provenance(cfg, SFIGS_ABSORBED_BETA)) as absorbed_sheet:
+            base = _base_params(replace(cfg, beta=SFIGS_ABSORBED_BETA,
+                                        energy_scale="resonance"))
+            # The well depends on (alpha, eta) only through its quadratic
+            # coefficient, so alpha=0 and eta=0 points share one solve. The
+            # distinct wells are collected first, so no two threads solve one.
+            tasks, shapes = [], {}
+            for alpha in _alpha_tokens(cfg, base):
+                for eta in cfg.eta_values():
+                    shape = WellShape(SFIGS_ABSORBED_BETA, base.energy_scale,
+                                      SelfEnergyInBare(alpha, eta, 1.0))
+                    tasks.append((alpha, eta, shape.quadratic_coefficient()))
+                    shapes.setdefault(tasks[-1][2], shape)
+            grid = GridSpec(points=cfg.grid_points)
+            solved = _pmap(lambda shape: dipole.solve_double_well(shape, grid, 2,
+                                                                  gap_tol=cfg.gap_tol),
+                           list(shapes.values()), cfg.threads)
+            wells = dict(zip(shapes, solved))
+            for alpha, eta, q in tasks:
+                absorbed_sheet.write_row(_thermo_row(base.with_(alpha=alpha, eta=eta,
+                                                                spectrum=wells[q])))
 
-    # Sheet 2: N in {1,2,3} at beta=1.5, exact multipolar model against the
-    # two-level models in the Coulomb, JC (eta-dependent), and multipolar
-    # gauges.
-    sheet = replace(cfg, beta=1.5, energy_scale="resonance", convention="main-text",
-                    alpha_list=("1",))
-    base = _base_params(sheet)
-    with CsvWriter(f"{stem}_gauges.csv", EXACT_HEADER, provenance) as writer:
+        # Sheet 2: N in {1,2,3}, exact multipolar model against the two-level
+        # models in the Coulomb, JC (eta-dependent), and multipolar gauges.
+        sheet = replace(cfg, beta=SFIGS_GAUGES_BETA, energy_scale="resonance",
+                        convention="main-text", alpha_list=("1",))
+        base = _base_params(sheet)
         for n in (1, 2, 3):
             for row in _exact_rows(replace(sheet, n_dipoles=n), include_two_level=False):
-                writer.write_row(row)
+                gauges_sheet.write_row(row)
             two = HilbertConfig(n, 2, sheet.fock_cutoff, representation=CollectiveSpin(),
                                 budget=sheet.budget)
             for eta in sheet.eta_values():
@@ -422,12 +441,11 @@ def _sfigs(cfg, path, provenance):
                           ("two_level_jc", gauge.jc_gauge(p_eta)),
                           ("two_level_multipolar", 1.0)]
                 for label, alpha in gauges:
-                    h2 = exactn.dicke_two_level(two, p_eta.with_(alpha=alpha), base.spectrum)
-                    vals = exactn.lowest_eigenvalues(h2, 2)
+                    ground, excited, _ = exactn.ground_pair(exactn.dicke_two_level(
+                        two, p_eta.with_(alpha=alpha), base.spectrum))
                     phase = _phase_label(base.with_(alpha=alpha, eta=eta))
-                    writer.write_row((eta, alpha, phase, n, label,
-                                      float(vals[0]), float(vals[1]),
-                                      float(vals[1] - vals[0])))
+                    gauges_sheet.write_row((eta, alpha, phase, n, label, ground,
+                                            excited, excited - ground))
 
 
 def _jc_rows(cfg):
@@ -458,11 +476,11 @@ def _convergence_rows(cfg):
                row["fock_tail"], row["flags"])
 
 
-def _spectrum(cfg, path, provenance):
-    dipole.export_csv(_main_spectrum(cfg), path, provenance=provenance)
+def _spectrum(cfg, path):
+    dipole.export_csv(_main_spectrum(cfg), path, provenance=_provenance(cfg, cfg.beta))
 
 
-# Command name -> handler(cfg, path, provenance), which writes the command's
+# Command name -> handler(cfg, path), which writes the command's
 # file(s) at `path` (`s-figs` derives its two sheet names from it).
 COMMANDS = {
     "spectrum": _spectrum,
@@ -480,11 +498,7 @@ COMMANDS = {
 
 def run(cfg: RunConfig) -> int:
     """Dispatch one command; returns the process exit code."""
-    provenance = (f"config {cfg.digest()} command={cfg.command} beta={cfg.beta} "
-                  f"eta_grid={cfg.eta_grid[0]:g}:{cfg.eta_grid[1]:g}:{cfg.eta_grid[2]} "
-                  f"L={cfg.dipole_levels} M={cfg.fock_cutoff} "
-                  f"convention={cfg.convention} grid_points={cfg.grid_points}")
-    COMMANDS[cfg.command](cfg, cfg.output_path or f"{cfg.command}.csv", provenance)
+    COMMANDS[cfg.command](cfg, cfg.output_path or f"{cfg.command}.csv")
     return 0
 
 

@@ -133,18 +133,6 @@ def _solve_potential(v_dimless, h, levels):
     return vals[order], vecs[:, order]
 
 
-def _eigenvalues_only(v_dimless, h, k):
-    n = v_dimless.size
-    diag = 1.0 / h**2 + v_dimless
-    off = np.full(n - 1, -0.5 / h**2)
-    t = sp.diags([off, diag, off], [-1, 0, 1], format="csc")
-    sigma = float(np.min(v_dimless)) - 1.0
-    v0 = np.ones(n) / np.sqrt(n)
-    vals = eigsh(t, k=k, sigma=sigma, which="LM", v0=v0, tol=0,
-                 return_eigenvectors=False)
-    return np.sort(vals)
-
-
 def _well_values(shape, z):
     q = shape.quadratic_coefficient()
     return 0.5 * (q * z**2 + 0.5 * z**4)
@@ -196,7 +184,7 @@ def solve_double_well(shape: WellShape, grid: GridSpec, levels: int,
         )
 
     z2, h2 = grid.axis(points=2 * grid.points)
-    fine = _eigenvalues_only(_well_values(shape, z2), h2, 2)
+    fine = _solve_potential(_well_values(shape, z2), h2, 2)[0]
     gap, fine_gap = vals[1] - vals[0], fine[1] - fine[0]
     drift = abs(fine_gap - gap) / abs(fine_gap)
     if drift > gap_tol:

@@ -12,9 +12,13 @@ ever built:
     i (a^dag - a) -> -(a^dag + a)           (canonical momentum Pi)
     (a^dag + a)^2 ->  2 a^dag a + 1 - (a^dag^2 + a^2)
 
-The two-level collective-spin Dicke Hamiltonian is built separately from its
-replacement form; it differs from the L=2 projection in the self-energy term,
-which is the point of keeping both.
+Every finite-N Hamiltonian, and the gauge exponent, has the form
+D x 1 + 1 x F + X x (a^dag - a) + Y x (a^dag + a) with D, X, Y on the dipoles
+and F on the mode, formed by one builder. Pair sums use sum_{mu != nu}
+zeta_mu zeta_nu = Z^2 - sum_mu (zeta^2)_mu with Z = sum_mu zeta_mu. The
+two-level collective-spin Dicke Hamiltonian comes from its replacement form;
+it differs from the L=2 projection in the self-energy term, which is the
+point of keeping both.
 """
 
 import math
@@ -105,14 +109,26 @@ def _photon_ops(m):
     return number.tocsr(), q, t, w
 
 
-def _site_op(op, site, n_sites, levels):
-    left = sp.identity(levels**site, format="csr")
-    right = sp.identity(levels ** (n_sites - site - 1), format="csr")
-    return sp.kron(sp.kron(left, sp.csr_matrix(op)), right, format="csr")
+def _summed(op, n_sites):
+    """sum_mu op_mu: the single-dipole operator op on each of n_sites dipoles."""
+    op = sp.csr_matrix(op)
+    levels = op.shape[0]
+    total = op
+    for k in range(1, n_sites):
+        total = (sp.kron(total, sp.identity(levels), format="csr")
+                 + sp.kron(sp.identity(levels**k), op, format="csr"))
+    return total
 
 
-def _pair_op(op, site_a, site_b, n_sites, levels):
-    return _site_op(op, site_a, n_sites, levels) @ _site_op(op, site_b, n_sites, levels)
+def _with_mode(m, dipole, x, y, omega_field=0.0, c_w=0.0):
+    """D x 1 + 1 x F + X x (a^dag - a) + Y x (a^dag + a) on dipoles x Fock(m),
+    with F = omega_field (a^dag a + 1/2) + c_w (rotated (a^dag + a)^2)."""
+    number, q, t, w = _photon_ops(m)
+    id_ph = sp.identity(m, format="csr")
+    field = omega_field * (number + 0.5 * id_ph) + c_w * w
+    return (sp.kron(dipole, id_ph, format="csr")
+            + sp.kron(sp.identity(dipole.shape[0], format="csr"), field, format="csr")
+            + sp.kron(x, t, format="csr") + sp.kron(y, q, format="csr")).tocsr()
 
 
 def _check_convention(config, params, spectrum, convention):
@@ -175,11 +191,6 @@ def assemble(config: HilbertConfig, params: ReducedParams,
     z2_op = spectrum.zeta_sq_elements[:levels, :levels]
     bare = np.diag(spectrum.energies[:levels])
 
-    _, q_ph, t_ph, w_ph = _photon_ops(m)
-    number = sp.diags(np.arange(m, dtype=float))
-    id_ph = sp.identity(m, format="csr")
-    id_dip = sp.identity(levels**n_sites, format="csr")
-
     c_cross = e_scale * (1.0 - alpha) * lam
     c_a2 = n_sites * 0.5 * e_scale * (1.0 - alpha) ** 2 * lam**2
     c_pi = alpha * eta * omega**1.5 / math.sqrt(2.0 * n_sites * e_scale)
@@ -191,22 +202,16 @@ def assemble(config: HilbertConfig, params: ReducedParams,
         c_se = alpha**2 * eta**2 * omega**2 / (2.0 * n_sites * e_scale)
     c_dd = -(1.0 - alpha**2) * eta**2 * omega**2 / (2.0 * n_sites * e_scale)
 
-    terms = [sp.kron(id_dip, omega * (number + 0.5 * sp.identity(m)), format="csr"),
-             c_a2 * sp.kron(id_dip, w_ph, format="csr")]
-    for site in range(n_sites):
-        terms.append(sp.kron(_site_op(bare, site, n_sites, levels), id_ph, format="csr"))
-        terms.append(-c_cross * sp.kron(_site_op(s_op, site, n_sites, levels), t_ph, format="csr"))
-        if c_pi != 0.0:
-            terms.append(c_pi * sp.kron(_site_op(z_op, site, n_sites, levels), q_ph, format="csr"))
-        if c_se != 0.0:
-            terms.append(c_se * sp.kron(_site_op(z2_op, site, n_sites, levels), id_ph, format="csr"))
-    if c_dd != 0.0:
-        for site_a in range(n_sites):
-            for site_b in range(site_a + 1, n_sites):
-                pair = _pair_op(z_op, site_a, site_b, n_sites, levels)
-                terms.append(2.0 * c_dd * sp.kron(pair, id_ph, format="csr"))
-
-    matrix = sum(terms).tocsr()
+    # sum_{mu != nu} zeta_mu zeta_nu = Z Z - sum_mu (zeta zeta)_mu. A single
+    # dipole has no pairs, and Z Z - zeta zeta would leave rounding residue.
+    z_sum = _summed(z_op, n_sites)
+    if n_sites > 1 and c_dd != 0.0:
+        dipole = (_summed(bare + c_se * z2_op - c_dd * (z_op @ z_op), n_sites)
+                  + c_dd * (z_sum @ z_sum))
+    else:
+        dipole = _summed(bare + c_se * z2_op, n_sites)
+    matrix = _with_mode(m, dipole, -c_cross * _summed(s_op, n_sites), c_pi * z_sum,
+                        omega_field=omega, c_w=c_a2)
     _assert_symmetric(matrix)
     labels = {
         "representation": "product",
@@ -234,8 +239,7 @@ def _collective_spin_ops(n_dipoles):
     m_vals = np.arange(-j, j + 1)
     jz = np.diag(m_vals)
     up = np.sqrt(j * (j + 1) - m_vals[:-1] * (m_vals[:-1] + 1))
-    jp = np.diag(up, -1)    # raises m: entry (m+1, m)
-    return jz, jp, jp.T
+    return jz, np.diag(up, -1)    # J^z, and J^+ with entries (m+1, m)
 
 
 def dicke_two_level(config: HilbertConfig, params: ReducedParams,
@@ -262,31 +266,20 @@ def dicke_two_level(config: HilbertConfig, params: ReducedParams,
         + 0.5 * couplings.rho_d2
 
     if isinstance(config.representation, CollectiveSpin):
-        jz, jp, jm = _collective_spin_ops(n_sites)
-        jz, jp, jm = map(sp.csr_matrix, (jz, jp, jm))
+        jz, jp = map(sp.csr_matrix, _collective_spin_ops(n_sites))
     else:
         # sigma^z has eigenvalues -1/2 (ground) and +1/2; sigma^+ raises.
-        sz = np.diag([-0.5, 0.5])
-        s_up = np.array([[0.0, 0.0], [1.0, 0.0]])
-        jz = sum(_site_op(sz, i, n_sites, 2) for i in range(n_sites))
-        jp = sum(_site_op(s_up, i, n_sites, 2) for i in range(n_sites))
-        jm = jp.T.tocsr()
-
-    jx2 = (jp + jm) @ (jp + jm)
-    _, q_ph, t_ph, _ = _photon_ops(m)
-    number = sp.diags(np.arange(m, dtype=float))
-    id_ph = sp.identity(m, format="csr")
-    id_sp = sp.identity(jz.shape[0], format="csr")
+        jz = _summed(np.diag([-0.5, 0.5]), n_sites)
+        jp = _summed(np.array([[0.0, 0.0], [1.0, 0.0]]), n_sites)
+    jx = jp + jp.T
 
     # Rotated interaction: +g'(J+ - J-)(c^dag - c) - g(J+ + J-)(c^dag + c).
-    matrix = (
-        omega_m * sp.kron(jz, id_ph)
-        + sp.kron(id_sp, couplings.omega_alpha * (number + 0.5 * sp.identity(m)))
-        - (couplings.c_alpha / n_sites) * sp.kron(jx2, id_ph)
-        + (couplings.g_prime_alpha / math.sqrt(n_sites)) * sp.kron(jp - jm, t_ph)
-        - (couplings.g_alpha / math.sqrt(n_sites)) * sp.kron(jp + jm, q_ph)
-        + const * sp.identity(jz.shape[0] * m)
-    ).tocsr()
+    dipole = (omega_m * jz - (couplings.c_alpha / n_sites) * (jx @ jx)
+              + const * sp.identity(jz.shape[0]))
+    matrix = _with_mode(m, dipole,
+                        (couplings.g_prime_alpha / math.sqrt(n_sites)) * (jp - jp.T),
+                        -(couplings.g_alpha / math.sqrt(n_sites)) * jx,
+                        omega_field=couplings.omega_alpha)
     _assert_symmetric(matrix)
     rep = "collective" if isinstance(config.representation, CollectiveSpin) else "product"
     labels = {
@@ -343,7 +336,10 @@ def fock_tail_weight(h: AssembledHamiltonian, vector) -> float:
     return float(np.sum(resh[..., -1] ** 2))
 
 
-def _ground_pair(h):
+def ground_pair(h: AssembledHamiltonian):
+    """(G, E, Fock-tail weight): the two lowest energies and the weight of
+    the highest Fock state in the ground vector, with a warning when that
+    weight exceeds FOCK_TAIL_TOL."""
     vals, vecs = lowest_eigenvalues(h, 2, return_vectors=True)
     tail = fock_tail_weight(h, vecs[:, 0])
     if tail > FOCK_TAIL_TOL:
@@ -352,7 +348,20 @@ def _ground_pair(h):
             "raise fock_cutoff",
             stacklevel=3,
         )
-    return float(vals[0]), float(vals[1])
+    return float(vals[0]), float(vals[1]), tail
+
+
+def _model_solver(config, model, convention=MainText):
+    """(params, spectrum) -> ground_pair of the "exact" model on `config`, or
+    of the collective "two_level" model with its dipole count and Fock cutoff."""
+    if model == "exact":
+        return lambda params, spectrum: ground_pair(
+            assemble(config, params, spectrum, convention))
+    if model == "two_level":
+        two = HilbertConfig(config.n_dipoles, 2, config.fock_cutoff,
+                            representation=CollectiveSpin(), budget=config.budget)
+        return lambda params, spectrum: ground_pair(dicke_two_level(two, params, spectrum))
+    raise ValidationError("model must be 'exact' or 'two_level'")
 
 
 def transition_sweep(config: HilbertConfig, params_template: ReducedParams,
@@ -368,27 +377,17 @@ def transition_sweep(config: HilbertConfig, params_template: ReducedParams,
         raise ValidationError("params_template carries no dipole spectrum")
     if not isinstance(spectrum.shape.renorm, MainText):
         raise ConventionMismatch("transition sweeps use the plain-well spectrum")
-    two_cfg = None
-    if include_two_level:
-        two_cfg = HilbertConfig(config.n_dipoles, 2, config.fock_cutoff,
-                                representation=CollectiveSpin(), budget=config.budget)
+    models = ("exact", "two_level") if include_two_level else ("exact",)
+    solvers = [(model, _model_solver(config, model)) for model in models]
     rows = []
     for eta in eta_grid:
         params = params_template.with_(eta=float(eta))
-        h = assemble(config, params, spectrum, MainText)
-        ground, excited = _ground_pair(h)
-        rows.append({
-            "eta": float(eta), "alpha": params.alpha, "model": "exact",
-            "G": ground, "E": excited,
-            "gap_over_omega": (excited - ground) / params.omega,
-        })
-        if include_two_level:
-            h2 = dicke_two_level(two_cfg, params, spectrum)
-            ground2, excited2 = _ground_pair(h2)
+        for model, solve in solvers:
+            ground, excited, _ = solve(params, spectrum)
             rows.append({
-                "eta": float(eta), "alpha": params.alpha, "model": "two_level",
-                "G": ground2, "E": excited2,
-                "gap_over_omega": (excited2 - ground2) / params.omega,
+                "eta": float(eta), "alpha": params.alpha, "model": model,
+                "G": ground, "E": excited,
+                "gap_over_omega": (excited - ground) / params.omega,
             })
     return rows
 
@@ -410,18 +409,11 @@ def second_derivative_sweep(config: HilbertConfig, params_template: ReducedParam
     spectrum = params_template.spectrum
     if spectrum is None:
         raise ValidationError("params_template carries no dipole spectrum")
+    solve = _model_solver(config, model)
     g_s = []
     for eta in grid:
         params = params_template.with_(eta=float(eta))
-        if model == "exact":
-            h = assemble(config, params, spectrum, MainText)
-        elif model == "two_level":
-            cfg = HilbertConfig(config.n_dipoles, 2, config.fock_cutoff,
-                                representation=CollectiveSpin(), budget=config.budget)
-            h = dicke_two_level(cfg, params, spectrum)
-        else:
-            raise ValidationError("model must be 'exact' or 'two_level'")
-        ground, _ = _ground_pair(h)
+        ground = solve(params, spectrum)[0]
         g_s.append(ground - 0.5 * params.rho_d2)
     g_s = np.asarray(g_s)
     scale = 1.0 / (config.n_dipoles * params_template.omega * h_step**2)
@@ -443,14 +435,14 @@ def gauge_fixing_unitary(config: HilbertConfig, params: ReducedParams,
     """
     if not isinstance(config.representation, ProductBasis):
         raise ValidationError("gauge unitary works in the product basis")
-    n_sites, levels, m = config.n_dipoles, config.dipole_levels, config.fock_cutoff
-    z_op = spectrum.zeta_elements[:levels, :levels]
-    _, _, t_ph, _ = _photon_ops(m)
-    zeta_sum = sum(_site_op(z_op, i, n_sites, levels) for i in range(n_sites))
+    levels = config.dipole_levels
+    zeta_sum = _summed(spectrum.zeta_elements[:levels, :levels], config.n_dipoles)
     # Conjugating by exp(i theta zeta (a^dag+a)) with theta = (to - from) lam
     # shifts the kinetic coupling between the gauges; the phase rotation of
     # the mode turns that exponent into the real antisymmetric form below.
-    exponent = -(alpha_to - alpha_from) * params.lambda_a * sp.kron(zeta_sum, t_ph)
+    zero = sp.csr_matrix(zeta_sum.shape)
+    exponent = _with_mode(config.fock_cutoff, zero,
+                          -(alpha_to - alpha_from) * params.lambda_a * zeta_sum, zero)
     return expm(exponent.toarray())
 
 
@@ -465,10 +457,7 @@ def convergence_report(config_ladder, params: ReducedParams,
     prev_g = prev_e = None
     prev_dg = None
     for cfg in config_ladder:
-        h = assemble(cfg, params, spectrum, convention)
-        vals, vecs = lowest_eigenvalues(h, 2, return_vectors=True)
-        ground, excited = float(vals[0]), float(vals[1])
-        tail = fock_tail_weight(h, vecs[:, 0])
+        ground, excited, tail = _model_solver(cfg, "exact", convention)(params, spectrum)
         flags = []
         if tail > FOCK_TAIL_TOL:
             flags.append("fock-tail")
@@ -480,7 +469,7 @@ def convergence_report(config_ladder, params: ReducedParams,
         rows.append({
             "dipole_levels": cfg.dipole_levels,
             "fock_cutoff": cfg.fock_cutoff,
-            "dimension": h.dimension,
+            "dimension": cfg.dimension,
             "G": ground,
             "E": excited,
             "delta_G": delta_g,

@@ -3,6 +3,10 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +14,8 @@ from dickelab.cli import (
     EXIT_BUDGET,
     EXIT_CONVERGENCE,
     EXIT_VALIDATION,
+    EXACT_HEADER,
+    THERMO_HEADER,
     build_config,
     main,
     read_config_file,
@@ -261,6 +267,36 @@ def test_s_figs_failure_marks_only_the_interrupted_sheet(tmp_path, capsys):
         "exact", "two_level_coulomb", "two_level_jc", "two_level_multipolar"}
 
 
+def test_s_figs_failure_before_any_row_replaces_both_stale_sheets(tmp_path, capsys):
+    """Both sheets open before the first well solve, so a run that fails
+    there leaves neither sheet of an earlier complete run in place."""
+    out = tmp_path / "sup.csv"
+    for tag in ("absorbed", "gauges"):
+        (tmp_path / f"sup_{tag}.csv").write_text("# config stale\neta\n0\n")
+    code = main(["--command", "s-figs", "--out", str(out),
+                 "grid_points=4000", "gap_tol=1e-9"])
+    assert code == EXIT_CONVERGENCE
+    assert json.loads(capsys.readouterr().err)["error"] == "ConvergenceError"
+    for tag, header in (("absorbed", THERMO_HEADER), ("gauges", EXACT_HEADER)):
+        lines = (tmp_path / f"sup_{tag}.csv").read_text().splitlines()
+        assert lines[0].startswith("# config ") and "stale" not in lines[0]
+        assert lines[1:] == [",".join(header), "# TRUNCATED"]
+
+
+def test_s_figs_provenance_states_each_sheets_beta(tmp_path):
+    """Sheet 1 is computed at beta 2.4 and sheet 2 at beta 1.5 whatever the
+    config's beta; each `# config` line says so under the run's digest."""
+    overrides = ["beta=3.3", "eta_grid=0,0.6,3", "dipole_levels=4", "fock_cutoff=10",
+                 "grid_points=16000", "gap_tol=1e-5"]
+    out = tmp_path / "sup.csv"
+    assert main(["--command", "s-figs", "--out", str(out)] + overrides) == 0
+    digest = build_config(dict(kv.split("=") for kv in overrides + ["command=s-figs"])).digest()
+    for tag, beta in (("absorbed", "2.4"), ("gauges", "1.5")):
+        line, _ = read_rows(tmp_path / f"sup_{tag}.csv")
+        assert line.split()[:4] == ["#", "config", digest, "command=s-figs"]
+        assert f" beta={beta} " in line
+
+
 def test_failure_before_first_row_replaces_stale_table(tmp_path, capsys):
     """A table command opens its file before computing, so a run that fails
     at its first solve cannot leave an earlier complete table in place."""
@@ -300,3 +336,31 @@ def test_config_file_plus_overrides_precedence(tmp_path):
                 + FAST) == 0
     header, _ = read_rows(out)
     assert "beta=2.4" in header
+
+
+def test_blas_thread_count_moves_rows_only_in_the_last_digits(tmp_path):
+    """The digest does not record the BLAS thread count, so reruns at 1 and 2
+    OpenBLAS threads share it; their rows agree to rel 1e-12 on G and E and
+    to 1e-11 on the gap. Each run is a fresh process because OpenBLAS reads
+    its thread count once, at load time."""
+    args = ["--command", "exact-sweep", "n_dipoles=2", "beta=3.3", "eta_grid=0,2.8,5",
+            "grid_points=32000", "gap_tol=1e-5"]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    tables = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"blas{threads}.csv"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
+        subprocess.run([sys.executable, "-m", "dickelab.cli", "--out", str(out)] + args,
+                       env=env, check=True, timeout=600)
+        tables.append(read_rows(out))
+    (line1, rows1), (line2, rows2) = tables
+    assert line1 == line2
+    assert len(rows1) == len(rows2) == 5 * 3 * 2
+    for a, b in zip(rows1, rows2):
+        assert [a[k] for k in ("eta", "phase", "n_dipoles", "model")] == \
+            [b[k] for k in ("eta", "phase", "n_dipoles", "model")]
+        assert float(a["alpha"]) == pytest.approx(float(b["alpha"]), rel=1e-12, abs=0)
+        for key in ("G", "E"):
+            assert float(a[key]) == pytest.approx(float(b[key]), rel=1e-12, abs=0)
+        assert abs(float(a["gap_over_omega"]) - float(b["gap_over_omega"])) <= 1e-11

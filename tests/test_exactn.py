@@ -15,6 +15,7 @@ from dickelab import (
     GridError,
     GridSpec,
     HilbertConfig,
+    MainText,
     ProductBasis,
     ReducedParams,
     SelfEnergyInBare,
@@ -76,6 +77,81 @@ def test_assembled_matrix_is_real_symmetric(p33):
         m = h.matrix
         assert m.dtype == np.float64
         assert abs(m - m.T).max() <= 1e-12 * abs(m).max()
+
+
+def _site_op(op, site, n_sites, levels):
+    left = sp.identity(levels**site, format="csr")
+    right = sp.identity(levels ** (n_sites - site - 1), format="csr")
+    return sp.kron(sp.kron(left, sp.csr_matrix(op)), right, format="csr")
+
+
+def reference_assemble(cfg, params, spectrum, convention):
+    """The full Hamiltonian built term by term: one kron chain per site and
+    one per dipole pair, each with its own photon operator."""
+    n_sites, levels, m = cfg.n_dipoles, cfg.dipole_levels, cfg.fock_cutoff
+    alpha, eta = params.alpha, params.eta
+    omega, e_scale, lam = params.omega, params.energy_scale, params.lambda_a
+    z_op = spectrum.zeta_elements[:levels, :levels]
+    s_op = spectrum.p_elements[:levels, :levels]
+    z2_op = spectrum.zeta_sq_elements[:levels, :levels]
+    bare = np.diag(spectrum.energies[:levels])
+
+    n = np.arange(m, dtype=float)
+    lower = sp.diags(np.sqrt(n[1:]), 1)
+    number = sp.diags(n)
+    q_ph = (lower.T + lower).tocsr()
+    t_ph = (lower.T - lower).tocsr()
+    w_ph = (2.0 * number + sp.identity(m) - (lower.T @ lower.T + lower @ lower)).tocsr()
+    id_ph = sp.identity(m, format="csr")
+    id_dip = sp.identity(levels**n_sites, format="csr")
+
+    c_cross = e_scale * (1.0 - alpha) * lam
+    c_a2 = n_sites * 0.5 * e_scale * (1.0 - alpha) ** 2 * lam**2
+    c_pi = alpha * eta * omega**1.5 / math.sqrt(2.0 * n_sites * e_scale)
+    c_se = 0.0 if convention is SelfEnergyInBare else (
+        alpha**2 * eta**2 * omega**2 / (2.0 * n_sites * e_scale))
+    c_dd = -(1.0 - alpha**2) * eta**2 * omega**2 / (2.0 * n_sites * e_scale)
+
+    terms = [sp.kron(id_dip, omega * (number + 0.5 * sp.identity(m)), format="csr"),
+             c_a2 * sp.kron(id_dip, w_ph, format="csr")]
+    for site in range(n_sites):
+        def on_site(op):
+            return _site_op(op, site, n_sites, levels)
+        terms.append(sp.kron(on_site(bare), id_ph, format="csr"))
+        terms.append(-c_cross * sp.kron(on_site(s_op), t_ph, format="csr"))
+        if c_pi != 0.0:
+            terms.append(c_pi * sp.kron(on_site(z_op), q_ph, format="csr"))
+        if c_se != 0.0:
+            terms.append(c_se * sp.kron(on_site(z2_op), id_ph, format="csr"))
+    if c_dd != 0.0:
+        for site_a in range(n_sites):
+            for site_b in range(site_a + 1, n_sites):
+                pair = (_site_op(z_op, site_a, n_sites, levels)
+                        @ _site_op(z_op, site_b, n_sites, levels))
+                terms.append(2.0 * c_dd * sp.kron(pair, id_ph, format="csr"))
+    return sum(terms).tocsr()
+
+
+def test_assemble_matches_per_site_pair_reference(p33):
+    """The shared builder against the term-by-term construction, entry by
+    entry, for N = 1..3, three gauges, three couplings (both phases) and
+    both self-energy conventions; it may not store more entries either."""
+    grid = GridSpec(points=16000)
+    for n in (1, 2, 3):
+        cfg = HilbertConfig(n, 6, 10)
+        for alpha in (0.0, 0.37, 1.0):
+            for eta in (0.0, 0.9, 2.8):
+                p = p33.with_(n_dipoles=n, alpha=alpha, eta=eta)
+                absorbed = solve_double_well(
+                    WellShape(beta=3.3, energy_scale=p.energy_scale,
+                              renorm=SelfEnergyInBare(alpha, eta / math.sqrt(n), 1.0)),
+                    grid, levels=6, gap_tol=1e-5)
+                for spec, convention in ((p.spectrum, MainText),
+                                         (absorbed, SelfEnergyInBare)):
+                    ours = assemble(cfg, p, spec, convention).matrix
+                    ref = reference_assemble(cfg, p, spec, convention)
+                    assert abs(ours - ref).max() <= 1e-13 * abs(ref).max()
+                    assert ours.nnz <= ref.nnz
 
 
 def test_zero_coupling_ground_energy_is_exact(p33):
