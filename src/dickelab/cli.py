@@ -9,12 +9,13 @@ byte-identical; the digest does not record the BLAS thread count, and
 changing it can move values in the last digits. `threads` parallelizes only
 the absorbed-well solves of `s-figs` and never changes a row.
 
-Every table command opens its file before it computes anything and streams
-rows into it; a failure leaves the file ending in a `# TRUNCATED` line.
-`s-figs` opens both sheets first and completes sheet 1 before sheet 2, so a
-failure in sheet 1 marks both and one in sheet 2 marks only sheet 2; each
-sheet's provenance line states the beta the sheet was computed at.
-`spectrum` writes its file only after its one solve succeeds.
+A command writes one CSV sheet, or two for `s-figs`. A sheet may pin config
+keys (`s-figs` its beta, energy scale and convention, `fig3a` its convention
+and gauge); its rows and its `# config` line come from the config with those
+pins applied, under the run's digest, which leaves out the keys every sheet
+of the command pins. All of a command's sheets open before any solve, and
+each closes after its last row; a failure ends the sheet being written and
+every later one with a `# TRUNCATED` line.
 
 Exit codes: 0 success, 2 validation, 3 convergence, 4 budget.
 """
@@ -25,6 +26,7 @@ import json
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass, replace
 
 from . import dipole, exactn, gauge, thermo
@@ -89,15 +91,19 @@ class RunConfig:
             raise ValidationError("threads must be positive")
         if self.convention not in ("main-text", "self-energy-in-bare"):
             raise ValidationError(f"unknown convention {self.convention!r}")
+        if not 0.0 <= self.alpha_point <= 1.0:
+            raise ValidationError("alpha_point must lie in [0, 1]")
 
     def eta_values(self):
         start, stop, steps = self.eta_grid
         return [start + (stop - start) * i / (steps - 1) for i in range(steps)]
 
     def digest(self):
-        # Identifies the data, so the output location and worker count
-        # (which cannot change row content) stay out of the hash.
-        skip = {"output_path", "threads"}
+        # Identifies the data, so the output location, the worker count and
+        # the keys every sheet of the command pins (none of which can change
+        # a row) stay out of the hash.
+        pinned = set.intersection(*(set(pins) for *_, pins in COMMANDS[self.command]))
+        skip = {"output_path", "threads"} | pinned
         keys = sorted(k for k in vars(self) if k not in skip)
         text = ";".join(f"{k}={getattr(self, k)!r}" for k in keys)
         return hashlib.sha256(text.encode()).hexdigest()[:12]
@@ -170,9 +176,9 @@ def _fmt(value):
     return str(value)
 
 
-def _provenance(cfg, beta):
+def _provenance(cfg, digest):
     """The `# config` line: the run's digest and the inputs the rows used."""
-    return (f"config {cfg.digest()} command={cfg.command} beta={beta} "
+    return (f"config {digest} command={cfg.command} beta={cfg.beta} "
             f"eta_grid={cfg.eta_grid[0]:g}:{cfg.eta_grid[1]:g}:{cfg.eta_grid[2]} "
             f"L={cfg.dipole_levels} M={cfg.fock_cutoff} "
             f"convention={cfg.convention} grid_points={cfg.grid_points}")
@@ -181,8 +187,9 @@ def _provenance(cfg, beta):
 class CsvWriter:
     """Streams rows to one CSV file; use it as a context manager.
 
-    Leaving the `with` block by an exception ends the partial file with a
-    `# TRUNCATED` line before closing it, so it cannot pass for complete.
+    Leaving the `with` block by an exception ends a file that is still open
+    with a `# TRUNCATED` line before closing it, so it cannot pass for
+    complete; a file closed before that is complete and stays as it is.
     """
 
     def __init__(self, path, header, provenance):
@@ -201,6 +208,8 @@ class CsvWriter:
         return self
 
     def __exit__(self, exc_type, exc, tb):
+        if self.fh.closed:
+            return
         try:
             if exc_type is not None:
                 self.fh.write("# TRUNCATED\n")
@@ -215,16 +224,10 @@ def _pmap(fn, items, threads):
         return list(pool.map(fn, items))
 
 
-_SPECTRUM_CACHE = {}
-
-
 def _energy_scale(cfg):
     if cfg.energy_scale == "resonance":
-        key = ("res", cfg.beta, cfg.grid_points, cfg.gap_tol)
-        if key not in _SPECTRUM_CACHE:
-            _SPECTRUM_CACHE[key] = dipole.resonance_energy_scale(
-                cfg.beta, 1.0, GridSpec(points=cfg.grid_points), gap_tol=cfg.gap_tol)
-        return _SPECTRUM_CACHE[key]
+        return dipole.resonance_energy_scale(
+            cfg.beta, 1.0, GridSpec(points=cfg.grid_points), gap_tol=cfg.gap_tol)
     try:
         value = float(cfg.energy_scale)
     except ValueError:
@@ -234,20 +237,11 @@ def _energy_scale(cfg):
     return value
 
 
-def _main_spectrum(cfg, levels=None):
-    e_scale = _energy_scale(cfg)
-    key = ("mt", cfg.beta, e_scale, cfg.grid_points, levels or cfg.levels, cfg.gap_tol)
-    if key not in _SPECTRUM_CACHE:
-        grid = GridSpec(points=cfg.grid_points)
-        _SPECTRUM_CACHE[key] = dipole.solve_double_well(
-            WellShape(cfg.beta, e_scale), grid, levels or cfg.levels,
-            gap_tol=cfg.gap_tol)
-    return _SPECTRUM_CACHE[key]
-
-
-def _base_params(cfg, levels=None):
+def _base_params(cfg):
     """One dipole at eta = 0 in the multipolar gauge, on the plain well."""
-    spectrum = _main_spectrum(cfg, levels)
+    spectrum = dipole.solve_double_well(
+        WellShape(cfg.beta, _energy_scale(cfg)), GridSpec(points=cfg.grid_points),
+        cfg.levels, gap_tol=cfg.gap_tol)
     return ReducedParams(omega=1.0, beta=cfg.beta, energy_scale=spectrum.shape.energy_scale,
                          eta=0.0, n_dipoles=1, alpha=1.0, spectrum=spectrum)
 
@@ -269,17 +263,6 @@ def _alpha_tokens(cfg, params_eta0):
                 raise ValidationError("alpha values must lie in [0, 1]")
             out.append(value)
     return out
-
-
-def _table(header, rows):
-    """Handler for a one-file command: opens the file, then streams `rows(cfg)`."""
-
-    def handler(cfg, path):
-        with CsvWriter(path, header, _provenance(cfg, cfg.beta)) as writer:
-            for row in rows(cfg):
-                writer.write_row(row)
-
-    return handler
 
 
 THERMO_HEADER = ("alpha", "eta", "tau", "phase", "E_plus", "E_minus",
@@ -319,9 +302,8 @@ EXACT_HEADER = ("eta", "alpha", "phase", "n_dipoles", "model", "G", "E",
                 "gap_over_omega")
 
 
-def _exact_rows(cfg, include_two_level=True):
+def _exact_rows(cfg, base, include_two_level=True):
     n = cfg.n_dipoles
-    base = _base_params(cfg)
     alphas = _alpha_tokens(cfg, base)
     etas = cfg.eta_values()
     hil = HilbertConfig(n, cfg.dipole_levels, cfg.fock_cutoff, budget=cfg.budget)
@@ -356,13 +338,17 @@ def _seib_rows(cfg, hil, template, etas):
     return rows
 
 
+def _exact_sweep_rows(cfg):
+    yield from _exact_rows(cfg, _base_params(cfg))
+
+
 def _fig3a_rows(cfg):
-    """Exact against two-level rows in the multipolar gauge, N = 1..4."""
+    """Exact against two-level rows, N = 1..4, at each N's default cutoffs."""
+    base = _base_params(cfg)
     for n in (1, 2, 3, 4):
         hil = exactn.default_hilbert(n, cfg.budget)
-        yield from _exact_rows(replace(
-            cfg, n_dipoles=n, dipole_levels=hil.dipole_levels,
-            fock_cutoff=hil.fock_cutoff, convention="main-text", alpha_list=("1",)))
+        yield from _exact_rows(replace(cfg, n_dipoles=n, dipole_levels=hil.dipole_levels,
+                                       fock_cutoff=hil.fock_cutoff), base)
 
 
 FIG3B_HEADER = ("eta", "alpha", "phase", "d2_n1", "d2_n2", "d2_n3", "d2_n4",
@@ -389,63 +375,45 @@ def _fig3b_rows(cfg):
         yield (eta, 1.0, phase, *(d2[eta] for d2 in by_n), analytic[eta])
 
 
-SFIGS_ABSORBED_BETA = 2.4
-SFIGS_GAUGES_BETA = 1.5
+def _absorbed_rows(cfg):
+    """Thermodynamic-limit E-/E+ with the self-energy absorbed into the well,
+    at the scale where the unshifted gap is resonant (`s-figs` sheet 1)."""
+    base = _base_params(cfg)
+    # The well depends on (alpha, eta) only through its quadratic
+    # coefficient, so alpha=0 and eta=0 points share one solve. The
+    # distinct wells are collected first, so no two threads solve one.
+    tasks, shapes = [], {}
+    for alpha in _alpha_tokens(cfg, base):
+        for eta in cfg.eta_values():
+            shape = WellShape(cfg.beta, base.energy_scale, SelfEnergyInBare(alpha, eta, 1.0))
+            tasks.append((alpha, eta, shape.quadratic_coefficient()))
+            shapes.setdefault(tasks[-1][2], shape)
+    grid = GridSpec(points=cfg.grid_points)
+    solved = _pmap(lambda shape: dipole.solve_double_well(shape, grid, 2, gap_tol=cfg.gap_tol),
+                   list(shapes.values()), cfg.threads)
+    wells = dict(zip(shapes, solved))
+    for alpha, eta, q in tasks:
+        yield _thermo_row(base.with_(alpha=alpha, eta=eta, spectrum=wells[q]))
 
 
-def _sfigs(cfg, path):
-    """Companion sweeps: absorbed-self-energy polaritons and small-N gauges."""
-    stem = path[:-4] if path.endswith(".csv") else path
-    # Both sheets open before any solve, so a failure replaces both files;
-    # sheet 1 closes, unmarked, before sheet 2 is computed.
-    with CsvWriter(f"{stem}_gauges.csv", EXACT_HEADER,
-                   _provenance(cfg, SFIGS_GAUGES_BETA)) as gauges_sheet:
-        # Sheet 1: thermodynamic-limit E-/E+ with the self-energy absorbed
-        # into the well, at the scale where the unshifted gap is resonant.
-        with CsvWriter(f"{stem}_absorbed.csv", THERMO_HEADER,
-                       _provenance(cfg, SFIGS_ABSORBED_BETA)) as absorbed_sheet:
-            base = _base_params(replace(cfg, beta=SFIGS_ABSORBED_BETA,
-                                        energy_scale="resonance"))
-            # The well depends on (alpha, eta) only through its quadratic
-            # coefficient, so alpha=0 and eta=0 points share one solve. The
-            # distinct wells are collected first, so no two threads solve one.
-            tasks, shapes = [], {}
-            for alpha in _alpha_tokens(cfg, base):
-                for eta in cfg.eta_values():
-                    shape = WellShape(SFIGS_ABSORBED_BETA, base.energy_scale,
-                                      SelfEnergyInBare(alpha, eta, 1.0))
-                    tasks.append((alpha, eta, shape.quadratic_coefficient()))
-                    shapes.setdefault(tasks[-1][2], shape)
-            grid = GridSpec(points=cfg.grid_points)
-            solved = _pmap(lambda shape: dipole.solve_double_well(shape, grid, 2,
-                                                                  gap_tol=cfg.gap_tol),
-                           list(shapes.values()), cfg.threads)
-            wells = dict(zip(shapes, solved))
-            for alpha, eta, q in tasks:
-                absorbed_sheet.write_row(_thermo_row(base.with_(alpha=alpha, eta=eta,
-                                                                spectrum=wells[q])))
-
-        # Sheet 2: N in {1,2,3}, exact multipolar model against the two-level
-        # models in the Coulomb, JC (eta-dependent), and multipolar gauges.
-        sheet = replace(cfg, beta=SFIGS_GAUGES_BETA, energy_scale="resonance",
-                        convention="main-text", alpha_list=("1",))
-        base = _base_params(sheet)
-        for n in (1, 2, 3):
-            for row in _exact_rows(replace(sheet, n_dipoles=n), include_two_level=False):
-                gauges_sheet.write_row(row)
-            two = HilbertConfig(n, 2, sheet.fock_cutoff, representation=CollectiveSpin(),
-                                budget=sheet.budget)
-            for eta in sheet.eta_values():
-                p_eta = base.with_(n_dipoles=n, eta=eta)
-                gauges = [("two_level_coulomb", 0.0),
-                          ("two_level_jc", gauge.jc_gauge(p_eta)),
-                          ("two_level_multipolar", 1.0)]
-                for label, alpha in gauges:
-                    ground, excited, _ = exactn.ground_pair(exactn.dicke_two_level(
-                        two, p_eta.with_(alpha=alpha), base.spectrum))
-                    phase = _phase_label(base.with_(alpha=alpha, eta=eta))
-                    gauges_sheet.write_row((eta, alpha, phase, n, label, ground,
-                                            excited, excited - ground))
+def _gauges_rows(cfg):
+    """N in {1,2,3}: the exact model against the two-level models in the
+    Coulomb, JC (eta-dependent) and multipolar gauges (`s-figs` sheet 2)."""
+    base = _base_params(cfg)
+    for n in (1, 2, 3):
+        yield from _exact_rows(replace(cfg, n_dipoles=n), base, include_two_level=False)
+        two = HilbertConfig(n, 2, cfg.fock_cutoff, representation=CollectiveSpin(),
+                            budget=cfg.budget)
+        for eta in cfg.eta_values():
+            p_eta = base.with_(n_dipoles=n, eta=eta)
+            gauges = [("two_level_coulomb", 0.0),
+                      ("two_level_jc", gauge.jc_gauge(p_eta)),
+                      ("two_level_multipolar", 1.0)]
+            for label, alpha in gauges:
+                ground, excited, _ = exactn.ground_pair(exactn.dicke_two_level(
+                    two, p_eta.with_(alpha=alpha), base.spectrum))
+                phase = _phase_label(base.with_(alpha=alpha, eta=eta))
+                yield eta, alpha, phase, n, label, ground, excited, excited - ground
 
 
 def _jc_rows(cfg):
@@ -462,7 +430,7 @@ CONV_HEADER = ("eta", "alpha", "phase", "dipole_levels", "fock_cutoff",
 
 def _convergence_rows(cfg):
     levels = max(cfg.levels, max(l for l, _ in cfg.ladder))
-    params = _base_params(cfg, levels).with_(
+    params = _base_params(replace(cfg, levels=levels)).with_(
         eta=cfg.eta_point, n_dipoles=cfg.n_dipoles, alpha=cfg.alpha_point)
     ladder = [HilbertConfig(cfg.n_dipoles, l, m, budget=cfg.budget)
               for l, m in cfg.ladder]
@@ -476,29 +444,58 @@ def _convergence_rows(cfg):
                row["fock_tail"], row["flags"])
 
 
-def _spectrum(cfg, path):
-    dipole.export_csv(_main_spectrum(cfg), path, provenance=_provenance(cfg, cfg.beta))
+def _spectrum_rows(cfg):
+    """The plain well's levels and dipole elements, as `dipole.export_csv`."""
+    spectrum = _base_params(cfg).spectrum
+    e, zeta = spectrum.dimensionless_energies, spectrum.zeta_elements
+    for n in range(spectrum.level_count):
+        yield n, e[n], zeta[0, n], zeta[1, n]
 
 
-# Command name -> handler(cfg, path), which writes the command's
-# file(s) at `path` (`s-figs` derives its two sheet names from it).
+# Command name -> its sheets, each (suffix, header, rows, pins). A sheet is
+# written at `path`, or with a suffix at `path` with the suffix before `.csv`;
+# `rows(used)` yields its data rows from `used = replace(cfg, **pins)`, the
+# config with the keys the sheet fixes whatever the run sets.
 COMMANDS = {
-    "spectrum": _spectrum,
-    "thermo-sweep": _table(THERMO_HEADER, _thermo_rows),
-    "exact-sweep": _table(EXACT_HEADER, _exact_rows),
-    "fig1": _table(THERMO_HEADER, _thermo_rows),
-    "fig2": _table(THERMO_HEADER, _fig2_rows),
-    "fig3a": _table(EXACT_HEADER, _fig3a_rows),
-    "fig3b": _table(FIG3B_HEADER, _fig3b_rows),
-    "s-figs": _sfigs,
-    "jc-curve": _table(("eta", "alpha_jc", "phase"), _jc_rows),
-    "convergence": _table(CONV_HEADER, _convergence_rows),
+    "spectrum": (("", ("n", "e_n", "zeta_0n", "zeta_1n"), _spectrum_rows, {}),),
+    "thermo-sweep": (("", THERMO_HEADER, _thermo_rows, {}),),
+    "exact-sweep": (("", EXACT_HEADER, _exact_sweep_rows, {}),),
+    "fig1": (("", THERMO_HEADER, _thermo_rows, {}),),
+    "fig2": (("", THERMO_HEADER, _fig2_rows, {}),),
+    "fig3a": (("", EXACT_HEADER, _fig3a_rows,
+               {"convention": "main-text", "alpha_list": ("1",)}),),
+    "fig3b": (("", FIG3B_HEADER, _fig3b_rows, {}),),
+    "s-figs": (("_absorbed", THERMO_HEADER, _absorbed_rows,
+                {"beta": 2.4, "energy_scale": "resonance",
+                 "convention": "self-energy-in-bare"}),
+               ("_gauges", EXACT_HEADER, _gauges_rows,
+                {"beta": 1.5, "energy_scale": "resonance", "convention": "main-text",
+                 "alpha_list": ("1",)})),
+    "jc-curve": (("", ("eta", "alpha_jc", "phase"), _jc_rows, {}),),
+    "convergence": (("", CONV_HEADER, _convergence_rows, {}),),
 }
 
 
 def run(cfg: RunConfig) -> int:
-    """Dispatch one command; returns the process exit code."""
-    COMMANDS[cfg.command](cfg, cfg.output_path or f"{cfg.command}.csv")
+    """Write every sheet of one command; returns the process exit code.
+
+    All sheets open before any solve, and each closes after its last row,
+    before the next one starts.
+    """
+    path = cfg.output_path or f"{cfg.command}.csv"
+    stem = path[:-4] if path.endswith(".csv") else path
+    digest = cfg.digest()
+    with ExitStack() as stack:
+        sheets = []
+        for suffix, header, rows, pins in COMMANDS[cfg.command]:
+            used = replace(cfg, **pins)
+            writer = CsvWriter(f"{stem}{suffix}.csv" if suffix else path, header,
+                               _provenance(used, digest))
+            sheets.append((stack.enter_context(writer), rows, used))
+        for writer, rows, used in sheets:
+            for row in rows(used):
+                writer.write_row(row)
+            writer.close()
     return 0
 
 

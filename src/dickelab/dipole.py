@@ -153,7 +153,7 @@ def solve_double_well(shape: WellShape, grid: GridSpec, levels: int,
         Number of eigenstates kept (must leave discretization headroom,
         levels <= points/4).
     gap_tol : float
-        Maximum allowed relative change of e1 - e0 under grid doubling.
+        Maximum allowed relative change of e1 - e0 under grid doubling, > 0.
 
     Raises
     ------
@@ -164,6 +164,8 @@ def solve_double_well(shape: WellShape, grid: GridSpec, levels: int,
         If the ground-state density at the grid edge exceeds 1e-10 of its
         maximum (the box is too small for this well).
     """
+    if not gap_tol > 0:
+        raise ValueError("gap_tol must be positive")
     if levels < 2:
         raise ValueError("need at least 2 levels")
     if levels > grid.points // 4:

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from dickelab import dipole
 from dickelab.cli import (
     EXIT_BUDGET,
     EXIT_CONVERGENCE,
@@ -95,8 +96,8 @@ def test_convergence_failure_exit_code(tmp_path, capsys):
                  "grid_points=4000", "gap_tol=1e-9"])
     assert code == EXIT_CONVERGENCE
     assert json.loads(capsys.readouterr().err)["error"] == "ConvergenceError"
-    # The well solve fails before any output exists for this command.
-    assert not out.exists()
+    # The file opens before the well solve, so it ends with the marker.
+    assert out.read_text().splitlines()[1:] == ["n,e_n,zeta_0n,zeta_1n", "# TRUNCATED"]
 
 
 def test_mid_sweep_failure_marks_truncated_output(tmp_path, capsys):
@@ -295,6 +296,89 @@ def test_s_figs_provenance_states_each_sheets_beta(tmp_path):
         line, _ = read_rows(tmp_path / f"sup_{tag}.csv")
         assert line.split()[:4] == ["#", "config", digest, "command=s-figs"]
         assert f" beta={beta} " in line
+
+
+def test_s_figs_sheets_state_their_own_convention(tmp_path):
+    """Sheet 1 is always self-energy-in-bare and sheet 2 always main-text,
+    both at the resonance scale and their own beta, so the run's convention,
+    beta and energy_scale change neither a row nor the digest."""
+    common = ["--command", "s-figs", "eta_grid=0,0.6,3", "dipole_levels=4",
+              "fock_cutoff=10"] + FAST
+    tables = {}
+    for tag, extra in (("set", ["convention=self-energy-in-bare", "beta=3.3",
+                                "energy_scale=5"]), ("unset", [])):
+        out = tmp_path / tag / "sup.csv"
+        out.parent.mkdir()
+        assert main(common + extra + ["--out", str(out)]) == 0
+        tables[tag] = [read_rows(out.parent / f"sup_{sheet}.csv")
+                       for sheet in ("absorbed", "gauges")]
+    for (line, rows), (line_unset, rows_unset), convention in zip(
+            tables["set"], tables["unset"], ("self-energy-in-bare", "main-text")):
+        assert f" convention={convention} " in line
+        assert line == line_unset
+        assert rows == rows_unset
+
+
+def test_keys_every_sheet_pins_stay_out_of_the_digest():
+    default = build_config({"command": "fig3a"}).digest()
+    assert build_config({"command": "fig3a", "convention": "self-energy-in-bare",
+                         "alpha_list": "0"}).digest() == default
+    assert build_config({"command": "fig3a", "beta": "2.4"}).digest() != default
+    # Sheet 1 of s-figs reads alpha_list, so only sheet 2 pins it.
+    sfigs = build_config({"command": "s-figs"}).digest()
+    assert build_config({"command": "s-figs", "alpha_list": "1"}).digest() != sfigs
+    assert build_config({"command": "exact-sweep", "convention": "self-energy-in-bare"}
+                        ).digest() != build_config({"command": "exact-sweep"}).digest()
+
+
+def test_fig3a_solves_each_well_once(tmp_path, monkeypatch, capsys):
+    """One resonance solve and one base spectrum serve all dipole counts; the
+    budget stops the run at N = 3."""
+    calls = []
+    solve = dipole.solve_double_well
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(dipole, "solve_double_well", counted)
+    out = tmp_path / "f3a.csv"
+    assert main(["--command", "fig3a", "--out", str(out), "--budget", "3000",
+                 "eta_grid=0,0.4,3"] + FAST) == EXIT_BUDGET
+    assert json.loads(capsys.readouterr().err)["error"] == "BudgetError"
+    assert {int(r["n_dipoles"]) for r in csv.DictReader(out.read_text().splitlines()[1:-1])} \
+        == {1, 2}
+    assert len(calls) == 2
+
+
+def test_alpha_point_outside_gauge_family_exits_validation(tmp_path, capsys):
+    out = tmp_path / "conv.csv"
+    for alpha in ("1.5", "-0.1"):
+        code = main(["--command", "convergence", "--out", str(out), f"alpha_point={alpha}",
+                     "ladder=4,10;6,20"] + FAST)
+        assert code == EXIT_VALIDATION
+        assert "alpha_point" in json.loads(capsys.readouterr().err)["message"]
+
+
+def test_non_positive_gap_tol_exits_validation(tmp_path, capsys):
+    out = tmp_path / "jc.csv"
+    for tol in ("0", "-1"):
+        code = main(["--command", "jc-curve", "--out", str(out), f"gap_tol={tol}"])
+        assert code == EXIT_VALIDATION
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError" and "gap_tol" in err["message"]
+
+
+def test_failed_spectrum_replaces_stale_spectrum(tmp_path, capsys):
+    out = tmp_path / "spec.csv"
+    out.write_text("# config stale\nn,e_n,zeta_0n,zeta_1n\n0,0,0,0\n")
+    code = main(["--command", "spectrum", "--out", str(out),
+                 "grid_points=4000", "gap_tol=1e-9"])
+    assert code == EXIT_CONVERGENCE
+    assert json.loads(capsys.readouterr().err)["error"] == "ConvergenceError"
+    lines = out.read_text().splitlines()
+    assert lines[0].startswith("# config ") and "stale" not in lines[0]
+    assert lines[1:] == ["n,e_n,zeta_0n,zeta_1n", "# TRUNCATED"]
 
 
 def test_failure_before_first_row_replaces_stale_table(tmp_path, capsys):

@@ -218,6 +218,16 @@ def test_level_count_validation():
                           gap_tol=1.0)
 
 
+def test_non_positive_gap_tol_is_rejected_before_any_solve(monkeypatch):
+    """gap_tol <= 0 is a bad input, not a convergence failure of the grid."""
+    monkeypatch.setattr("dickelab.dipole._solve_potential",
+                        lambda *args: pytest.fail("solved with a bad gap_tol"))
+    for tol in (0.0, -1.0, float("nan")):
+        with pytest.raises(ValueError, match="gap_tol"):
+            solve_double_well(WellShape(beta=2.4, energy_scale=1.0), COARSE,
+                              levels=2, gap_tol=tol)
+
+
 def test_grid_and_shape_validation():
     with pytest.raises(ValueError):
         GridSpec(zeta_max=-1.0)
