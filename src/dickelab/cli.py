@@ -6,8 +6,8 @@ in units of the mode frequency omega = 1. Output is CSV with 17 significant
 digits, one provenance comment line (config hash and cutoffs), and a header
 row. Reruns with the same config digest and the same BLAS thread count are
 byte-identical; the digest does not record the BLAS thread count, and
-changing it can move values in the last digits. `threads` parallelizes only
-the absorbed-well solves of `s-figs` and never changes a row.
+changing it can move values in the last digits. `grid_points` counts the
+sinc-DVR points of every double-well solve (`dipole.MAX_POINTS` at most).
 
 A command writes one CSV sheet, or two for `s-figs`. A sheet may pin config
 keys (`s-figs` its beta, energy scale and convention, `fig3a` its convention
@@ -25,7 +25,6 @@ import hashlib
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass, replace
 
@@ -69,7 +68,6 @@ class RunConfig:
     energy_scale: str = "resonance"
     levels: int = 12
     output_path: str = ""
-    threads: int = 1
     budget: int = exactn.DEFAULT_BUDGET
     gap_tol: float = dipole.DEFAULT_GAP_TOL
     grid_points: int = dipole.DEFAULT_POINTS
@@ -87,8 +85,6 @@ class RunConfig:
             raise ValidationError("eta_grid requires stop > start >= 0")
         if self.n_dipoles < 1:
             raise ValidationError("n_dipoles must be positive")
-        if self.threads < 1:
-            raise ValidationError("threads must be positive")
         if self.convention not in ("main-text", "self-energy-in-bare"):
             raise ValidationError(f"unknown convention {self.convention!r}")
         if not 0.0 <= self.alpha_point <= 1.0:
@@ -99,11 +95,11 @@ class RunConfig:
         return [start + (stop - start) * i / (steps - 1) for i in range(steps)]
 
     def digest(self):
-        # Identifies the data, so the output location, the worker count and
-        # the keys every sheet of the command pins (none of which can change
-        # a row) stay out of the hash.
+        # Identifies the data, so the output location and the keys every
+        # sheet of the command pins (neither of which can change a row) stay
+        # out of the hash.
         pinned = set.intersection(*(set(pins) for *_, pins in COMMANDS[self.command]))
-        skip = {"output_path", "threads"} | pinned
+        skip = {"output_path"} | pinned
         keys = sorted(k for k in vars(self) if k not in skip)
         text = ";".join(f"{k}={getattr(self, k)!r}" for k in keys)
         return hashlib.sha256(text.encode()).hexdigest()[:12]
@@ -143,7 +139,7 @@ def build_config(items):
         "command": str, "beta": float, "n_dipoles": int, "dipole_levels": int,
         "fock_cutoff": int, "convention": str,
         "energy_scale": str, "levels": int, "output_path": str,
-        "threads": int, "budget": int, "gap_tol": float, "grid_points": int,
+        "budget": int, "gap_tol": float, "grid_points": int,
         "eta_point": float, "alpha_point": float,
     }
     kwargs = {}
@@ -215,13 +211,6 @@ class CsvWriter:
                 self.fh.write("# TRUNCATED\n")
         finally:
             self.close()
-
-
-def _pmap(fn, items, threads):
-    if threads <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
 
 
 def _energy_scale(cfg):
@@ -379,21 +368,17 @@ def _absorbed_rows(cfg):
     """Thermodynamic-limit E-/E+ with the self-energy absorbed into the well,
     at the scale where the unshifted gap is resonant (`s-figs` sheet 1)."""
     base = _base_params(cfg)
+    grid = GridSpec(points=cfg.grid_points)
     # The well depends on (alpha, eta) only through its quadratic
-    # coefficient, so alpha=0 and eta=0 points share one solve. The
-    # distinct wells are collected first, so no two threads solve one.
-    tasks, shapes = [], {}
+    # coefficient, so alpha=0 and eta=0 points share one solve.
+    wells = {}
     for alpha in _alpha_tokens(cfg, base):
         for eta in cfg.eta_values():
             shape = WellShape(cfg.beta, base.energy_scale, SelfEnergyInBare(alpha, eta, 1.0))
-            tasks.append((alpha, eta, shape.quadratic_coefficient()))
-            shapes.setdefault(tasks[-1][2], shape)
-    grid = GridSpec(points=cfg.grid_points)
-    solved = _pmap(lambda shape: dipole.solve_double_well(shape, grid, 2, gap_tol=cfg.gap_tol),
-                   list(shapes.values()), cfg.threads)
-    wells = dict(zip(shapes, solved))
-    for alpha, eta, q in tasks:
-        yield _thermo_row(base.with_(alpha=alpha, eta=eta, spectrum=wells[q]))
+            q = shape.quadratic_coefficient()
+            if q not in wells:
+                wells[q] = dipole.solve_double_well(shape, grid, 2, gap_tol=cfg.gap_tol)
+            yield _thermo_row(base.with_(alpha=alpha, eta=eta, spectrum=wells[q]))
 
 
 def _gauges_rows(cfg):
@@ -520,7 +505,6 @@ def main(argv=None) -> int:
     parser.add_argument("--config", help="flat KEY = VALUE config file")
     parser.add_argument("--command", choices=COMMANDS)
     parser.add_argument("--out", help="output CSV path")
-    parser.add_argument("--threads", type=int)
     parser.add_argument("--budget", type=int)
     parser.add_argument("overrides", nargs="*", metavar="KEY=VALUE",
                         help="config overrides, applied after the file")
@@ -537,8 +521,6 @@ def main(argv=None) -> int:
             items["command"] = args.command
         if args.out:
             items["output_path"] = args.out
-        if args.threads is not None:
-            items["threads"] = str(args.threads)
         if args.budget is not None:
             items["budget"] = str(args.budget)
         return run(build_config(items))

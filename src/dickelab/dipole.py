@@ -1,4 +1,4 @@
-"""Single-dipole double-well eigenproblem on a uniform grid.
+"""Single-dipole double-well eigenproblem in a sinc DVR.
 
 The dimensionless Hamiltonian is
 
@@ -6,22 +6,31 @@ The dimensionless Hamiltonian is
 
 with q = -beta for the plain double well, or q = (omega eta alpha / E)^2 - beta
 when the polarisation self-energy is folded into the bare well (E is the
-energy scale, so absolute energies are E * e_n). Discretization is second-order
-central finite differences with Dirichlet ends; eigenpairs come from
-shift-invert Lanczos, which keeps the small tunneling splittings accurate on
-fine grids where plain tridiagonal bisection hits its arithmetic floor.
+energy scale, so absolute energies are E * e_n). It is solved in the
+Colbert-Miller sinc discrete variable representation (DVR; J. Chem. Phys. 96,
+1982 (1992)) on `points` uniform interior points of (-zeta_max, zeta_max):
+the potential is diagonal and the kinetic energy is the dense matrix
+
+    T_ij = (-1)^(i-j) / (2 h^2) * (pi^2/3 if i == j else 2/(i-j)^2),
+
+whose error falls exponentially with the point count, so about a hundred
+points reach the arithmetic floor. The whole matrix is diagonalized and the
+lowest levels sliced off, which makes every level independent of how many
+are kept.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import eigsh
+import scipy.linalg
 
 from .errors import ConvergenceError, DomainError
 
 DEFAULT_ZETA_MAX = 6.0
-DEFAULT_POINTS = 128000
+DEFAULT_POINTS = 128
+# The DVR matrix is dense: 512 points reach the arithmetic floor many times
+# over, while 32000 would need 8 GB.
+MAX_POINTS = 512
 DEFAULT_GAP_TOL = 1e-8
 EDGE_DENSITY_TOL = 1e-10
 
@@ -73,6 +82,8 @@ class GridSpec:
     def __post_init__(self):
         if self.points < 3:
             raise ValueError("need at least 3 grid points")
+        if self.points > MAX_POINTS:
+            raise ValueError(f"at most {MAX_POINTS} grid points (the DVR matrix is dense)")
         if not self.zeta_max > 0:
             raise ValueError("zeta_max must be positive")
 
@@ -117,20 +128,20 @@ class DipoleSpectrum:
 
 
 def _solve_potential(v_dimless, h, levels):
-    """Lowest eigenpairs of (1/2)(-D2) + diag(v) with Dirichlet ends.
+    """Lowest eigenpairs of the sinc-DVR kinetic matrix plus diag(v).
 
     v_dimless already includes the 1/2 potential prefactor. Returns
     eigenvalues ascending and l2-normalized eigenvectors as columns.
     """
     n = v_dimless.size
-    diag = 1.0 / h**2 + v_dimless
-    off = np.full(n - 1, -0.5 / h**2)
-    t = sp.diags([off, diag, off], [-1, 0, 1], format="csc")
-    sigma = float(np.min(v_dimless)) - 1.0
-    v0 = np.ones(n) / np.sqrt(n)
-    vals, vecs = eigsh(t, k=levels, sigma=sigma, which="LM", v0=v0, tol=0)
-    order = np.argsort(vals)
-    return vals[order], vecs[:, order]
+    d = np.subtract.outer(np.arange(n), np.arange(n))
+    t = np.divide(2.0, d * d, out=np.full((n, n), np.pi**2 / 3.0), where=d != 0)
+    t *= np.where(d % 2 == 0, 0.5, -0.5) / h**2
+    t[np.diag_indices(n)] += v_dimless
+    # A full solve, not a subset: a subset solve's lowest levels move in the
+    # last digits with the subset size, and omega_m must not.
+    vals, vecs = scipy.linalg.eigh(t)
+    return vals[:levels], vecs[:, :levels]
 
 
 def _well_values(shape, z):
@@ -147,8 +158,9 @@ def solve_double_well(shape: WellShape, grid: GridSpec, levels: int,
     shape : WellShape
         Well coefficients and truncation convention.
     grid : GridSpec
-        Uniform symmetric grid; the solve is also repeated at doubled
-        resolution to certify convergence of the first transition energy.
+        The DVR points (at most MAX_POINTS); the solve is also repeated on
+        twice as many points to certify convergence of the first transition
+        energy.
     levels : int
         Number of eigenstates kept (must leave discretization headroom,
         levels <= points/4).

@@ -494,14 +494,3 @@ def parity_diagonal(h: AssembledHamiltonian) -> np.ndarray:
     for d in dims:
         diag = np.kron(diag, (-1.0) ** np.arange(d))
     return diag
-
-
-def dump_triplets(h: AssembledHamiltonian, path) -> None:
-    """Sparse triplet text dump (row, col, value), one entry per line."""
-    coo = h.matrix.tocoo()
-    order = np.lexsort((coo.col, coo.row))
-    with open(path, "w") as fh:
-        fh.write(f"# dimension {h.dimension}\n")
-        fh.write(f"# labels {h.labels}\n")
-        for i in order:
-            fh.write(f"{coo.row[i]} {coo.col[i]} {coo.data[i]:.17g}\n")

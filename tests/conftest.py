@@ -1,7 +1,8 @@
 """Shared fixtures: cached double-well spectra at the resonance energy scale.
 
-Solving the well on the default 128k grid costs a couple of seconds, so each
-(beta, levels) combination is solved once per session and reused everywhere.
+A well solve on the default 128-point DVR grid takes milliseconds; each
+(beta, levels) combination is still solved once per session and reused
+everywhere, so every test sees the same frozen spectra.
 """
 
 import pytest

@@ -24,7 +24,7 @@ from dickelab.cli import (
 
 # Coarse-but-honest numerics so the whole file stays fast; correctness at
 # production resolution is covered by the module and acceptance tests.
-FAST = ["grid_points=32000", "gap_tol=1e-5"]
+FAST = ["grid_points=64", "gap_tol=1e-5"]
 
 
 def read_rows(path):
@@ -93,7 +93,7 @@ def test_budget_violation_exit_code(tmp_path, capsys):
 def test_convergence_failure_exit_code(tmp_path, capsys):
     out = tmp_path / "x.csv"
     code = main(["--command", "spectrum", "--out", str(out),
-                 "grid_points=4000", "gap_tol=1e-9"])
+                 "grid_points=24", "gap_tol=1e-9"])
     assert code == EXIT_CONVERGENCE
     assert json.loads(capsys.readouterr().err)["error"] == "ConvergenceError"
     # The file opens before the well solve, so it ends with the marker.
@@ -229,7 +229,7 @@ def test_s_figs_writes_two_files(tmp_path):
     out = tmp_path / "sup.csv"
     assert main(["--command", "s-figs", "--out", str(out),
                  "eta_grid=0,0.6,3", "dipole_levels=4", "fock_cutoff=10",
-                 "grid_points=16000", "gap_tol=1e-5"]) == 0
+                 "grid_points=64", "gap_tol=1e-5"]) == 0
     absorbed = tmp_path / "sup_absorbed.csv"
     gauges = tmp_path / "sup_gauges.csv"
     assert absorbed.exists() and gauges.exists()
@@ -243,21 +243,14 @@ def test_s_figs_writes_two_files(tmp_path):
 
 def test_s_figs_failure_marks_only_the_interrupted_sheet(tmp_path, capsys):
     """A budget violation at N = 2 in sheet 2 keeps the N = 1 rows behind a
-    marker, leaves the finished sheet 1 unmarked, and does not depend on the
-    worker count that sheet 1's well solves ran on."""
-    args = ["--command", "s-figs", "eta_grid=0,0.6,3", "dipole_levels=4",
-            "fock_cutoff=10", "grid_points=16000", "gap_tol=1e-5", "--budget", "100"]
-    sheets = {}
-    for threads in ("1", "2"):
-        out = tmp_path / f"t{threads}" / "sup.csv"
-        out.parent.mkdir()
-        assert main(args + ["--out", str(out), "--threads", threads]) == EXIT_BUDGET
-        assert json.loads(capsys.readouterr().err)["error"] == "BudgetError"
-        sheets[threads] = [(out.parent / f"sup_{tag}.csv").read_bytes()
-                           for tag in ("absorbed", "gauges")]
-    assert sheets["1"] == sheets["2"]
-
-    absorbed, gauges = (text.decode() for text in sheets["1"])
+    marker and leaves the finished sheet 1 unmarked."""
+    out = tmp_path / "sup.csv"
+    assert main(["--command", "s-figs", "eta_grid=0,0.6,3", "dipole_levels=4",
+                 "fock_cutoff=10", "grid_points=64", "gap_tol=1e-5", "--budget", "100",
+                 "--out", str(out)]) == EXIT_BUDGET
+    assert json.loads(capsys.readouterr().err)["error"] == "BudgetError"
+    absorbed, gauges = ((tmp_path / f"sup_{tag}.csv").read_text()
+                        for tag in ("absorbed", "gauges"))
     assert "# TRUNCATED" not in absorbed
     assert len(absorbed.splitlines()) == 2 + 3 * 3
     lines = gauges.splitlines()
@@ -275,7 +268,7 @@ def test_s_figs_failure_before_any_row_replaces_both_stale_sheets(tmp_path, caps
     for tag in ("absorbed", "gauges"):
         (tmp_path / f"sup_{tag}.csv").write_text("# config stale\neta\n0\n")
     code = main(["--command", "s-figs", "--out", str(out),
-                 "grid_points=4000", "gap_tol=1e-9"])
+                 "grid_points=24", "gap_tol=1e-9"])
     assert code == EXIT_CONVERGENCE
     assert json.loads(capsys.readouterr().err)["error"] == "ConvergenceError"
     for tag, header in (("absorbed", THERMO_HEADER), ("gauges", EXACT_HEADER)):
@@ -288,7 +281,7 @@ def test_s_figs_provenance_states_each_sheets_beta(tmp_path):
     """Sheet 1 is computed at beta 2.4 and sheet 2 at beta 1.5 whatever the
     config's beta; each `# config` line says so under the run's digest."""
     overrides = ["beta=3.3", "eta_grid=0,0.6,3", "dipole_levels=4", "fock_cutoff=10",
-                 "grid_points=16000", "gap_tol=1e-5"]
+                 "grid_points=64", "gap_tol=1e-5"]
     out = tmp_path / "sup.csv"
     assert main(["--command", "s-figs", "--out", str(out)] + overrides) == 0
     digest = build_config(dict(kv.split("=") for kv in overrides + ["command=s-figs"])).digest()
@@ -351,6 +344,44 @@ def test_fig3a_solves_each_well_once(tmp_path, monkeypatch, capsys):
     assert len(calls) == 2
 
 
+def test_s_figs_solves_each_distinct_well_once(tmp_path, monkeypatch, capsys):
+    """Resonance scale and base spectrum for each sheet, plus one absorbed
+    well per distinct quadratic coefficient of sheet 1 (alpha = 0 and
+    eta = 0 share the plain well): nine solves, the budget stopping sheet 2
+    at N = 2."""
+    calls = []
+    solve = dipole.solve_double_well
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(dipole, "solve_double_well", counted)
+    assert main(["--command", "s-figs", "eta_grid=0,0.6,3", "dipole_levels=4",
+                 "fock_cutoff=10", "--budget", "100",
+                 "--out", str(tmp_path / "sup.csv")]) == EXIT_BUDGET
+    assert json.loads(capsys.readouterr().err)["error"] == "BudgetError"
+    assert len(calls) == 9
+
+
+def test_grid_beyond_the_cap_exits_validation_before_any_solve(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr("dickelab.dipole._solve_potential",
+                        lambda *args: pytest.fail("solved beyond the point cap"))
+    code = main(["--command", "spectrum", "--out", str(tmp_path / "spec.csv"),
+                 "grid_points=32000"])
+    assert code == EXIT_VALIDATION
+    assert "grid points" in json.loads(capsys.readouterr().err)["message"]
+
+
+def test_threads_is_not_an_option(tmp_path, capsys):
+    out = str(tmp_path / "jc.csv")
+    assert main(["--command", "jc-curve", "--out", out, "threads=2"]) == EXIT_VALIDATION
+    assert "threads" in json.loads(capsys.readouterr().err)["message"]
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--command", "jc-curve", "--out", out, "--threads", "2"])
+    assert exit_info.value.code == EXIT_VALIDATION
+
+
 def test_alpha_point_outside_gauge_family_exits_validation(tmp_path, capsys):
     out = tmp_path / "conv.csv"
     for alpha in ("1.5", "-0.1"):
@@ -373,7 +404,7 @@ def test_failed_spectrum_replaces_stale_spectrum(tmp_path, capsys):
     out = tmp_path / "spec.csv"
     out.write_text("# config stale\nn,e_n,zeta_0n,zeta_1n\n0,0,0,0\n")
     code = main(["--command", "spectrum", "--out", str(out),
-                 "grid_points=4000", "gap_tol=1e-9"])
+                 "grid_points=24", "gap_tol=1e-9"])
     assert code == EXIT_CONVERGENCE
     assert json.loads(capsys.readouterr().err)["error"] == "ConvergenceError"
     lines = out.read_text().splitlines()
@@ -387,7 +418,7 @@ def test_failure_before_first_row_replaces_stale_table(tmp_path, capsys):
     out = tmp_path / "jc.csv"
     out.write_text("# config stale\neta,alpha_jc,phase\n0,0.5,normal\n")
     code = main(["--command", "jc-curve", "--out", str(out),
-                 "grid_points=4000", "gap_tol=1e-9"])
+                 "grid_points=24", "gap_tol=1e-9"])
     assert code == EXIT_CONVERGENCE
     assert json.loads(capsys.readouterr().err)["error"] == "ConvergenceError"
     lines = out.read_text().splitlines()
@@ -398,8 +429,8 @@ def test_failure_before_first_row_replaces_stale_table(tmp_path, capsys):
 def test_reruns_are_byte_identical(tmp_path):
     args = ["--command", "fig1", "eta_grid=0,1.2,4"] + FAST
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    assert main(args + ["--out", str(a), "--threads", "1"]) == 0
-    assert main(args + ["--out", str(b), "--threads", "4"]) == 0
+    assert main(args + ["--out", str(a)]) == 0
+    assert main(args + ["--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
 
 
@@ -428,7 +459,7 @@ def test_blas_thread_count_moves_rows_only_in_the_last_digits(tmp_path):
     to 1e-11 on the gap. Each run is a fresh process because OpenBLAS reads
     its thread count once, at load time."""
     args = ["--command", "exact-sweep", "n_dipoles=2", "beta=3.3", "eta_grid=0,2.8,5",
-            "grid_points=32000", "gap_tol=1e-5"]
+            "grid_points=64", "gap_tol=1e-5"]
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     tables = []

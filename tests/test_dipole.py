@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.sparse.linalg import eigsh
 
 from dickelab import (
     ConvergenceError,
@@ -18,17 +20,19 @@ from dickelab import (
     solve_double_well,
     trk_sum,
 )
-from dickelab.dipole import _solve_potential
+from dickelab.dipole import MAX_POINTS, _solve_potential
 
-# Frozen on the default 128k grid with gap_tol 1e-8; regenerate by solving
-# the plain well at unit energy scale and reading off the level ratios.
+# Frozen on the default 128-point DVR grid with gap_tol 1e-8; regenerate by
+# solving the plain well at unit energy scale and reading off the level
+# ratios. The scales agree with Richardson-extrapolated finite differences
+# (see test_gap_matches_extrapolated_finite_differences).
 RATIO_BETA_33 = 35.865765
 RATIO_BETA_15 = 3.2396855
-SCALE_BETA_15 = 1.8782956166381695
-SCALE_BETA_24 = 4.6182755779771165
-SCALE_BETA_33 = 21.3003135538138
+SCALE_BETA_15 = 1.8782956126897816
+SCALE_BETA_24 = 4.618275566250673
+SCALE_BETA_33 = 21.30031351359603
 
-COARSE = GridSpec(zeta_max=6.0, points=32000)
+COARSE = GridSpec(zeta_max=6.0, points=64)
 
 
 def anharmonicity(spectrum):
@@ -102,8 +106,8 @@ def test_momentum_elements_antisymmetric(spectra):
 
 
 def test_momentum_elements_match_direct_derivative(res_scales):
-    """S_mn from the energy identity equals -<m|d/dzeta|n> computed by
-    numerically differentiating the eigenfunctions."""
+    """S_mn from the energy identity equals -<m|d/dzeta|n> computed with the
+    sinc-DVR first-derivative matrix D_ij = (-1)^(i-j) / (h (i-j))."""
     beta = 2.4
     spec = solve_double_well(
         WellShape(beta=beta, energy_scale=res_scales[beta]), COARSE, levels=5,
@@ -112,17 +116,49 @@ def test_momentum_elements_match_direct_derivative(res_scales):
     z, h = COARSE.axis()
     v = 0.5 * (-beta * z**2 + 0.5 * z**4)
     vals, vecs = _solve_potential(v, h, 5)
+    d = np.subtract.outer(np.arange(z.size), np.arange(z.size))
+    deriv = np.divide((-1.0) ** d, h * d, out=np.zeros(d.shape), where=d != 0)
     # Eigenvectors carry discrete normalization (sum of squares 1), so inner
     # products need no extra grid-step factor.
-    direct = np.zeros((5, 5))
-    for n in range(5):
-        dpsi = np.gradient(vecs[:, n], h)
-        for m in range(5):
-            direct[m, n] = -np.sum(vecs[:, m] * dpsi)
+    direct = -vecs.T @ deriv @ vecs
     # Eigenvector signs are fixed independently in the two computations, so
     # compare magnitudes element by element.
     assert np.allclose(np.abs(direct), np.abs(spec.p_elements),
-                       rtol=0, atol=2e-5)
+                       rtol=0, atol=1e-10)
+
+
+def _fd_gap(beta, points, zeta_max=6.0):
+    """Independent reference: e1 - e0 of the plain well at unit scale by
+    second-order central differences with Dirichlet ends, returned with the
+    grid step. Shift-invert Lanczos, because tridiagonal bisection loses the
+    gap's last digits on grids this fine."""
+    h = 2.0 * zeta_max / (points + 1)
+    z = -zeta_max + h * np.arange(1, points + 1)
+    v = 0.5 * (-beta * z**2 + 0.5 * z**4)
+    off = np.full(points - 1, -0.5 / h**2)
+    t = sp.diags([off, 1.0 / h**2 + v, off], [-1, 0, 1], format="csc")
+    vals = np.sort(eigsh(t, k=2, sigma=float(v.min()) - 1.0, which="LM",
+                         v0=np.ones(points) / np.sqrt(points), tol=0,
+                         return_eigenvectors=False))
+    return vals[1] - vals[0], h
+
+
+def test_gap_matches_extrapolated_finite_differences(grid):
+    """The DVR gap against finite differences at 16k and 32k points,
+    Richardson-extrapolated over their O(h^2) error."""
+    for beta in (1.5, 2.4, 3.3):
+        (coarse, hc), (fine, hf) = _fd_gap(beta, 16000), _fd_gap(beta, 32000)
+        reference = (hc**2 * fine - hf**2 * coarse) / (hc**2 - hf**2)
+        spec = solve_double_well(WellShape(beta=beta, energy_scale=1.0), grid, levels=2)
+        assert spec.omega_m == pytest.approx(reference, rel=1e-10)
+
+
+def test_grid_points_are_capped():
+    """The DVR matrix is dense, so a grid beyond MAX_POINTS is refused
+    before anything is allocated."""
+    assert GridSpec(points=MAX_POINTS).points == MAX_POINTS
+    with pytest.raises(ValueError, match="grid points"):
+        GridSpec(points=MAX_POINTS + 1)
 
 
 def test_trk_sum_near_one_at_twelve_levels(spectra):
@@ -145,7 +181,7 @@ def test_trk_partial_sums_monotone(spectra):
 def test_harmonic_solver_sanity():
     """On v = zeta^2 / 2 the solver must reproduce the oscillator exactly:
     unit gaps and a TRK sum carried entirely by the first transition."""
-    grid = GridSpec(zeta_max=8.0, points=16000)
+    grid = GridSpec(zeta_max=8.0, points=128)
     z, h = grid.axis()
     vals, vecs = _solve_potential(0.5 * z**2, h, 4)
     assert np.allclose(np.diff(vals), 1.0, atol=1e-5)
@@ -197,14 +233,14 @@ def test_resonance_scale_stable_under_grid_refinement(grid, res_scales):
 def test_coarse_grid_fails_convergence_gate():
     with pytest.raises(ConvergenceError):
         solve_double_well(WellShape(beta=3.3, energy_scale=1.0),
-                          GridSpec(zeta_max=6.0, points=4000), levels=2,
+                          GridSpec(zeta_max=6.0, points=24), levels=2,
                           gap_tol=1e-8)
 
 
 def test_narrow_box_fails_domain_gate():
     with pytest.raises(DomainError):
         solve_double_well(WellShape(beta=3.3, energy_scale=1.0),
-                          GridSpec(zeta_max=2.5, points=2000), levels=6,
+                          GridSpec(zeta_max=2.5, points=48), levels=6,
                           gap_tol=1.0)
 
 

@@ -26,7 +26,6 @@ from dickelab import (
     default_hilbert,
     derive_couplings,
     dicke_two_level,
-    dump_triplets,
     fock_tail_weight,
     gauge_fixing_unitary,
     lowest_eigenvalues,
@@ -136,7 +135,7 @@ def test_assemble_matches_per_site_pair_reference(p33):
     """The shared builder against the term-by-term construction, entry by
     entry, for N = 1..3, three gauges, three couplings (both phases) and
     both self-energy conventions; it may not store more entries either."""
-    grid = GridSpec(points=16000)
+    grid = GridSpec(points=64)
     for n in (1, 2, 3):
         cfg = HilbertConfig(n, 6, 10)
         for alpha in (0.0, 0.37, 1.0):
@@ -313,7 +312,7 @@ def test_convention_gates(make_params, grid):
     wrong = solve_double_well(
         WellShape(beta=3.3, energy_scale=SCALE_BETA_33,
                   renorm=SelfEnergyInBare(alpha=1.0, eta=0.6, omega=1.0)),
-        GridSpec(points=32000), levels=4, gap_tol=1e-6)
+        GridSpec(points=64), levels=4, gap_tol=1e-6)
     cfg2 = HilbertConfig(2, 4, 10)
     with pytest.raises(ConventionMismatch):
         assemble(cfg2, p.with_(n_dipoles=2), wrong,
@@ -411,21 +410,6 @@ def test_convergence_report_flags_heavy_tail(make_params):
         warnings.simplefilter("ignore")
         rows = convergence_report([HilbertConfig(1, 4, 4)], p, p.spectrum)
     assert "fock-tail" in rows[0]["flags"]
-
-
-def test_dump_triplets_roundtrip(tmp_path, p33):
-    cfg = HilbertConfig(1, 3, 5)
-    h = assemble(cfg, p33.with_(eta=0.7, alpha=0.5), p33.spectrum)
-    path = tmp_path / "h.txt"
-    dump_triplets(h, path)
-    lines = path.read_text().splitlines()
-    assert lines[0].startswith("# dimension 15")
-    data = [ln.split() for ln in lines if not ln.startswith("#")]
-    rebuilt = sp.coo_matrix(
-        ([float(v) for _, _, v in data],
-         ([int(r) for r, _, _ in data], [int(c) for _, c, _ in data])),
-        shape=(15, 15)).toarray()
-    assert np.abs(rebuilt - h.matrix.toarray()).max() <= 1e-15
 
 
 def test_collective_basis_fits_large_counts_in_budget():

@@ -15,10 +15,11 @@ from dickelab import (
     mode_frequency,
     trk_bound_holds,
 )
+from dickelab.gauge import JC_ALPHA_TOL
 
 # Measured via eta_critical on the frozen resonant spectra.
-ETA_C_BETA_24 = 1.2251893004526717
-ETA_C_BETA_33 = 2.0287940945663543
+ETA_C_BETA_24 = 1.2251892994757823
+ETA_C_BETA_33 = 2.0287940934109834
 
 
 def test_multipolar_limit_kills_momentum_channel(make_params):
@@ -103,7 +104,13 @@ def test_jc_gauge_balances_couplings(make_params):
 def test_jc_gauge_monotone_toward_coulomb(make_params):
     values = [jc_gauge(make_params(beta=2.4, eta=e))
               for e in np.linspace(0.0, 2.0, 21)]
-    assert all(0.0 < a <= 0.5 for a in values)
+    # At eta = 0 the root is omega_m / (omega + omega_m), which is 1/2 only
+    # up to the rounding of omega_m at resonance, so it is checked against
+    # that closed form within bisect's xtol plus its default rtol (4 eps).
+    omega_m = make_params(beta=2.4).omega_m
+    root = omega_m / (1.0 + omega_m)
+    assert abs(values[0] - root) <= JC_ALPHA_TOL + 4 * np.finfo(float).eps * root
+    assert all(0.0 < a < 0.5 for a in values[1:])
     assert np.all(np.diff(values) <= 1e-12)
 
 
