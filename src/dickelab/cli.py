@@ -3,19 +3,25 @@
 Commands regenerate the figure data tables from a flat key-value config
 file plus command-line overrides. All physical inputs are dimensionless or
 in units of the mode frequency omega = 1. Output is CSV with 17 significant
-digits, one provenance comment line (config hash and cutoffs), and a header
-row. Reruns with the same config digest and the same BLAS thread count are
-byte-identical; the digest does not record the BLAS thread count, and
-changing it can move values in the last digits. `grid_points` counts the
-sinc-DVR points of every double-well solve (`dipole.MAX_POINTS` at most).
+digits, one provenance comment line, and a header row. `grid_points` counts
+the sinc-DVR points of every double-well solve (`dipole.MAX_POINTS` at
+most); `levels` sizes only the `spectrum` table.
 
-A command writes one CSV sheet, or two for `s-figs`. A sheet may pin config
-keys (`s-figs` its beta, energy scale and convention, `fig3a` its convention
-and gauge); its rows and its `# config` line come from the config with those
-pins applied, under the run's digest, which leaves out the keys every sheet
-of the command pins. All of a command's sheets open before any solve, and
-each closes after its last row; a failure ends the sheet being written and
-every later one with a `# TRUNCATED` line.
+A command writes one CSV sheet, or two for `s-figs`. Each sheet states the
+config keys its rows read, and may pin some (`s-figs` its beta, energy
+scale and convention, `fig3a` its convention and gauge). Its rows come from
+the config with the pins applied, and its `# config` line is the run's
+digest followed by the sheet's listing: `command`, then exactly the keys
+the rows read and the sheet pins, as `key=value` tokens in config syntax.
+Passing a line's tokens back as overrides reruns the sheet; the digest
+hashes the listings of all of the command's sheets, so a key no sheet reads
+changes neither the line nor a row. Reruns with the same digest and the same
+BLAS thread count are byte-identical; the digest does not record the BLAS
+thread count, and changing it can move values in the last digits.
+
+All of a command's sheets open before any solve, and each closes after its
+last row; a failure ends the sheet being written and every later one with
+a `# TRUNCATED` line.
 
 Exit codes: 0 success, 2 validation, 3 convergence, 4 budget.
 """
@@ -26,7 +32,7 @@ import json
 import math
 import sys
 from contextlib import ExitStack
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 from . import dipole, exactn, gauge, thermo
 from .dipole import GridSpec, SelfEnergyInBare, WellShape
@@ -53,6 +59,12 @@ _VALIDATION_ERRORS = (ValidationError, ConventionMismatch, PhaseError,
                       GridError, ValueError)
 _CONVERGENCE_ERRORS = (ConvergenceError, DomainError, InstabilityError,
                        RootError)
+
+# Every sheet solves its well from these keys.
+WELL_KEYS = ("beta", "energy_scale", "grid_points", "gap_tol")
+# Every sheet but `spectrum` solves its base well for this many levels, or
+# for as many as its exact rows use when that is more.
+BASE_LEVELS = 12
 
 
 @dataclass
@@ -94,14 +106,24 @@ class RunConfig:
         start, stop, steps = self.eta_grid
         return [start + (stop - start) * i / (steps - 1) for i in range(steps)]
 
+    def sheets(self):
+        """Each sheet of the command as (suffix, header, rows, used, listing).
+
+        `used = replace(self, **pins)` is the config the sheet's rows come
+        from, and `listing` states `command`, the well keys, the keys the
+        rows read and the keys the sheet pins, in field order, each valued
+        from `used` in the syntax `build_config` parses.
+        """
+        for suffix, header, rows, reads, pins in COMMANDS[self.command]:
+            used = replace(self, **pins)
+            keys = {"command", *WELL_KEYS, *reads.split(), *pins}
+            listing = " ".join(f"{f.name}={_format(f.name, getattr(used, f.name))}"
+                               for f in fields(self) if f.name in keys)
+            yield suffix, header, rows, used, listing
+
     def digest(self):
-        # Identifies the data, so the output location and the keys every
-        # sheet of the command pins (neither of which can change a row) stay
-        # out of the hash.
-        pinned = set.intersection(*(set(pins) for *_, pins in COMMANDS[self.command]))
-        skip = {"output_path"} | pinned
-        keys = sorted(k for k in vars(self) if k not in skip)
-        text = ";".join(f"{k}={getattr(self, k)!r}" for k in keys)
+        # Identifies the data: every input any sheet of the command reads.
+        text = "\n".join(listing for *_, listing in self.sheets())
         return hashlib.sha256(text.encode()).hexdigest()[:12]
 
 
@@ -123,44 +145,47 @@ def read_config_file(path):
 # Figure commands pin the parameters the corresponding plots use; explicit
 # config keys still win.
 _COMMAND_DEFAULTS = {
-    "fig1": {"beta": "2.4", "eta_grid": "0,2,81"},
-    "fig2": {"beta": "2.4", "eta_grid": "0,2,81"},
     "fig3a": {"beta": "3.3", "eta_grid": "0,1.5,31"},
     "fig3b": {"beta": "3.3", "eta_grid": "1.5,2.5,101"},
     "s-figs": {"eta_grid": "0,2,41"},
 }
 
 
+def _eta_grid(text):
+    parts = text.split(",")
+    if len(parts) != 3:
+        raise ValidationError("eta_grid must be start,stop,steps")
+    return float(parts[0]), float(parts[1]), int(parts[2])
+
+
+# Tuple-valued keys: (parse, format) between config syntax and field value.
+_TUPLE_SYNTAX = {
+    "alpha_list": (lambda text: tuple(t.strip() for t in text.split(",") if t.strip()),
+                   ",".join),
+    "eta_grid": (_eta_grid, lambda grid: f"{grid[0]!r},{grid[1]!r},{grid[2]}"),
+    "ladder": (lambda text: tuple((int(a), int(b)) for a, b in
+                                  (rung.split(",") for rung in text.split(";"))),
+               lambda rungs: ";".join(f"{a},{b}" for a, b in rungs)),
+}
+
+
+def _format(key, value):
+    if key in _TUPLE_SYNTAX:
+        return _TUPLE_SYNTAX[key][1](value)
+    return repr(value) if isinstance(value, float) else str(value)
+
+
 def build_config(items):
     items = dict(items)
     for key, value in _COMMAND_DEFAULTS.get(items.get("command", ""), {}).items():
         items.setdefault(key, value)
-    known = {
-        "command": str, "beta": float, "n_dipoles": int, "dipole_levels": int,
-        "fock_cutoff": int, "convention": str,
-        "energy_scale": str, "levels": int, "output_path": str,
-        "budget": int, "gap_tol": float, "grid_points": int,
-        "eta_point": float, "alpha_point": float,
-    }
+    parsers = {f.name: _TUPLE_SYNTAX[f.name][0] if f.type is tuple else f.type
+               for f in fields(RunConfig)}
     kwargs = {}
     for key, value in items.items():
-        if key == "alpha_list":
-            kwargs[key] = tuple(tok.strip() for tok in str(value).split(",") if tok.strip())
-        elif key == "eta_grid":
-            parts = [tok.strip() for tok in str(value).split(",")]
-            if len(parts) != 3:
-                raise ValidationError("eta_grid must be start,stop,steps")
-            kwargs[key] = (float(parts[0]), float(parts[1]), int(parts[2]))
-        elif key == "ladder":
-            rungs = []
-            for rung in str(value).split(";"):
-                a, b = rung.split(",")
-                rungs.append((int(a), int(b)))
-            kwargs[key] = tuple(rungs)
-        elif key in known:
-            kwargs[key] = known[key](value)
-        else:
+        if key not in parsers:
             raise ValidationError(f"unknown config key {key!r}")
+        kwargs[key] = parsers[key](value)
     if "command" not in kwargs:
         raise ValidationError("no command given (config key or --command)")
     return RunConfig(**kwargs)
@@ -170,14 +195,6 @@ def _fmt(value):
     if isinstance(value, float):
         return f"{value:.17g}"
     return str(value)
-
-
-def _provenance(cfg, digest):
-    """The `# config` line: the run's digest and the inputs the rows used."""
-    return (f"config {digest} command={cfg.command} beta={cfg.beta} "
-            f"eta_grid={cfg.eta_grid[0]:g}:{cfg.eta_grid[1]:g}:{cfg.eta_grid[2]} "
-            f"L={cfg.dipole_levels} M={cfg.fock_cutoff} "
-            f"convention={cfg.convention} grid_points={cfg.grid_points}")
 
 
 class CsvWriter:
@@ -226,11 +243,12 @@ def _energy_scale(cfg):
     return value
 
 
-def _base_params(cfg):
-    """One dipole at eta = 0 in the multipolar gauge, on the plain well."""
+def _base_params(cfg, levels=BASE_LEVELS):
+    """One dipole at eta = 0 in the multipolar gauge, on the plain well
+    solved for `levels` levels."""
     spectrum = dipole.solve_double_well(
         WellShape(cfg.beta, _energy_scale(cfg)), GridSpec(points=cfg.grid_points),
-        cfg.levels, gap_tol=cfg.gap_tol)
+        levels, gap_tol=cfg.gap_tol)
     return ReducedParams(omega=1.0, beta=cfg.beta, energy_scale=spectrum.shape.energy_scale,
                          eta=0.0, n_dipoles=1, alpha=1.0, spectrum=spectrum)
 
@@ -318,7 +336,7 @@ def _seib_rows(cfg, hil, template, etas):
         shape = WellShape(cfg.beta, template.energy_scale,
                           SelfEnergyInBare(params.alpha,
                                            eta / math.sqrt(hil.n_dipoles), 1.0))
-        spec_pt = dipole.solve_double_well(shape, grid, max(cfg.levels, hil.dipole_levels),
+        spec_pt = dipole.solve_double_well(shape, grid, max(BASE_LEVELS, hil.dipole_levels),
                                            gap_tol=cfg.gap_tol)
         ground, excited, _ = exactn.ground_pair(
             exactn.assemble(hil, params, spec_pt, SelfEnergyInBare))
@@ -328,7 +346,7 @@ def _seib_rows(cfg, hil, template, etas):
 
 
 def _exact_sweep_rows(cfg):
-    yield from _exact_rows(cfg, _base_params(cfg))
+    yield from _exact_rows(cfg, _base_params(cfg, max(BASE_LEVELS, cfg.dipole_levels)))
 
 
 def _fig3a_rows(cfg):
@@ -384,7 +402,7 @@ def _absorbed_rows(cfg):
 def _gauges_rows(cfg):
     """N in {1,2,3}: the exact model against the two-level models in the
     Coulomb, JC (eta-dependent) and multipolar gauges (`s-figs` sheet 2)."""
-    base = _base_params(cfg)
+    base = _base_params(cfg, max(BASE_LEVELS, cfg.dipole_levels))
     for n in (1, 2, 3):
         yield from _exact_rows(replace(cfg, n_dipoles=n), base, include_two_level=False)
         two = HilbertConfig(n, 2, cfg.fock_cutoff, representation=CollectiveSpin(),
@@ -414,8 +432,8 @@ CONV_HEADER = ("eta", "alpha", "phase", "dipole_levels", "fock_cutoff",
 
 
 def _convergence_rows(cfg):
-    levels = max(cfg.levels, max(l for l, _ in cfg.ladder))
-    params = _base_params(replace(cfg, levels=levels)).with_(
+    levels = max(BASE_LEVELS, *(rung[0] for rung in cfg.ladder))
+    params = _base_params(cfg, levels).with_(
         eta=cfg.eta_point, n_dipoles=cfg.n_dipoles, alpha=cfg.alpha_point)
     ladder = [HilbertConfig(cfg.n_dipoles, l, m, budget=cfg.budget)
               for l, m in cfg.ladder]
@@ -430,34 +448,40 @@ def _convergence_rows(cfg):
 
 
 def _spectrum_rows(cfg):
-    """The plain well's levels and dipole elements, as `dipole.export_csv`."""
-    spectrum = _base_params(cfg).spectrum
+    """The plain well's levels and dipole elements."""
+    spectrum = _base_params(cfg, cfg.levels).spectrum
     e, zeta = spectrum.dimensionless_energies, spectrum.zeta_elements
     for n in range(spectrum.level_count):
         yield n, e[n], zeta[0, n], zeta[1, n]
 
 
-# Command name -> its sheets, each (suffix, header, rows, pins). A sheet is
-# written at `path`, or with a suffix at `path` with the suffix before `.csv`;
-# `rows(used)` yields its data rows from `used = replace(cfg, **pins)`, the
-# config with the keys the sheet fixes whatever the run sets.
+# Command name -> its sheets, each (suffix, header, rows, reads, pins). A
+# sheet is written at `path`, or with a suffix at `path` with the suffix
+# before `.csv`; `rows(used)` yields its data rows from `used = replace(cfg,
+# **pins)`, the config with the keys the sheet fixes whatever the run sets.
+# `reads` names the keys the rows read besides WELL_KEYS, which every sheet
+# reads; a key that is neither read nor pinned changes no row.
 COMMANDS = {
-    "spectrum": (("", ("n", "e_n", "zeta_0n", "zeta_1n"), _spectrum_rows, {}),),
-    "thermo-sweep": (("", THERMO_HEADER, _thermo_rows, {}),),
-    "exact-sweep": (("", EXACT_HEADER, _exact_sweep_rows, {}),),
-    "fig1": (("", THERMO_HEADER, _thermo_rows, {}),),
-    "fig2": (("", THERMO_HEADER, _fig2_rows, {}),),
-    "fig3a": (("", EXACT_HEADER, _fig3a_rows,
+    "spectrum": (("", ("n", "e_n", "zeta_0n", "zeta_1n"), _spectrum_rows, "levels", {}),),
+    "thermo-sweep": (("", THERMO_HEADER, _thermo_rows, "alpha_list eta_grid", {}),),
+    "exact-sweep": (("", EXACT_HEADER, _exact_sweep_rows,
+                     "alpha_list eta_grid n_dipoles dipole_levels fock_cutoff convention budget",
+                     {}),),
+    "fig1": (("", THERMO_HEADER, _thermo_rows, "alpha_list eta_grid", {}),),
+    "fig2": (("", THERMO_HEADER, _fig2_rows, "eta_grid", {}),),
+    "fig3a": (("", EXACT_HEADER, _fig3a_rows, "eta_grid budget",
                {"convention": "main-text", "alpha_list": ("1",)}),),
-    "fig3b": (("", FIG3B_HEADER, _fig3b_rows, {}),),
-    "s-figs": (("_absorbed", THERMO_HEADER, _absorbed_rows,
+    "fig3b": (("", FIG3B_HEADER, _fig3b_rows, "eta_grid fock_cutoff budget", {}),),
+    "s-figs": (("_absorbed", THERMO_HEADER, _absorbed_rows, "alpha_list eta_grid",
                 {"beta": 2.4, "energy_scale": "resonance",
                  "convention": "self-energy-in-bare"}),
                ("_gauges", EXACT_HEADER, _gauges_rows,
+                "eta_grid dipole_levels fock_cutoff budget",
                 {"beta": 1.5, "energy_scale": "resonance", "convention": "main-text",
                  "alpha_list": ("1",)})),
-    "jc-curve": (("", ("eta", "alpha_jc", "phase"), _jc_rows, {}),),
-    "convergence": (("", CONV_HEADER, _convergence_rows, {}),),
+    "jc-curve": (("", ("eta", "alpha_jc", "phase"), _jc_rows, "eta_grid", {}),),
+    "convergence": (("", CONV_HEADER, _convergence_rows,
+                     "n_dipoles budget ladder eta_point alpha_point", {}),),
 }
 
 
@@ -472,10 +496,9 @@ def run(cfg: RunConfig) -> int:
     digest = cfg.digest()
     with ExitStack() as stack:
         sheets = []
-        for suffix, header, rows, pins in COMMANDS[cfg.command]:
-            used = replace(cfg, **pins)
+        for suffix, header, rows, used, listing in cfg.sheets():
             writer = CsvWriter(f"{stem}{suffix}.csv" if suffix else path, header,
-                               _provenance(used, digest))
+                               f"config {digest} {listing}")
             sheets.append((stack.enter_context(writer), rows, used))
         for writer, rows, used in sheets:
             for row in rows(used):

@@ -251,17 +251,3 @@ def resonance_energy_scale(beta: float, omega: float, grid: GridSpec,
     shape = WellShape(beta=beta, energy_scale=1.0)
     spectrum = solve_double_well(shape, grid, levels=2, gap_tol=gap_tol)
     return omega / (spectrum.energies[1] - spectrum.energies[0])
-
-
-def export_csv(spectrum: DipoleSpectrum, path, provenance: str | None = None) -> None:
-    """Audit dump: one row per level with n, e_n, zeta_0n, zeta_1n."""
-    e = spectrum.dimensionless_energies
-    with open(path, "w", newline="") as fh:
-        if provenance is not None:
-            fh.write(f"# {provenance}\n")
-        fh.write("n,e_n,zeta_0n,zeta_1n\n")
-        for n in range(spectrum.level_count):
-            fh.write(
-                f"{n},{e[n]:.17g},{spectrum.zeta_elements[0, n]:.17g},"
-                f"{spectrum.zeta_elements[1, n]:.17g}\n"
-            )

@@ -93,8 +93,11 @@ def default_hilbert(n_dipoles: int, budget: int = DEFAULT_BUDGET) -> HilbertConf
 @dataclass(frozen=True)
 class AssembledHamiltonian:
     matrix: sp.csr_matrix
-    dimension: int
-    labels: dict
+    axis_dims: tuple      # one entry per dipole (or the collective spin), then the mode
+
+    @property
+    def dimension(self):
+        return self.matrix.shape[0]
 
 
 def _photon_ops(m):
@@ -180,7 +183,6 @@ def assemble(config: HilbertConfig, params: ReducedParams,
     if spectrum.level_count < levels:
         raise ValidationError("spectrum holds fewer levels than requested")
     _check_convention(config, params, spectrum, convention)
-    dim = config.dimension
 
     alpha, eta = params.alpha, params.eta
     omega, e_scale = params.omega, params.energy_scale
@@ -213,17 +215,7 @@ def assemble(config: HilbertConfig, params: ReducedParams,
     matrix = _with_mode(m, dipole, -c_cross * _summed(s_op, n_sites), c_pi * z_sum,
                         omega_field=omega, c_w=c_a2)
     _assert_symmetric(matrix)
-    labels = {
-        "representation": "product",
-        "axis_dims": (levels,) * n_sites + (m,),
-        "n_dipoles": n_sites,
-        "dipole_levels": levels,
-        "fock_cutoff": m,
-        "convention": convention.__name__,
-        "alpha": alpha,
-        "eta": eta,
-    }
-    return AssembledHamiltonian(matrix=matrix, dimension=dim, labels=labels)
+    return AssembledHamiltonian(matrix, (levels,) * n_sites + (m,))
 
 
 def _assert_symmetric(matrix):
@@ -267,10 +259,12 @@ def dicke_two_level(config: HilbertConfig, params: ReducedParams,
 
     if isinstance(config.representation, CollectiveSpin):
         jz, jp = map(sp.csr_matrix, _collective_spin_ops(n_sites))
+        axis_dims = (jz.shape[0], m)
     else:
         # sigma^z has eigenvalues -1/2 (ground) and +1/2; sigma^+ raises.
         jz = _summed(np.diag([-0.5, 0.5]), n_sites)
         jp = _summed(np.array([[0.0, 0.0], [1.0, 0.0]]), n_sites)
+        axis_dims = (2,) * n_sites + (m,)
     jx = jp + jp.T
 
     # Rotated interaction: +g'(J+ - J-)(c^dag - c) - g(J+ + J-)(c^dag + c).
@@ -281,18 +275,7 @@ def dicke_two_level(config: HilbertConfig, params: ReducedParams,
                         -(couplings.g_alpha / math.sqrt(n_sites)) * jx,
                         omega_field=couplings.omega_alpha)
     _assert_symmetric(matrix)
-    rep = "collective" if isinstance(config.representation, CollectiveSpin) else "product"
-    labels = {
-        "representation": rep,
-        "axis_dims": (jz.shape[0], m) if rep == "collective" else (2,) * n_sites + (m,),
-        "n_dipoles": n_sites,
-        "dipole_levels": 2,
-        "fock_cutoff": m,
-        "convention": "TwoLevelReplacement",
-        "alpha": params.alpha,
-        "eta": params.eta,
-    }
-    return AssembledHamiltonian(matrix=matrix, dimension=matrix.shape[0], labels=labels)
+    return AssembledHamiltonian(matrix, axis_dims)
 
 
 def lowest_eigenvalues(h: AssembledHamiltonian, k: int, method: str | None = None,
@@ -331,8 +314,7 @@ def lowest_eigenvalues(h: AssembledHamiltonian, k: int, method: str | None = Non
 
 def fock_tail_weight(h: AssembledHamiltonian, vector) -> float:
     """Probability of the highest Fock state in a normalized eigenvector."""
-    dims = h.labels["axis_dims"]
-    resh = np.asarray(vector).reshape(dims)
+    resh = np.asarray(vector).reshape(h.axis_dims)
     return float(np.sum(resh[..., -1] ** 2))
 
 
@@ -489,8 +471,7 @@ def parity_diagonal(h: AssembledHamiltonian) -> np.ndarray:
     Dipole level n carries parity (-1)^n (even potential), the mode carries
     (-1)^(photon number); the product commutes with every assembled term.
     """
-    dims = h.labels["axis_dims"]
     diag = np.ones(1)
-    for d in dims:
+    for d in h.axis_dims:
         diag = np.kron(diag, (-1.0) ** np.arange(d))
     return diag

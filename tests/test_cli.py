@@ -6,21 +6,25 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 from dickelab import dipole
 from dickelab.cli import (
+    COMMANDS,
     EXIT_BUDGET,
     EXIT_CONVERGENCE,
     EXIT_VALIDATION,
     EXACT_HEADER,
     THERMO_HEADER,
+    RunConfig,
     build_config,
     main,
     read_config_file,
 )
+from dickelab.dipole import GridSpec
 
 # Coarse-but-honest numerics so the whole file stays fast; correctness at
 # production resolution is covered by the module and acceptance tests.
@@ -124,6 +128,9 @@ def test_spectrum_command_rows(tmp_path):
     assert len(lines) == 2 + 6
     gaps = [float(r.split(",")[1]) for r in lines[2:]]
     assert gaps == sorted(gaps)
+    # At the resonance scale the first transition is the mode frequency.
+    scale = dipole.resonance_energy_scale(2.4, 1.0, GridSpec(points=64), gap_tol=1e-5)
+    assert (gaps[1] - gaps[0]) * scale == pytest.approx(1.0, rel=1e-12)
 
 
 def test_jc_curve_rows(tmp_path):
@@ -479,3 +486,100 @@ def test_blas_thread_count_moves_rows_only_in_the_last_digits(tmp_path):
         for key in ("G", "E"):
             assert float(a[key]) == pytest.approx(float(b[key]), rel=1e-12, abs=0)
         assert abs(float(a["gap_over_omega"]) - float(b["gap_over_omega"])) <= 1e-11
+
+
+# Each sheet's `# config` keys after `command`, in RunConfig field order: the
+# well keys, the keys its rows read and the keys it pins.
+LISTED = {
+    "spectrum": ["beta energy_scale levels gap_tol grid_points"],
+    "thermo-sweep": ["beta alpha_list eta_grid energy_scale gap_tol grid_points"],
+    "fig1": ["beta alpha_list eta_grid energy_scale gap_tol grid_points"],
+    "fig2": ["beta eta_grid energy_scale gap_tol grid_points"],
+    "jc-curve": ["beta eta_grid energy_scale gap_tol grid_points"],
+    "exact-sweep": ["beta alpha_list eta_grid n_dipoles dipole_levels fock_cutoff convention "
+                    "energy_scale budget gap_tol grid_points"],
+    "fig3a": ["beta alpha_list eta_grid convention energy_scale budget gap_tol grid_points"],
+    "fig3b": ["beta eta_grid fock_cutoff energy_scale budget gap_tol grid_points"],
+    "s-figs": ["beta alpha_list eta_grid convention energy_scale gap_tol grid_points",
+               "beta alpha_list eta_grid dipole_levels fock_cutoff convention energy_scale "
+               "budget gap_tol grid_points"],
+    "convergence": ["beta n_dipoles energy_scale budget gap_tol grid_points ladder "
+                    "eta_point alpha_point"],
+}
+
+
+def listings(items):
+    return [listing for *_, listing in build_config(items).sheets()]
+
+
+def test_each_sheet_lists_exactly_the_keys_it_reads():
+    assert set(LISTED) == set(COMMANDS)
+    for command, expected in LISTED.items():
+        keys = [[tok.split("=", 1)[0] for tok in listing.split()]
+                for listing in listings({"command": command})]
+        assert keys == [["command"] + sheet.split() for sheet in expected]
+
+
+def test_thermo_sweep_line_and_digest_ignore_unread_keys():
+    default = {"command": "thermo-sweep"}
+    unread = dict(default, dipole_levels="4", fock_cutoff="9", n_dipoles="3", levels="3",
+                  convention="self-energy-in-bare")
+    assert listings(unread) == listings(default)
+    assert build_config(unread).digest() == build_config(default).digest()
+    scaled = dict(default, energy_scale="5")
+    assert " energy_scale=5 " in listings(scaled)[0]
+    assert build_config(scaled).digest() != build_config(default).digest()
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_config_line_tokens_reparse_to_the_listing(command):
+    odd = {"beta": "1.7", "eta_grid": "0.1, 0.7000000000000001, 3", "alpha_list": " 0, jc,0.25 ",
+           "gap_tol": "1e-5", "ladder": "4,10; 6,14", "eta_point": "0.30000000000000004"}
+    for items in ({"command": command}, dict(odd, command=command)):
+        for i, listing in enumerate(listings(items)):
+            assert listings(dict(tok.split("=", 1) for tok in listing.split()))[i] == listing
+
+
+# The tests' small config of every command, with its exit code; fig3a stops
+# at N = 3 on its budget.
+SMALL = {
+    "spectrum": (["levels=6", "beta=2.4"], 0),
+    "thermo-sweep": (["eta_grid=0,2,5", "alpha_list=0,jc,1"], 0),
+    "exact-sweep": (["eta_grid=0,0.8,3", "dipole_levels=4", "fock_cutoff=12", "alpha_list=1"], 0),
+    "fig1": (["eta_grid=0,2,5"], 0),
+    "fig2": (["eta_grid=0.4,1.2,3"], 0),
+    "fig3a": (["--budget", "3000", "eta_grid=0,0.4,3"], EXIT_BUDGET),
+    "fig3b": (["eta_grid=1.9,2.2,4", "fock_cutoff=20"], 0),
+    "s-figs": (["eta_grid=0,0.6,3", "dipole_levels=4", "fock_cutoff=10"], 0),
+    "jc-curve": (["eta_grid=0,2,9"], 0),
+    "convergence": (["ladder=4,10;6,14", "eta_point=0.6", "alpha_point=1"], 0),
+}
+# Another valid value for every key that some sheet leaves off its line.
+OTHER = {"alpha_list": "0,1", "eta_grid": "0.5,1.5,3", "n_dipoles": "2", "dipole_levels": "3",
+         "fock_cutoff": "9", "convention": "self-energy-in-bare", "levels": "2",
+         "budget": "30000", "ladder": "4,8;5,9", "eta_point": "0.3", "alpha_point": "0"}
+
+
+@pytest.mark.parametrize("command,sheet", [(command, i) for command in sorted(SMALL)
+                                           for i in range(len(COMMANDS[command]))])
+def test_line_replays_and_unlisted_keys_change_nothing(tmp_path, capsys, command, sheet):
+    """Rerun from a sheet's `# config` tokens with every key missing from
+    that line set to another value at once: the sheet's listing and rows come
+    out the same, and for a one-sheet command the whole file byte for byte."""
+    args, code = SMALL[command]
+    suffix = COMMANDS[command][sheet][0]
+    first, second = tmp_path / f"first{suffix}.csv", tmp_path / f"second{suffix}.csv"
+    assert main(["--command", command, "--out", str(tmp_path / "first.csv")]
+                + args + FAST) == code
+    tokens = first.read_text().splitlines()[0].split()[3:]
+    listed = {tok.split("=", 1)[0] for tok in tokens} | {"output_path"}
+    other = [f"{f.name}={OTHER[f.name]}" for f in fields(RunConfig) if f.name not in listed]
+    assert main(tokens + other + ["--out", str(tmp_path / "second.csv")]) == code
+    capsys.readouterr()
+    if len(COMMANDS[command]) == 1:
+        assert first.read_bytes() == second.read_bytes()
+    else:
+        (line1, *rows1), (line2, *rows2) = (out.read_text().splitlines()
+                                            for out in (first, second))
+        assert line1.split()[3:] == line2.split()[3:]
+        assert rows1 == rows2

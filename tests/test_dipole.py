@@ -1,6 +1,5 @@
 """Double-well solver: frozen level oracles, sum-rule checks, failure modes."""
 
-import csv
 import math
 
 import numpy as np
@@ -15,7 +14,6 @@ from dickelab import (
     MainText,
     SelfEnergyInBare,
     WellShape,
-    export_csv,
     resonance_energy_scale,
     solve_double_well,
     trk_sum,
@@ -271,24 +269,6 @@ def test_grid_and_shape_validation():
         GridSpec(zeta_max=6.0, points=2)
     with pytest.raises(ValueError):
         WellShape(beta=2.4, energy_scale=0.0)
-
-
-def test_export_csv_roundtrip(tmp_path, spectra):
-    path = tmp_path / "levels.csv"
-    export_csv(spectra[3.3], path, provenance="solver check")
-    lines = path.read_text().splitlines()
-    assert lines[0] == "# solver check"
-    assert lines[1] == "n,e_n,zeta_0n,zeta_1n"
-    rows = list(csv.reader(lines[2:]))
-    assert len(rows) == spectra[3.3].level_count
-    e1 = float(rows[1][1]) - float(rows[0][1])
-    assert e1 * spectra[3.3].shape.energy_scale == pytest.approx(1.0, rel=1e-12)
-
-
-def test_export_csv_without_provenance(tmp_path, spectra):
-    path = tmp_path / "plain.csv"
-    export_csv(spectra[1.5], path)
-    assert path.read_text().splitlines()[0] == "n,e_n,zeta_0n,zeta_1n"
 
 
 def test_main_text_is_default_convention():
