@@ -14,20 +14,36 @@ ever built:
 
 Every finite-N Hamiltonian, and the gauge exponent, has the form
 D x 1 + 1 x F + X x (a^dag - a) + Y x (a^dag + a) with D, X, Y on the dipoles
-and F on the mode, formed by one builder. Pair sums use sum_{mu != nu}
+and F on the mode, formed by one builder, `_with_mode`, the only place that
+forms Kronecker products with the mode. Pair sums use sum_{mu != nu}
 zeta_mu zeta_nu = Z^2 - sum_mu (zeta^2)_mu with Z = sum_mu zeta_mu. The
 two-level collective-spin Dicke Hamiltonian comes from its replacement form;
 it differs from the L=2 projection in the self-energy term, which is the
 point of keeping both.
+
+H(eta, alpha) is a fixed linear combination of eta- and alpha-independent
+operators, so those are built once and each point only combines them:
+
+- the Fock operators and identities, per cutoff (`_photon_ops`, `_identity`);
+- J^z, J_x^2, J^+ - J^- and J_x of the two-level model, per dipole count and
+  basis (`_two_level_ops`);
+- the dipole operators of `assemble` (Z, the summed momentum factor S, Z Z
+  and the one-dipole blocks), per (spectrum, N, L) (`_dipole_sums`). One
+  entry is kept: the last one built, holding its spectrum object, which is
+  matched by identity because spectra hold arrays and do not hash.
+
+An X or Y term whose coefficient is zero is left out and costs no
+Kronecker product.
 """
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import expm
+from scipy.linalg import eigh, expm
 from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
 from .dipole import DipoleSpectrum, MainText, SelfEnergyInBare
@@ -41,7 +57,11 @@ from .errors import (
 from .gauge import ReducedParams, derive_couplings
 
 DEFAULT_BUDGET = 200_000
-DENSE_THRESHOLD = 2500
+# Dense subset solve up to this many states, Lanczos above. For two pairs at
+# 1 BLAS thread the two cost the same near 600 states (dense 22-25 ms against
+# Lanczos 19-47 ms at 560, 27-37 against 19-54 ms at 640); from 900 states up
+# Lanczos wins (65-155 against 23-82 ms at 900-1080).
+DENSE_THRESHOLD = 600
 FOCK_TAIL_TOL = 1e-8
 SYMMETRY_TOL = 1e-12
 
@@ -100,16 +120,26 @@ class AssembledHamiltonian:
         return self.matrix.shape[0]
 
 
+@functools.lru_cache(maxsize=8)
 def _photon_ops(m):
+    """Identity, a^dag a + 1/2, a^dag + a, a^dag - a and the rotated
+    (a^dag + a)^2 on Fock(m), built once per cutoff and shared: never
+    modified in place."""
     n = np.arange(m, dtype=float)
     lower = sp.diags(np.sqrt(n[1:]), 1)          # annihilation
     raise_ = lower.T
     number = sp.diags(n)
+    identity = sp.identity(m, format="csr")
     q = (raise_ + lower).tocsr()                 # a^dag + a
     t = (raise_ - lower).tocsr()                 # a^dag - a
     two_ph = raise_ @ raise_ + lower @ lower
     w = (2.0 * number + sp.identity(m) - two_ph).tocsr()   # rotated (a^dag+a)^2
-    return number.tocsr(), q, t, w
+    return identity, (number + 0.5 * identity).tocsr(), q, t, w
+
+
+@functools.lru_cache(maxsize=8)
+def _identity(dim):
+    return sp.identity(dim, format="csr")
 
 
 def _summed(op, n_sites):
@@ -118,20 +148,70 @@ def _summed(op, n_sites):
     levels = op.shape[0]
     total = op
     for k in range(1, n_sites):
-        total = (sp.kron(total, sp.identity(levels), format="csr")
-                 + sp.kron(sp.identity(levels**k), op, format="csr"))
+        total = (sp.kron(total, _identity(levels), format="csr")
+                 + sp.kron(_identity(levels**k), op, format="csr"))
     return total
+
+
+def _scaled(coefficient, op):
+    """coefficient * op, or None (an absent term) when the coefficient is 0."""
+    return None if coefficient == 0.0 else coefficient * op
 
 
 def _with_mode(m, dipole, x, y, omega_field=0.0, c_w=0.0):
     """D x 1 + 1 x F + X x (a^dag - a) + Y x (a^dag + a) on dipoles x Fock(m),
-    with F = omega_field (a^dag a + 1/2) + c_w (rotated (a^dag + a)^2)."""
-    number, q, t, w = _photon_ops(m)
-    id_ph = sp.identity(m, format="csr")
-    field = omega_field * (number + 0.5 * id_ph) + c_w * w
-    return (sp.kron(dipole, id_ph, format="csr")
-            + sp.kron(sp.identity(dipole.shape[0], format="csr"), field, format="csr")
-            + sp.kron(x, t, format="csr") + sp.kron(y, q, format="csr")).tocsr()
+    with F = omega_field (a^dag a + 1/2) + c_w (rotated (a^dag + a)^2).
+
+    X or Y may be None for an absent term, which then costs no Kronecker
+    product."""
+    id_ph, half_number, q, t, w = _photon_ops(m)
+    field = omega_field * half_number + c_w * w
+    total = (sp.kron(dipole, id_ph, format="csr")
+             + sp.kron(_identity(dipole.shape[0]), field, format="csr"))
+    for op, mode_op in ((x, t), (y, q)):
+        if op is not None:
+            total = total + sp.kron(op, mode_op, format="csr")
+    return total.tocsr()
+
+
+@dataclass(frozen=True, eq=False)
+class _DipoleSums:
+    """The eta- and alpha-independent dipole operators of `assemble` for one
+    spectrum's lowest `levels` levels on n_sites dipoles."""
+
+    spectrum: DipoleSpectrum      # held, so the identity check below stays sound
+    n_sites: int
+    levels: int
+    bare: np.ndarray              # one dipole's bare energies, as a diagonal matrix
+    zeta_sq: np.ndarray           # one dipole's <m|zeta^2|n>
+    zeta_zeta: np.ndarray         # one dipole's (zeta zeta)_mn, levels-truncated
+    zeta: sp.csr_matrix           # Z = sum_mu zeta_mu
+    s: sp.csr_matrix              # sum_mu S_mu, S_mn = (e_m - e_n) zeta_mn
+    zz: object                    # Z Z, or None for a single dipole
+
+
+_DIPOLE_MEMO = []                 # the last _DipoleSums built, at most one
+
+
+def _dipole_sums(spectrum, n_sites, levels):
+    """_DipoleSums for (spectrum, n_sites, levels), reused while a sweep
+    keeps passing the same spectrum object. Spectra hold arrays and do not
+    hash, so the memo compares the object it holds by identity."""
+    for held in _DIPOLE_MEMO:
+        if held.spectrum is spectrum and (held.n_sites, held.levels) == (n_sites, levels):
+            return held
+    z_op = spectrum.zeta_elements[:levels, :levels]
+    zeta = _summed(z_op, n_sites)
+    sums = _DipoleSums(
+        spectrum, n_sites, levels,
+        bare=np.diag(spectrum.energies[:levels]),
+        zeta_sq=spectrum.zeta_sq_elements[:levels, :levels],
+        zeta_zeta=z_op @ z_op,
+        zeta=zeta,
+        s=_summed(spectrum.p_elements[:levels, :levels], n_sites),
+        zz=None if n_sites == 1 else zeta @ zeta)
+    _DIPOLE_MEMO[:] = [sums]
+    return sums
 
 
 def _check_convention(config, params, spectrum, convention):
@@ -188,11 +268,6 @@ def assemble(config: HilbertConfig, params: ReducedParams,
     omega, e_scale = params.omega, params.energy_scale
     lam = params.lambda_a
 
-    z_op = spectrum.zeta_elements[:levels, :levels]
-    s_op = spectrum.p_elements[:levels, :levels]        # (e_m - e_n) zeta_mn
-    z2_op = spectrum.zeta_sq_elements[:levels, :levels]
-    bare = np.diag(spectrum.energies[:levels])
-
     c_cross = e_scale * (1.0 - alpha) * lam
     c_a2 = n_sites * 0.5 * e_scale * (1.0 - alpha) ** 2 * lam**2
     c_pi = alpha * eta * omega**1.5 / math.sqrt(2.0 * n_sites * e_scale)
@@ -206,22 +281,25 @@ def assemble(config: HilbertConfig, params: ReducedParams,
 
     # sum_{mu != nu} zeta_mu zeta_nu = Z Z - sum_mu (zeta zeta)_mu. A single
     # dipole has no pairs, and Z Z - zeta zeta would leave rounding residue.
-    z_sum = _summed(z_op, n_sites)
-    if n_sites > 1 and c_dd != 0.0:
-        dipole = (_summed(bare + c_se * z2_op - c_dd * (z_op @ z_op), n_sites)
-                  + c_dd * (z_sum @ z_sum))
+    # The on-site operator is summed over the dipoles per point, on the
+    # dipole space only: adding cached sums instead regroups the diagonal,
+    # which moved N = 4 Lanczos gaps by 1.5e-12.
+    sums = _dipole_sums(spectrum, n_sites, levels)
+    if sums.zz is not None and c_dd != 0.0:
+        dipole = (_summed(sums.bare + c_se * sums.zeta_sq - c_dd * sums.zeta_zeta, n_sites)
+                  + c_dd * sums.zz)
     else:
-        dipole = _summed(bare + c_se * z2_op, n_sites)
-    matrix = _with_mode(m, dipole, -c_cross * _summed(s_op, n_sites), c_pi * z_sum,
+        dipole = _summed(sums.bare + c_se * sums.zeta_sq, n_sites)
+    matrix = _with_mode(m, dipole, _scaled(-c_cross, sums.s), _scaled(c_pi, sums.zeta),
                         omega_field=omega, c_w=c_a2)
     _assert_symmetric(matrix)
     return AssembledHamiltonian(matrix, (levels,) * n_sites + (m,))
 
 
 def _assert_symmetric(matrix):
-    gap = abs(matrix - matrix.T)
-    top = gap.max() if gap.nnz else 0.0
-    scale = abs(matrix).max()
+    gap = (matrix - matrix.T).data
+    top = np.abs(gap).max() if gap.size else 0.0
+    scale = np.abs(matrix.data).max() if matrix.nnz else 0.0
     if top > SYMMETRY_TOL * max(scale, 1.0):
         raise ValidationError(f"assembled matrix asymmetric by {top:.2e}")
 
@@ -232,6 +310,23 @@ def _collective_spin_ops(n_dipoles):
     jz = np.diag(m_vals)
     up = np.sqrt(j * (j + 1) - m_vals[:-1] * (m_vals[:-1] + 1))
     return jz, np.diag(up, -1)    # J^z, and J^+ with entries (m+1, m)
+
+
+@functools.lru_cache(maxsize=16)
+def _two_level_ops(n_sites, collective):
+    """(J^z, J_x^2, J^+ - J^-, J_x, identity, axis dims) of the two-level
+    model on n_sites dipoles, with J_x = J^+ + J^-, in the collective-spin
+    or the product basis; built once per count and basis, never modified."""
+    if collective:
+        jz, jp = map(sp.csr_matrix, _collective_spin_ops(n_sites))
+        axis_dims = (jz.shape[0],)
+    else:
+        # sigma^z has eigenvalues -1/2 (ground) and +1/2; sigma^+ raises.
+        jz = _summed(np.diag([-0.5, 0.5]), n_sites)
+        jp = _summed(np.array([[0.0, 0.0], [1.0, 0.0]]), n_sites)
+        axis_dims = (2,) * n_sites
+    jx = (jp + jp.T).tocsr()
+    return jz, (jx @ jx).tocsr(), (jp - jp.T).tocsr(), jx, _identity(jz.shape[0]), axis_dims
 
 
 def dicke_two_level(config: HilbertConfig, params: ReducedParams,
@@ -257,59 +352,51 @@ def dicke_two_level(config: HilbertConfig, params: ReducedParams,
     const = n_sites * 0.5 * (spectrum.energies[0] + spectrum.energies[1]) \
         + 0.5 * couplings.rho_d2
 
-    if isinstance(config.representation, CollectiveSpin):
-        jz, jp = map(sp.csr_matrix, _collective_spin_ops(n_sites))
-        axis_dims = (jz.shape[0], m)
-    else:
-        # sigma^z has eigenvalues -1/2 (ground) and +1/2; sigma^+ raises.
-        jz = _summed(np.diag([-0.5, 0.5]), n_sites)
-        jp = _summed(np.array([[0.0, 0.0], [1.0, 0.0]]), n_sites)
-        axis_dims = (2,) * n_sites + (m,)
-    jx = jp + jp.T
+    jz, jx2, jpm, jx, identity, dipole_dims = _two_level_ops(
+        n_sites, isinstance(config.representation, CollectiveSpin))
 
     # Rotated interaction: +g'(J+ - J-)(c^dag - c) - g(J+ + J-)(c^dag + c).
-    dipole = (omega_m * jz - (couplings.c_alpha / n_sites) * (jx @ jx)
-              + const * sp.identity(jz.shape[0]))
+    dipole = omega_m * jz - (couplings.c_alpha / n_sites) * jx2 + const * identity
     matrix = _with_mode(m, dipole,
-                        (couplings.g_prime_alpha / math.sqrt(n_sites)) * (jp - jp.T),
-                        -(couplings.g_alpha / math.sqrt(n_sites)) * jx,
+                        _scaled(couplings.g_prime_alpha / math.sqrt(n_sites), jpm),
+                        _scaled(-(couplings.g_alpha / math.sqrt(n_sites)), jx),
                         omega_field=couplings.omega_alpha)
     _assert_symmetric(matrix)
-    return AssembledHamiltonian(matrix, axis_dims)
+    return AssembledHamiltonian(matrix, dipole_dims + (m,))
 
 
 def lowest_eigenvalues(h: AssembledHamiltonian, k: int, method: str | None = None,
                        return_vectors: bool = False):
-    """k smallest eigenvalues (ascending), dense below a size threshold.
+    """k smallest eigenvalues (ascending), and their vectors on request.
 
-    method forces "dense" or "sparse"; the default picks by dimension. The
-    sparse path is Lanczos with a fixed deterministic start vector.
+    method forces "dense" or "sparse"; the default is dense up to
+    DENSE_THRESHOLD states (or when k reaches the dimension) and sparse
+    above. The dense path is LAPACK's subset solve: only the k lowest pairs
+    are computed, and no vectors unless asked for. The sparse path is
+    Lanczos (tol=0) with a fixed deterministic start vector.
     """
     if not 1 <= k <= h.dimension:
         raise ValidationError(f"k = {k} outside 1..{h.dimension}")
     if method is None:
         method = "dense" if (h.dimension <= DENSE_THRESHOLD or k >= h.dimension - 1) else "sparse"
     if method == "dense":
-        dense = h.matrix.toarray()
-        vals, vecs = np.linalg.eigh(dense)
-        vals, vecs = vals[:k], vecs[:, :k]
-    elif method == "sparse":
-        v0 = np.ones(h.dimension) / math.sqrt(h.dimension)
-        try:
-            vals, vecs = eigsh(h.matrix, k=k, which="SA", v0=v0, tol=0)
-        except ArpackNoConvergence as err:
-            got = len(err.eigenvalues)
-            raise ConvergenceError(
-                f"Lanczos converged {got}/{k} eigenvalues at dimension {h.dimension}; "
-                "raise maxiter or loosen the request"
-            ) from err
-        order = np.argsort(vals)
-        vals, vecs = vals[order], vecs[:, order]
-    else:
+        return eigh(h.matrix.toarray(), eigvals_only=not return_vectors,
+                    subset_by_index=[0, k - 1], overwrite_a=True, check_finite=False)
+    if method != "sparse":
         raise ValidationError("method must be None, 'dense' or 'sparse'")
+    v0 = np.ones(h.dimension) / math.sqrt(h.dimension)
+    try:
+        vals, vecs = eigsh(h.matrix, k=k, which="SA", v0=v0, tol=0)
+    except ArpackNoConvergence as err:
+        got = len(err.eigenvalues)
+        raise ConvergenceError(
+            f"Lanczos converged {got}/{k} eigenvalues at dimension {h.dimension}; "
+            "raise maxiter or loosen the request"
+        ) from err
+    order = np.argsort(vals)
     if return_vectors:
-        return vals, vecs
-    return vals
+        return vals[order], vecs[:, order]
+    return vals[order]
 
 
 def fock_tail_weight(h: AssembledHamiltonian, vector) -> float:
@@ -417,14 +504,12 @@ def gauge_fixing_unitary(config: HilbertConfig, params: ReducedParams,
     """
     if not isinstance(config.representation, ProductBasis):
         raise ValidationError("gauge unitary works in the product basis")
-    levels = config.dipole_levels
-    zeta_sum = _summed(spectrum.zeta_elements[:levels, :levels], config.n_dipoles)
+    zeta_sum = _dipole_sums(spectrum, config.n_dipoles, config.dipole_levels).zeta
     # Conjugating by exp(i theta zeta (a^dag+a)) with theta = (to - from) lam
     # shifts the kinetic coupling between the gauges; the phase rotation of
     # the mode turns that exponent into the real antisymmetric form below.
-    zero = sp.csr_matrix(zeta_sum.shape)
-    exponent = _with_mode(config.fock_cutoff, zero,
-                          -(alpha_to - alpha_from) * params.lambda_a * zeta_sum, zero)
+    exponent = _with_mode(config.fock_cutoff, sp.csr_matrix(zeta_sum.shape),
+                          -(alpha_to - alpha_from) * params.lambda_a * zeta_sum, None)
     return expm(exponent.toarray())
 
 

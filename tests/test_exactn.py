@@ -34,6 +34,7 @@ from dickelab import (
     solve_double_well,
     transition_sweep,
 )
+from dickelab import exactn
 
 SCALE_BETA_33 = 21.3003135538138
 
@@ -151,6 +152,45 @@ def test_assemble_matches_per_site_pair_reference(p33):
                     ref = reference_assemble(cfg, p, spec, convention)
                     assert abs(ours - ref).max() <= 1e-13 * abs(ref).max()
                     assert ours.nnz <= ref.nnz
+
+
+def test_cached_operators_stay_fresh_along_a_sweep(p33, make_params):
+    """The memoised dipole sums against the per-site reference while one
+    spectrum object runs through three gauges and three couplings in a row
+    (so the memo is hit), for N = 1..3 and both conventions; a different
+    spectrum at the same (N, L) then gets its own matrix, not a stale one.
+    Zero couplings (alpha = 1 drops the cross, A^2 and pair terms; alpha = 0
+    the momentum term) leave no explicit zeros behind."""
+    grid = GridSpec(points=64)
+    other = make_params(beta=2.4)
+    for n in (1, 2, 3):
+        cfg = HilbertConfig(n, 6, 10)
+        runs = [[(cfg, p33.with_(n_dipoles=n, alpha=alpha, eta=eta), p33.spectrum, MainText)
+                 for alpha in (0.0, 0.37, 1.0) for eta in (0.4, 1.3, 2.8)]]
+        # An absorbed well is valid at one (alpha, eta) only; two Fock
+        # cutoffs share its dipole sums.
+        for alpha in (0.0, 0.37, 1.0):
+            p = p33.with_(n_dipoles=n, alpha=alpha, eta=1.3)
+            absorbed = solve_double_well(
+                WellShape(beta=3.3, energy_scale=p.energy_scale,
+                          renorm=SelfEnergyInBare(alpha, 1.3 / math.sqrt(n), 1.0)),
+                grid, levels=6, gap_tol=1e-5)
+            runs.append([(HilbertConfig(n, 6, m), p, absorbed, SelfEnergyInBare)
+                         for m in (10, 12)])
+        runs.append([(cfg, other.with_(n_dipoles=n, alpha=0.37, eta=1.3),
+                      other.spectrum, MainText)])
+        for run in runs:
+            held = None
+            for cfg_i, p, spec, convention in run:
+                ours = assemble(cfg_i, p, spec, convention).matrix
+                if held is None:
+                    held = exactn._DIPOLE_MEMO[0]
+                assert len(exactn._DIPOLE_MEMO) == 1 and exactn._DIPOLE_MEMO[0] is held
+                assert held.spectrum is spec
+                ref = reference_assemble(cfg_i, p, spec, convention)
+                assert abs(ours - ref).max() <= 1e-13 * abs(ref).max()
+                assert ours.nnz <= ref.nnz
+                assert np.count_nonzero(ours.data) == ours.nnz
 
 
 def test_zero_coupling_ground_energy_is_exact(p33):
@@ -341,6 +381,47 @@ def test_dense_and_iterative_solvers_agree(p33):
         lowest_eigenvalues(h, 4, method="lobpcg")
     with pytest.raises(ValidationError):
         lowest_eigenvalues(h, 0)
+
+
+def test_subset_solve_matches_full_eigh(p33):
+    """The dense path computes only the lowest pairs. Its eigenvalues match
+    a full np.linalg.eigh at rel 1e-13, and ground_pair's Fock-tail weight
+    (free of the vector's sign) matches to 1e-12, on product-basis and
+    two-level matrices in both phases and at both gauge ends, none of which
+    store explicit zeros."""
+    hams = []
+    for alpha in (0.0, 1.0):
+        for eta in (0.8, 2.8):
+            for n, levels, m in ((1, 8, 40), (2, 4, 20)):
+                hams.append(assemble(HilbertConfig(n, levels, m),
+                                     p33.with_(n_dipoles=n, alpha=alpha, eta=eta),
+                                     p33.spectrum))
+            for rep in (CollectiveSpin(), ProductBasis()):
+                hams.append(dicke_two_level(HilbertConfig(3, 2, 40, representation=rep),
+                                            p33.with_(n_dipoles=3, alpha=alpha, eta=eta),
+                                            p33.spectrum))
+    for h in hams:
+        assert h.dimension <= exactn.DENSE_THRESHOLD
+        assert np.count_nonzero(h.matrix.data) == h.matrix.nnz
+        full_vals, full_vecs = np.linalg.eigh(h.matrix.toarray())
+        assert np.allclose(lowest_eigenvalues(h, 2), full_vals[:2], rtol=1e-13, atol=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            g, e, tail = exactn.ground_pair(h)
+        assert np.allclose([g, e], full_vals[:2], rtol=1e-13, atol=0)
+        assert tail == pytest.approx(fock_tail_weight(h, full_vecs[:, 0]), rel=0, abs=1e-12)
+
+
+def test_default_method_just_above_the_dense_threshold(p33):
+    """Just above DENSE_THRESHOLD the default switches to Lanczos, which
+    must agree with the dense solve to rel 1e-12."""
+    levels = 8
+    cfg = HilbertConfig(1, levels, exactn.DENSE_THRESHOLD // levels + 1)
+    assert exactn.DENSE_THRESHOLD < cfg.dimension <= exactn.DENSE_THRESHOLD + levels
+    for alpha, eta in ((0.0, 2.8), (0.37, 1.3), (1.0, 0.8)):
+        h = assemble(cfg, p33.with_(alpha=alpha, eta=eta), p33.spectrum)
+        assert np.allclose(lowest_eigenvalues(h, 2), lowest_eigenvalues(h, 2, method="dense"),
+                           rtol=1e-12, atol=0)
 
 
 def test_lowest_eigenvalues_returns_vectors(p33):
