@@ -7,21 +7,20 @@ digits, one provenance comment line, and a header row. `grid_points` counts
 the sinc-DVR points of every double-well solve (`dipole.MAX_POINTS` at
 most); `levels` sizes only the `spectrum` table.
 
-A command writes one CSV sheet, or two for `s-figs`. Each sheet states the
-config keys its rows read, and may pin some (`s-figs` its beta, energy
-scale and convention, `fig3a` its convention and gauge). Its rows come from
-the config with the pins applied, and its `# config` line is the run's
-digest followed by the sheet's listing: `command`, then exactly the keys
-the rows read and the sheet pins, as `key=value` tokens in config syntax.
-Passing a line's tokens back as overrides reruns the sheet; the digest
-hashes the listings of all of the command's sheets, so a key no sheet reads
-changes neither the line nor a row. Reruns with the same digest and the same
-BLAS thread count are byte-identical; the digest does not record the BLAS
-thread count, and changing it can move values in the last digits.
+Each command writes one table to one CSV file. It states the config keys
+its rows read, and may pin some (`s-figs-absorbed` and `s-figs-gauges` their
+beta, energy scale and convention, `fig3a` its convention and gauge). Its
+rows come from the config with the pins applied, and its `# config` line is
+the run's digest followed by the table's listing: `command`, then exactly
+the keys the rows read and the command pins, as `key=value` tokens in config
+syntax. The digest hashes that listing, so a key the table does not read
+changes neither the line nor a row, and passing the line's tokens back as
+overrides rewrites the file. Reruns with the same digest and the same BLAS
+thread count are byte-identical; the digest does not record the BLAS thread
+count, and changing it can move values in the last digits.
 
-All of a command's sheets open before any solve, and each closes after its
-last row; a failure ends the sheet being written and every later one with
-a `# TRUNCATED` line.
+The file opens before any solve; a failure ends it with a `# TRUNCATED`
+line.
 
 Exit codes: 0 success, 2 validation, 3 convergence, 4 budget.
 """
@@ -31,38 +30,18 @@ import hashlib
 import json
 import math
 import sys
-from contextlib import ExitStack
 from dataclasses import dataclass, fields, replace
 
 from . import dipole, exactn, gauge, thermo
 from .dipole import GridSpec, SelfEnergyInBare, WellShape
-from .errors import (
-    BudgetError,
-    ConventionMismatch,
-    ConvergenceError,
-    DickelabError,
-    DomainError,
-    GridError,
-    InstabilityError,
-    PhaseError,
-    RootError,
-    ValidationError,
-)
+from .errors import EXIT_VALIDATION, DickelabError, ValidationError
+from .errors import EXIT_BUDGET, EXIT_CONVERGENCE  # noqa: F401 - re-exported for callers
 from .exactn import CollectiveSpin, HilbertConfig
 from .gauge import ReducedParams, derive_couplings
 
-EXIT_VALIDATION = 2
-EXIT_CONVERGENCE = 3
-EXIT_BUDGET = 4
-
-_VALIDATION_ERRORS = (ValidationError, ConventionMismatch, PhaseError,
-                      GridError, ValueError)
-_CONVERGENCE_ERRORS = (ConvergenceError, DomainError, InstabilityError,
-                       RootError)
-
-# Every sheet solves its well from these keys.
+# Every table solves its well from these keys.
 WELL_KEYS = ("beta", "energy_scale", "grid_points", "gap_tol")
-# Every sheet but `spectrum` solves its base well for this many levels, or
+# Every table but `spectrum` solves its base well for this many levels, or
 # for as many as its exact rows use when that is more.
 BASE_LEVELS = 12
 
@@ -106,25 +85,24 @@ class RunConfig:
         start, stop, steps = self.eta_grid
         return [start + (stop - start) * i / (steps - 1) for i in range(steps)]
 
-    def sheets(self):
-        """Each sheet of the command as (suffix, header, rows, used, listing).
+    def sheet(self):
+        """The command's table as (header, rows, used, listing).
 
-        `used = replace(self, **pins)` is the config the sheet's rows come
-        from, and `listing` states `command`, the well keys, the keys the
-        rows read and the keys the sheet pins, in field order, each valued
-        from `used` in the syntax `build_config` parses.
+        `used = replace(self, **pins)` is the config the rows come from, and
+        `listing` states `command`, the well keys, the keys the rows read and
+        the keys the command pins, in field order, each valued from `used` in
+        the syntax `build_config` parses.
         """
-        for suffix, header, rows, reads, pins in COMMANDS[self.command]:
-            used = replace(self, **pins)
-            keys = {"command", *WELL_KEYS, *reads.split(), *pins}
-            listing = " ".join(f"{f.name}={_format(f.name, getattr(used, f.name))}"
-                               for f in fields(self) if f.name in keys)
-            yield suffix, header, rows, used, listing
+        header, rows, reads, pins = COMMANDS[self.command]
+        used = replace(self, **pins)
+        keys = {"command", *WELL_KEYS, *reads.split(), *pins}
+        listing = " ".join(f"{f.name}={_format(f.name, getattr(used, f.name))}"
+                           for f in fields(self) if f.name in keys)
+        return header, rows, used, listing
 
     def digest(self):
-        # Identifies the data: every input any sheet of the command reads.
-        text = "\n".join(listing for *_, listing in self.sheets())
-        return hashlib.sha256(text.encode()).hexdigest()[:12]
+        # Identifies the data: every input the command's rows read.
+        return hashlib.sha256(self.sheet()[-1].encode()).hexdigest()[:12]
 
 
 def read_config_file(path):
@@ -147,7 +125,8 @@ def read_config_file(path):
 _COMMAND_DEFAULTS = {
     "fig3a": {"beta": "3.3", "eta_grid": "0,1.5,31"},
     "fig3b": {"beta": "3.3", "eta_grid": "1.5,2.5,101"},
-    "s-figs": {"eta_grid": "0,2,41"},
+    "s-figs-absorbed": {"eta_grid": "0,2,41"},
+    "s-figs-gauges": {"eta_grid": "0,2,41"},
 }
 
 
@@ -200,13 +179,11 @@ def _fmt(value):
 class CsvWriter:
     """Streams rows to one CSV file; use it as a context manager.
 
-    Leaving the `with` block by an exception ends a file that is still open
-    with a `# TRUNCATED` line before closing it, so it cannot pass for
-    complete; a file closed before that is complete and stays as it is.
+    Leaving the `with` block by an exception ends the file with a
+    `# TRUNCATED` line before closing it, so it cannot pass for complete.
     """
 
     def __init__(self, path, header, provenance):
-        self.path = path
         self.fh = open(path, "w", newline="")
         self.fh.write(f"# {provenance}\n")
         self.fh.write(",".join(header) + "\n")
@@ -221,8 +198,6 @@ class CsvWriter:
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        if self.fh.closed:
-            return
         try:
             if exc_type is not None:
                 self.fh.write("# TRUNCATED\n")
@@ -384,7 +359,7 @@ def _fig3b_rows(cfg):
 
 def _absorbed_rows(cfg):
     """Thermodynamic-limit E-/E+ with the self-energy absorbed into the well,
-    at the scale where the unshifted gap is resonant (`s-figs` sheet 1)."""
+    at the scale where the unshifted gap is resonant (`s-figs-absorbed`)."""
     base = _base_params(cfg)
     grid = GridSpec(points=cfg.grid_points)
     # The well depends on (alpha, eta) only through its quadratic
@@ -401,7 +376,7 @@ def _absorbed_rows(cfg):
 
 def _gauges_rows(cfg):
     """N in {1,2,3}: the exact model against the two-level models in the
-    Coulomb, JC (eta-dependent) and multipolar gauges (`s-figs` sheet 2)."""
+    Coulomb, JC (eta-dependent) and multipolar gauges (`s-figs-gauges`)."""
     base = _base_params(cfg, max(BASE_LEVELS, cfg.dipole_levels))
     for n in (1, 2, 3):
         yield from _exact_rows(replace(cfg, n_dipoles=n), base, include_two_level=False)
@@ -455,67 +430,50 @@ def _spectrum_rows(cfg):
         yield n, e[n], zeta[0, n], zeta[1, n]
 
 
-# Command name -> its sheets, each (suffix, header, rows, reads, pins). A
-# sheet is written at `path`, or with a suffix at `path` with the suffix
-# before `.csv`; `rows(used)` yields its data rows from `used = replace(cfg,
-# **pins)`, the config with the keys the sheet fixes whatever the run sets.
-# `reads` names the keys the rows read besides WELL_KEYS, which every sheet
-# reads; a key that is neither read nor pinned changes no row.
+# Command name -> its table as (header, rows, reads, pins). `rows(used)`
+# yields the data rows from `used = replace(cfg, **pins)`, the config with the
+# keys the command fixes whatever the run sets. `reads` names the keys the
+# rows read besides WELL_KEYS, which every table reads; a key that is neither
+# read nor pinned changes no row.
 COMMANDS = {
-    "spectrum": (("", ("n", "e_n", "zeta_0n", "zeta_1n"), _spectrum_rows, "levels", {}),),
-    "thermo-sweep": (("", THERMO_HEADER, _thermo_rows, "alpha_list eta_grid", {}),),
-    "exact-sweep": (("", EXACT_HEADER, _exact_sweep_rows,
-                     "alpha_list eta_grid n_dipoles dipole_levels fock_cutoff convention budget",
-                     {}),),
-    "fig1": (("", THERMO_HEADER, _thermo_rows, "alpha_list eta_grid", {}),),
-    "fig2": (("", THERMO_HEADER, _fig2_rows, "eta_grid", {}),),
-    "fig3a": (("", EXACT_HEADER, _fig3a_rows, "eta_grid budget",
-               {"convention": "main-text", "alpha_list": ("1",)}),),
-    "fig3b": (("", FIG3B_HEADER, _fig3b_rows, "eta_grid fock_cutoff budget", {}),),
-    "s-figs": (("_absorbed", THERMO_HEADER, _absorbed_rows, "alpha_list eta_grid",
-                {"beta": 2.4, "energy_scale": "resonance",
-                 "convention": "self-energy-in-bare"}),
-               ("_gauges", EXACT_HEADER, _gauges_rows,
-                "eta_grid dipole_levels fock_cutoff budget",
-                {"beta": 1.5, "energy_scale": "resonance", "convention": "main-text",
-                 "alpha_list": ("1",)})),
-    "jc-curve": (("", ("eta", "alpha_jc", "phase"), _jc_rows, "eta_grid", {}),),
-    "convergence": (("", CONV_HEADER, _convergence_rows,
-                     "n_dipoles budget ladder eta_point alpha_point", {}),),
+    "spectrum": (("n", "e_n", "zeta_0n", "zeta_1n"), _spectrum_rows, "levels", {}),
+    "thermo-sweep": (THERMO_HEADER, _thermo_rows, "alpha_list eta_grid", {}),
+    "exact-sweep": (EXACT_HEADER, _exact_sweep_rows,
+                    "alpha_list eta_grid n_dipoles dipole_levels fock_cutoff convention budget",
+                    {}),
+    "fig1": (THERMO_HEADER, _thermo_rows, "alpha_list eta_grid", {}),
+    "fig2": (THERMO_HEADER, _fig2_rows, "eta_grid", {}),
+    "fig3a": (EXACT_HEADER, _fig3a_rows, "eta_grid budget",
+              {"convention": "main-text", "alpha_list": ("1",)}),
+    "fig3b": (FIG3B_HEADER, _fig3b_rows, "eta_grid fock_cutoff budget", {}),
+    "s-figs-absorbed": (THERMO_HEADER, _absorbed_rows, "alpha_list eta_grid",
+                        {"beta": 2.4, "energy_scale": "resonance",
+                         "convention": "self-energy-in-bare"}),
+    "s-figs-gauges": (EXACT_HEADER, _gauges_rows, "eta_grid dipole_levels fock_cutoff budget",
+                      {"beta": 1.5, "energy_scale": "resonance", "convention": "main-text",
+                       "alpha_list": ("1",)}),
+    "jc-curve": (("eta", "alpha_jc", "phase"), _jc_rows, "eta_grid", {}),
+    "convergence": (CONV_HEADER, _convergence_rows,
+                    "n_dipoles budget ladder eta_point alpha_point", {}),
 }
 
 
 def run(cfg: RunConfig) -> int:
-    """Write every sheet of one command; returns the process exit code.
-
-    All sheets open before any solve, and each closes after its last row,
-    before the next one starts.
-    """
-    path = cfg.output_path or f"{cfg.command}.csv"
-    stem = path[:-4] if path.endswith(".csv") else path
-    digest = cfg.digest()
-    with ExitStack() as stack:
-        sheets = []
-        for suffix, header, rows, used, listing in cfg.sheets():
-            writer = CsvWriter(f"{stem}{suffix}.csv" if suffix else path, header,
-                               f"config {digest} {listing}")
-            sheets.append((stack.enter_context(writer), rows, used))
-        for writer, rows, used in sheets:
-            for row in rows(used):
-                writer.write_row(row)
-            writer.close()
+    """Write the command's table; returns the process exit code. The file
+    opens before any solve."""
+    header, rows, used, listing = cfg.sheet()
+    with CsvWriter(cfg.output_path or f"{cfg.command}.csv", header,
+                   f"config {cfg.digest()} {listing}") as writer:
+        for row in rows(used):
+            writer.write_row(row)
     return 0
 
 
 def _error_record(err):
-    if isinstance(err, BudgetError):
-        code = EXIT_BUDGET
-    elif isinstance(err, _CONVERGENCE_ERRORS):
-        code = EXIT_CONVERGENCE
-    elif isinstance(err, _VALIDATION_ERRORS):
-        code = EXIT_VALIDATION
+    if isinstance(err, DickelabError):
+        code = err.exit_code
     else:
-        code = EXIT_VALIDATION if isinstance(err, DickelabError) else 1
+        code = EXIT_VALIDATION if isinstance(err, ValueError) else 1
     record = {"error": type(err).__name__, "message": str(err), "exit_code": code}
     return code, record
 

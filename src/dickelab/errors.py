@@ -1,12 +1,19 @@
 """Exception types shared across the package.
 
-Each error names the condition it reports; callers map them to exit codes
-in the command-line layer (validation 2, convergence 3, budget 4).
+Each error names the condition it reports and carries the process exit code
+the command-line layer returns for it (validation 2, convergence 3,
+budget 4).
 """
+
+EXIT_VALIDATION = 2
+EXIT_CONVERGENCE = 3
+EXIT_BUDGET = 4
 
 
 class DickelabError(Exception):
     """Base class for all package errors."""
+
+    exit_code = EXIT_VALIDATION
 
 
 class ValidationError(DickelabError):
@@ -16,13 +23,19 @@ class ValidationError(DickelabError):
 class InstabilityError(DickelabError):
     """A quadratic form is not positive definite; no stable normal modes."""
 
+    exit_code = EXIT_CONVERGENCE
+
 
 class ConvergenceError(DickelabError):
     """A numerical routine did not converge to the requested tolerance."""
 
+    exit_code = EXIT_CONVERGENCE
+
 
 class DomainError(DickelabError):
     """The computational domain is too small for the requested state."""
+
+    exit_code = EXIT_CONVERGENCE
 
 
 class PhaseError(DickelabError):
@@ -32,6 +45,8 @@ class PhaseError(DickelabError):
 class RootError(DickelabError):
     """A bracketing root search found no sign change."""
 
+    exit_code = EXIT_CONVERGENCE
+
 
 class GridError(DickelabError):
     """A grid does not meet the requirements of a finite-difference stencil."""
@@ -39,6 +54,8 @@ class GridError(DickelabError):
 
 class BudgetError(DickelabError):
     """A requested Hilbert-space dimension exceeds the configured budget."""
+
+    exit_code = EXIT_BUDGET
 
 
 class ConventionMismatch(DickelabError):

@@ -400,9 +400,13 @@ def lowest_eigenvalues(h: AssembledHamiltonian, k: int, method: str | None = Non
 
 
 def fock_tail_weight(h: AssembledHamiltonian, vector) -> float:
-    """Probability of the highest Fock state in a normalized eigenvector."""
-    resh = np.asarray(vector).reshape(h.axis_dims)
-    return float(np.sum(resh[..., -1] ** 2))
+    """Probability of the highest Fock state in a normalized eigenvector, or
+    0.0 where it lies below the eigensolver's rounding."""
+    top = np.asarray(vector).reshape(h.axis_dims)[..., -1]
+    tail = float(np.sum(top ** 2))
+    # Each component of a computed unit vector is uncertain by about eps, so
+    # below eps**2 per state of the top Fock slice the weight is rounding.
+    return tail if tail > np.finfo(float).eps ** 2 * top.size else 0.0
 
 
 def ground_pair(h: AssembledHamiltonian):
