@@ -1,8 +1,19 @@
 """Finite-N exact diagonalization of the non-truncated Hamiltonian.
 
-The full light-matter Hamiltonian is assembled in the product space of N
-truncated dipole eigenbases (L levels each) and one Fock-truncated mode
-(M states). Projecting onto that space leaves the bare dipole term exact,
+The full light-matter Hamiltonian is assembled on N truncated dipole
+eigenbases (L levels each) times one Fock-truncated mode (M states), in one
+of two dipole bases:
+
+- `ProductBasis`, the L^N product states (the library default);
+- `SymmetricSector`, the C(N+L-1, N) permutation-symmetric occupation states
+  |n_0 ... n_(L-1)>, in the order of `itertools.combinations_with_replacement`
+  (for N = 1 the level order, for L = 2 the Dicke order m = -j..j). The
+  Hamiltonian commutes with every permutation of the dipoles and its two
+  lowest states lie in this sector; it is built there directly, a one-dipole
+  operator summed over the dipoles becoming sum_ij op_ji b_j^dag b_i.
+  `CollectiveSpin` is its two-level case, for the two-level model.
+
+Projecting onto that space leaves the bare dipole term exact,
 the field couplings linear in the imported matrix elements, and the square
 of the vector potential exact in Fock space. A fixed phase rotation of the
 mode (a -> -ia) turns every term real, so only real symmetric matrices are
@@ -25,18 +36,21 @@ H(eta, alpha) is a fixed linear combination of eta- and alpha-independent
 operators, so those are built once and each point only combines them:
 
 - the Fock operators and identities, per cutoff (`_photon_ops`, `_identity`);
+- the symmetric sector's states and one-body pattern, per (N, L)
+  (`_sector_pattern`), so a sector sum is one gather and one COO -> CSR;
 - J^z, J_x^2, J^+ - J^- and J_x of the two-level model, per dipole count and
   basis (`_two_level_ops`);
 - the dipole operators of `assemble` (Z, the summed momentum factor S, Z Z
-  and the one-dipole blocks), per (spectrum, N, L) (`_dipole_sums`). One
-  entry is kept: the last one built, holding its spectrum object, which is
-  matched by identity because spectra hold arrays and do not hash.
+  and the one-dipole blocks), per (spectrum, N, L, basis) (`_dipole_sums`).
+  One entry is kept: the last one built, holding its spectrum object, which
+  is matched by identity because spectra hold arrays and do not hash.
 
 An X or Y term whose coefficient is zero is left out and costs no
 Kronecker product.
 """
 
 import functools
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -72,8 +86,14 @@ class ProductBasis:
 
 
 @dataclass(frozen=True)
-class CollectiveSpin:
-    """Permutation-symmetric spin-N/2 basis; valid only for two levels."""
+class SymmetricSector:
+    """Permutation-symmetric occupation states of N identical dipoles."""
+
+
+@dataclass(frozen=True)
+class CollectiveSpin(SymmetricSector):
+    """The symmetric sector of two-level dipoles, the spin-N/2 Dicke basis;
+    for the two-level model only."""
 
 
 @dataclass(frozen=True)
@@ -97,23 +117,28 @@ class HilbertConfig:
             )
 
     @property
+    def sector(self):
+        return isinstance(self.representation, SymmetricSector)
+
+    @property
     def dimension(self):
-        if isinstance(self.representation, CollectiveSpin):
-            return (self.n_dipoles + 1) * self.fock_cutoff
+        if self.sector:
+            states = math.comb(self.n_dipoles + self.dipole_levels - 1, self.n_dipoles)
+            return states * self.fock_cutoff
         return self.dipole_levels**self.n_dipoles * self.fock_cutoff
 
 
 def default_hilbert(n_dipoles: int, budget: int = DEFAULT_BUDGET) -> HilbertConfig:
-    """Cutoffs that reproduce the figures at desk scale."""
-    if n_dipoles <= 3:
-        return HilbertConfig(n_dipoles, 8, 40, budget=budget)
-    return HilbertConfig(n_dipoles, 6, 30, budget=budget)
+    """Symmetric-sector cutoffs that reproduce the figures at desk scale."""
+    levels, fock = (8, 40) if n_dipoles <= 3 else (6, 30)
+    return HilbertConfig(n_dipoles, levels, fock, SymmetricSector(), budget)
 
 
 @dataclass(frozen=True)
 class AssembledHamiltonian:
     matrix: sp.csr_matrix
-    axis_dims: tuple      # one entry per dipole (or the collective spin), then the mode
+    axis_dims: tuple      # one entry per dipole (or the sector), then the mode
+    occupations: object = None    # the sector's (states, L) occupations, or None
 
     @property
     def dimension(self):
@@ -142,8 +167,52 @@ def _identity(dim):
     return sp.identity(dim, format="csr")
 
 
-def _summed(op, n_sites):
-    """sum_mu op_mu: the single-dipole operator op on each of n_sites dipoles."""
+@functools.lru_cache(maxsize=16)
+def _sector_pattern(n_sites, levels):
+    """The symmetric sector of n_sites dipoles with `levels` levels each:
+    (occupations, rows, columns, level pairs, factors), built once per
+    (N, L) and never modified.
+
+    `occupations` holds one state per row, in the order of
+    itertools.combinations_with_replacement. The other four list the
+    entries of sum_ij op_ji b_j^dag b_i: the entry moving a dipole from
+    level i to level j carries op_ji (level pair j * levels + i) times
+    sqrt(n_i (n_j + 1)), or n_i on the diagonal (j = i).
+    """
+    occupations = np.array([
+        np.bincount(state, minlength=levels)
+        for state in itertools.combinations_with_replacement(range(levels), n_sites)])
+    # That order is descending in (n_0, n_1, ...) read as base-(N+1) digits,
+    # so negated digit values sort ascending and locate a state.
+    weights = (n_sites + 1) ** np.arange(levels - 1, -1, -1)
+    keys = -(occupations @ weights)
+    rows, cols, pairs, factors = [], [], [], []
+    for i in range(levels):
+        src = np.flatnonzero(occupations[:, i])
+        n_i = occupations[src, i]
+        for j in range(levels):
+            if j == i:
+                dst, factor = src, n_i.astype(float)
+            else:
+                dst = np.searchsorted(keys, keys[src] + weights[i] - weights[j])
+                factor = np.sqrt(n_i * (occupations[src, j] + 1.0))
+            rows.append(dst)
+            cols.append(src)
+            pairs.append(np.full(src.size, j * levels + i))
+            factors.append(factor)
+    return (occupations, *map(np.concatenate, (rows, cols, pairs, factors)))
+
+
+def _summed(op, n_sites, sector=False):
+    """sum_mu op_mu: the single-dipole operator op on each of n_sites dipoles,
+    on their product space or, with `sector`, on the symmetric sector as
+    canonical CSR without explicit zeros."""
+    if sector:
+        occupations, rows, cols, pairs, factors = _sector_pattern(n_sites, op.shape[0])
+        total = sp.csr_matrix((op.ravel()[pairs] * factors, (rows, cols)),
+                              shape=(len(occupations),) * 2)
+        total.eliminate_zeros()
+        return total
     op = sp.csr_matrix(op)
     levels = op.shape[0]
     total = op
@@ -177,11 +246,13 @@ def _with_mode(m, dipole, x, y, omega_field=0.0, c_w=0.0):
 @dataclass(frozen=True, eq=False)
 class _DipoleSums:
     """The eta- and alpha-independent dipole operators of `assemble` for one
-    spectrum's lowest `levels` levels on n_sites dipoles."""
+    spectrum's lowest `levels` levels on n_sites dipoles, in the product
+    basis or the symmetric sector."""
 
     spectrum: DipoleSpectrum      # held, so the identity check below stays sound
     n_sites: int
     levels: int
+    sector: bool
     bare: np.ndarray              # one dipole's bare energies, as a diagonal matrix
     zeta_sq: np.ndarray           # one dipole's <m|zeta^2|n>
     zeta_zeta: np.ndarray         # one dipole's (zeta zeta)_mn, levels-truncated
@@ -193,22 +264,23 @@ class _DipoleSums:
 _DIPOLE_MEMO = []                 # the last _DipoleSums built, at most one
 
 
-def _dipole_sums(spectrum, n_sites, levels):
-    """_DipoleSums for (spectrum, n_sites, levels), reused while a sweep
-    keeps passing the same spectrum object. Spectra hold arrays and do not
-    hash, so the memo compares the object it holds by identity."""
+def _dipole_sums(spectrum, n_sites, levels, sector):
+    """_DipoleSums for (spectrum, n_sites, levels, sector), reused while a
+    sweep keeps passing the same spectrum object. Spectra hold arrays and do
+    not hash, so the memo compares the object it holds by identity."""
     for held in _DIPOLE_MEMO:
-        if held.spectrum is spectrum and (held.n_sites, held.levels) == (n_sites, levels):
+        if held.spectrum is spectrum and \
+                (held.n_sites, held.levels, held.sector) == (n_sites, levels, sector):
             return held
     z_op = spectrum.zeta_elements[:levels, :levels]
-    zeta = _summed(z_op, n_sites)
+    zeta = _summed(z_op, n_sites, sector)
     sums = _DipoleSums(
-        spectrum, n_sites, levels,
+        spectrum, n_sites, levels, sector,
         bare=np.diag(spectrum.energies[:levels]),
         zeta_sq=spectrum.zeta_sq_elements[:levels, :levels],
         zeta_zeta=z_op @ z_op,
         zeta=zeta,
-        s=_summed(spectrum.p_elements[:levels, :levels], n_sites),
+        s=_summed(spectrum.p_elements[:levels, :levels], n_sites, sector),
         zz=None if n_sites == 1 else zeta @ zeta)
     _DIPOLE_MEMO[:] = [sums]
     return sums
@@ -241,7 +313,8 @@ def _check_convention(config, params, spectrum, convention):
 
 def assemble(config: HilbertConfig, params: ReducedParams,
              spectrum: DipoleSpectrum, convention=MainText) -> AssembledHamiltonian:
-    """Projected full Hamiltonian on the dipole-eigenbasis x Fock space.
+    """Projected full Hamiltonian on the dipole-eigenbasis x Fock space, in
+    the product basis or the symmetric sector.
 
     All coefficients are the reduced ones: with lam = eta sqrt(omega/(2 N E))
     the kinetic square per dipole is (E/2)[p~ + (1-alpha) lam (a^dag+a)]^2,
@@ -255,8 +328,8 @@ def assemble(config: HilbertConfig, params: ReducedParams,
     ------
     ConventionMismatch, ValidationError
     """
-    if not isinstance(config.representation, ProductBasis):
-        raise ValidationError("assemble works in the product basis")
+    if type(config.representation) not in (ProductBasis, SymmetricSector):
+        raise ValidationError("assemble works in the product basis or the symmetric sector")
     n_sites, levels, m = config.n_dipoles, config.dipole_levels, config.fock_cutoff
     if n_sites != params.n_dipoles:
         raise ValidationError("config and params disagree on the dipole count")
@@ -284,16 +357,28 @@ def assemble(config: HilbertConfig, params: ReducedParams,
     # The on-site operator is summed over the dipoles per point, on the
     # dipole space only: adding cached sums instead regroups the diagonal,
     # which moved N = 4 Lanczos gaps by 1.5e-12.
-    sums = _dipole_sums(spectrum, n_sites, levels)
+    sector = config.sector
+    sums = _dipole_sums(spectrum, n_sites, levels, sector)
     if sums.zz is not None and c_dd != 0.0:
-        dipole = (_summed(sums.bare + c_se * sums.zeta_sq - c_dd * sums.zeta_zeta, n_sites)
+        dipole = (_summed(sums.bare + c_se * sums.zeta_sq - c_dd * sums.zeta_zeta,
+                          n_sites, sector)
                   + c_dd * sums.zz)
     else:
-        dipole = _summed(sums.bare + c_se * sums.zeta_sq, n_sites)
+        dipole = _summed(sums.bare + c_se * sums.zeta_sq, n_sites, sector)
     matrix = _with_mode(m, dipole, _scaled(-c_cross, sums.s), _scaled(c_pi, sums.zeta),
                         omega_field=omega, c_w=c_a2)
     _assert_symmetric(matrix)
-    return AssembledHamiltonian(matrix, (levels,) * n_sites + (m,))
+    return _hamiltonian(matrix, config, levels)
+
+
+def _hamiltonian(matrix, config, levels):
+    """AssembledHamiltonian of `matrix` on config's basis of `levels`-level
+    dipoles times its Fock cutoff."""
+    n_sites, m = config.n_dipoles, config.fock_cutoff
+    if not config.sector:
+        return AssembledHamiltonian(matrix, (levels,) * n_sites + (m,))
+    occupations = _sector_pattern(n_sites, levels)[0]
+    return AssembledHamiltonian(matrix, (len(occupations), m), occupations)
 
 
 def _assert_symmetric(matrix):
@@ -304,29 +389,17 @@ def _assert_symmetric(matrix):
         raise ValidationError(f"assembled matrix asymmetric by {top:.2e}")
 
 
-def _collective_spin_ops(n_dipoles):
-    j = 0.5 * n_dipoles
-    m_vals = np.arange(-j, j + 1)
-    jz = np.diag(m_vals)
-    up = np.sqrt(j * (j + 1) - m_vals[:-1] * (m_vals[:-1] + 1))
-    return jz, np.diag(up, -1)    # J^z, and J^+ with entries (m+1, m)
-
-
 @functools.lru_cache(maxsize=16)
-def _two_level_ops(n_sites, collective):
-    """(J^z, J_x^2, J^+ - J^-, J_x, identity, axis dims) of the two-level
-    model on n_sites dipoles, with J_x = J^+ + J^-, in the collective-spin
-    or the product basis; built once per count and basis, never modified."""
-    if collective:
-        jz, jp = map(sp.csr_matrix, _collective_spin_ops(n_sites))
-        axis_dims = (jz.shape[0],)
-    else:
-        # sigma^z has eigenvalues -1/2 (ground) and +1/2; sigma^+ raises.
-        jz = _summed(np.diag([-0.5, 0.5]), n_sites)
-        jp = _summed(np.array([[0.0, 0.0], [1.0, 0.0]]), n_sites)
-        axis_dims = (2,) * n_sites
+def _two_level_ops(n_sites, sector):
+    """(J^z, J_x^2, J^+ - J^-, J_x, identity) of the two-level model on
+    n_sites dipoles, with J_x = J^+ + J^-, in the symmetric sector (the
+    collective spin, m = -j..j) or the product basis; built once per count
+    and basis, never modified."""
+    # sigma^z has eigenvalues -1/2 (ground) and +1/2; sigma^+ raises.
+    jz = _summed(np.diag([-0.5, 0.5]), n_sites, sector)
+    jp = _summed(np.array([[0.0, 0.0], [1.0, 0.0]]), n_sites, sector)
     jx = (jp + jp.T).tocsr()
-    return jz, (jx @ jx).tocsr(), (jp - jp.T).tocsr(), jx, _identity(jz.shape[0]), axis_dims
+    return jz, (jx @ jx).tocsr(), (jp - jp.T).tocsr(), jx, _identity(jz.shape[0])
 
 
 def dicke_two_level(config: HilbertConfig, params: ReducedParams,
@@ -352,8 +425,7 @@ def dicke_two_level(config: HilbertConfig, params: ReducedParams,
     const = n_sites * 0.5 * (spectrum.energies[0] + spectrum.energies[1]) \
         + 0.5 * couplings.rho_d2
 
-    jz, jx2, jpm, jx, identity, dipole_dims = _two_level_ops(
-        n_sites, isinstance(config.representation, CollectiveSpin))
+    jz, jx2, jpm, jx, identity = _two_level_ops(n_sites, config.sector)
 
     # Rotated interaction: +g'(J+ - J-)(c^dag - c) - g(J+ + J-)(c^dag + c).
     dipole = omega_m * jz - (couplings.c_alpha / n_sites) * jx2 + const * identity
@@ -362,7 +434,7 @@ def dicke_two_level(config: HilbertConfig, params: ReducedParams,
                         _scaled(-(couplings.g_alpha / math.sqrt(n_sites)), jx),
                         omega_field=couplings.omega_alpha)
     _assert_symmetric(matrix)
-    return AssembledHamiltonian(matrix, dipole_dims + (m,))
+    return _hamiltonian(matrix, config, 2)
 
 
 def lowest_eigenvalues(h: AssembledHamiltonian, k: int, method: str | None = None,
@@ -508,7 +580,7 @@ def gauge_fixing_unitary(config: HilbertConfig, params: ReducedParams,
     """
     if not isinstance(config.representation, ProductBasis):
         raise ValidationError("gauge unitary works in the product basis")
-    zeta_sum = _dipole_sums(spectrum, config.n_dipoles, config.dipole_levels).zeta
+    zeta_sum = _dipole_sums(spectrum, config.n_dipoles, config.dipole_levels, False).zeta
     # Conjugating by exp(i theta zeta (a^dag+a)) with theta = (to - from) lam
     # shifts the kinetic coupling between the gauges; the phase rotation of
     # the mode turns that exponent into the real antisymmetric form below.
@@ -557,10 +629,15 @@ def convergence_report(config_ladder, params: ReducedParams,
 def parity_diagonal(h: AssembledHamiltonian) -> np.ndarray:
     """Diagonal of the joint parity operator in the assembled basis.
 
-    Dipole level n carries parity (-1)^n (even potential), the mode carries
-    (-1)^(photon number); the product commutes with every assembled term.
+    Dipole level n carries parity (-1)^n (even potential), so a product state
+    carries (-1)^(sum of its levels) and an occupation state
+    (-1)^(sum_i i n_i); the mode carries (-1)^(photon number). The product
+    commutes with every assembled term.
     """
-    diag = np.ones(1)
-    for d in h.axis_dims:
-        diag = np.kron(diag, (-1.0) ** np.arange(d))
-    return diag
+    if h.occupations is None:
+        diag = np.ones(1)
+        for d in h.axis_dims[:-1]:
+            diag = np.kron(diag, (-1.0) ** np.arange(d))
+    else:
+        diag = (-1.0) ** (h.occupations @ np.arange(h.occupations.shape[1]))
+    return np.kron(diag, (-1.0) ** np.arange(h.axis_dims[-1]))

@@ -134,8 +134,9 @@ def test_convergence_failure_exit_code(tmp_path, capsys):
 
 
 def test_mid_sweep_failure_marks_truncated_output(tmp_path, capsys):
-    """fig3a streams rows per dipole count; a budget violation at N = 2
-    leaves the N = 1 rows behind with an explicit truncation marker."""
+    """fig3a streams rows per dipole count; a budget violation at N = 3
+    (1,440 sector states at N = 2, 4,800 at N = 3) leaves the N = 1 and
+    N = 2 rows behind with an explicit truncation marker."""
     out = tmp_path / "partial.csv"
     code = main(["--command", "fig3a", "--out", str(out), "--budget", "2000",
                  "eta_grid=0,0.4,3"] + FAST)
@@ -261,6 +262,16 @@ def test_convergence_command_ladder(tmp_path):
     assert rows[1]["delta_G"] != ""
 
 
+def test_convergence_counts_symmetric_sector_states(tmp_path):
+    """The `dimension` column counts symmetric-sector states: C(N+L-1, N)
+    dipole states times the Fock cutoff."""
+    out = tmp_path / "conv.csv"
+    assert main(["--command", "convergence", "--out", str(out), "n_dipoles=2",
+                 "ladder=4,10;6,14", "eta_point=0.6", "alpha_point=1"] + FAST) == 0
+    _, rows = read_rows(out)
+    assert [int(r["dimension"]) for r in rows] == [10 * 10, 21 * 14]
+
+
 def test_convergence_default_ladder_prints_no_rounding_as_tail(tmp_path):
     """At the default ladder every rung's Fock tail lies below the
     eigensolver's rounding and reads exactly 0."""
@@ -358,7 +369,8 @@ def test_s_figs_solves_each_distinct_well_once(tmp_path, monkeypatch, capsys):
     """Resonance scale and base spectrum for each command, plus one absorbed
     well per distinct quadratic coefficient of `s-figs-absorbed` (alpha = 0
     and eta = 0 share the plain well): seven solves there, and two for
-    `s-figs-gauges`, which the budget stops at N = 2."""
+    `s-figs-gauges`, which the budget stops at N = 3 (100 sector states at
+    N = 2, 200 at N = 3)."""
     calls = []
     solve = dipole.solve_double_well
 
@@ -393,6 +405,22 @@ def test_threads_is_not_an_option(tmp_path, capsys):
     with pytest.raises(SystemExit) as exit_info:
         main(["--command", "jc-curve", "--out", out, "--threads", "2"])
     assert exit_info.value.code == EXIT_VALIDATION
+
+
+def test_unknown_command_flag_prints_the_error_record(tmp_path, capsys):
+    """An unknown `--command` value exits 2 through the JSON error record, as
+    the same value given as an override does; `--help` names every command."""
+    out = tmp_path / "x.csv"
+    assert main(["--command", "s-figs", "--out", str(out)]) == EXIT_VALIDATION
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == "ValidationError" and "s-figs" in record["message"]
+    assert not out.exists()
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--help"])
+    assert exit_info.value.code == 0
+    # Help text wraps at hyphens, so compare with the whitespace taken out.
+    help_text = "".join(capsys.readouterr().out.split())
+    assert all(command in help_text for command in COMMANDS)
 
 
 def test_alpha_point_outside_gauge_family_exits_validation(tmp_path, capsys):

@@ -19,6 +19,7 @@ from dickelab import (
     ProductBasis,
     ReducedParams,
     SelfEnergyInBare,
+    SymmetricSector,
     ValidationError,
     WellShape,
     assemble,
@@ -26,8 +27,10 @@ from dickelab import (
     default_hilbert,
     derive_couplings,
     dicke_two_level,
+    eta_critical,
     fock_tail_weight,
     gauge_fixing_unitary,
+    jc_gauge,
     lowest_eigenvalues,
     parity_diagonal,
     second_derivative_sweep,
@@ -500,3 +503,120 @@ def test_collective_basis_fits_large_counts_in_budget():
     assert cfg.dimension == 101 * 40
     with pytest.raises(BudgetError):
         HilbertConfig(100, 2, 40)
+
+
+def _same_csr(a, b):
+    return (a.shape == b.shape and np.array_equal(a.indptr, b.indptr)
+            and np.array_equal(a.indices, b.indices) and np.array_equal(a.data, b.data))
+
+
+def test_sector_dimension_and_default_hilbert():
+    """The sector holds C(N+L-1, N) dipole states per Fock state; the CLI's
+    default cutoffs use it, the library default stays the product basis."""
+    assert HilbertConfig(3, 8, 40, SymmetricSector()).dimension == 120 * 40
+    assert HilbertConfig(4, 6, 30, SymmetricSector()).dimension == 126 * 30
+    assert HilbertConfig(1, 8, 40, SymmetricSector()).dimension == 8 * 40
+    assert HilbertConfig(3, 2, 40, CollectiveSpin()).dimension == 4 * 40
+    assert isinstance(HilbertConfig(2, 8, 40).representation, ProductBasis)
+    assert default_hilbert(3).representation == SymmetricSector()
+    with pytest.raises(BudgetError):
+        HilbertConfig(3, 8, 40, SymmetricSector(), budget=4799)
+
+
+def test_sector_states_follow_combinations_with_replacement():
+    """N = 1 is the level order and L = 2 the Dicke order m = -j..j."""
+    occupations = exactn._sector_pattern(1, 5)[0]
+    assert np.array_equal(occupations, np.eye(5, dtype=int))
+    occupations = exactn._sector_pattern(3, 2)[0]
+    assert occupations.tolist() == [[3, 0], [2, 1], [1, 2], [0, 3]]
+    occupations = exactn._sector_pattern(2, 3)[0]
+    assert occupations.tolist() == [[2, 0, 0], [1, 1, 0], [1, 0, 1],
+                                    [0, 2, 0], [0, 1, 1], [0, 0, 2]]
+
+
+def test_sector_two_level_operators_are_the_dicke_matrices():
+    """J^z and J^+ of the two-level sector equal the spin-N/2 matrices
+    element for element, m = -j..j, in canonical CSR without zeros."""
+    for n in (1, 2, 3, 4, 24):
+        jz, _, jpm, jx, _ = exactn._two_level_ops(n, True)
+        jp = ((jx + jpm) / 2.0).toarray()
+        j = 0.5 * n
+        m_vals = np.arange(-j, j + 1)
+        up = np.sqrt(j * (j + 1) - m_vals[:-1] * (m_vals[:-1] + 1))
+        assert _same_csr(jz, sp.csr_matrix(np.diag(m_vals)))
+        assert np.array_equal(jp, np.diag(up, -1))
+        assert jz.has_canonical_format and jx.has_canonical_format
+
+
+def test_sector_is_the_product_basis_at_one_dipole(p33):
+    """At N = 1 both bases assemble bitwise-equal matrices with the same
+    axes and parity, in three gauges, three couplings and both conventions."""
+    grid = GridSpec(points=64)
+    for alpha in (0.0, 0.37, 1.0):
+        for eta in (0.0, 0.9, 2.8):
+            p = p33.with_(alpha=alpha, eta=eta)
+            absorbed = solve_double_well(
+                WellShape(beta=3.3, energy_scale=p.energy_scale,
+                          renorm=SelfEnergyInBare(alpha, eta, 1.0)),
+                grid, levels=6, gap_tol=1e-5)
+            for spec, convention in ((p.spectrum, MainText), (absorbed, SelfEnergyInBare)):
+                prod = assemble(HilbertConfig(1, 6, 12), p, spec, convention)
+                sect = assemble(HilbertConfig(1, 6, 12, SymmetricSector()), p, spec, convention)
+                assert _same_csr(prod.matrix, sect.matrix)
+                assert prod.axis_dims == sect.axis_dims
+                assert np.array_equal(parity_diagonal(prod), parity_diagonal(sect))
+
+
+def test_sector_matches_product_basis(p33):
+    """The two lowest states lie in the symmetric sector: its G and E equal
+    the product basis's to rel 1e-12 for N = 2 and 3, the Coulomb, JC and
+    multipolar gauges, both conventions, and eta at 0, in the normal phase,
+    within 0.05 of eta_c and in the abnormal phase."""
+    eta_c = eta_critical(p33)
+    grid = GridSpec(points=64)
+    for n, levels, m in ((2, 6, 20), (3, 5, 16)):
+        for alpha in (0.0, jc_gauge(p33), 1.0):
+            for eta in (0.0, 1.0, eta_c - 0.04, 2.8):
+                p = p33.with_(n_dipoles=n, alpha=alpha, eta=eta)
+                absorbed = solve_double_well(
+                    WellShape(beta=3.3, energy_scale=p.energy_scale,
+                              renorm=SelfEnergyInBare(alpha, eta / math.sqrt(n), 1.0)),
+                    grid, levels=levels, gap_tol=1e-5)
+                for spec, convention in ((p.spectrum, MainText), (absorbed, SelfEnergyInBare)):
+                    prod, sect = (lowest_eigenvalues(assemble(
+                        HilbertConfig(n, levels, m, rep), p, spec, convention), 2)
+                        for rep in (ProductBasis(), SymmetricSector()))
+                    assert np.allclose(sect, prod, rtol=1e-12, atol=0)
+
+
+def test_sector_fock_tail_matches_product_basis(p33):
+    """The ground vector's Fock-tail weight is the same in both bases, at
+    Fock cutoffs tight enough that the weight is far above rounding."""
+    for n, alpha, eta in ((2, 1.0, 2.8), (2, 0.0, 1.0), (3, 0.0, 2.8)):
+        p = p33.with_(n_dipoles=n, alpha=alpha, eta=eta)
+        tails = []
+        for rep in (ProductBasis(), SymmetricSector()):
+            h = assemble(HilbertConfig(n, 4, 8, rep), p, p33.spectrum)
+            _, vecs = lowest_eigenvalues(h, 1, return_vectors=True)
+            tails.append(fock_tail_weight(h, vecs[:, 0]))
+        assert tails[0] > 1e-10
+        assert tails[1] == pytest.approx(tails[0], rel=1e-9)
+
+
+def test_sector_parity_is_conserved(p33):
+    """An occupation state carries (-1)^(sum_i i n_i) times the photon
+    parity, which the sector Hamiltonian conserves at the product basis's
+    leakage bound; the sector has no gauge unitary."""
+    cfg = HilbertConfig(3, 4, 10, SymmetricSector())
+    p = p33.with_(eta=0.8, alpha=0.6, n_dipoles=3)
+    h = assemble(cfg, p, p33.spectrum)
+    par = parity_diagonal(h)
+    occupations = exactn._sector_pattern(3, 4)[0]
+    dipole = (-1.0) ** (occupations @ np.arange(4))
+    assert np.array_equal(par, np.kron(dipole, (-1.0) ** np.arange(10)))
+    m = h.matrix.toarray()
+    mixing = np.abs(m[np.not_equal.outer(par, par)]).max()
+    assert mixing <= 1e-8 * np.abs(m).max()
+    assert set(np.unique(par)) == {-1.0, 1.0}
+    with pytest.raises(ValidationError):
+        gauge_fixing_unitary(cfg, p, p33.spectrum, 0.0, 1.0)
