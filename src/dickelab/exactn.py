@@ -171,7 +171,7 @@ def _identity(dim):
 def _sector_pattern(n_sites, levels):
     """The symmetric sector of n_sites dipoles with `levels` levels each:
     (occupations, rows, columns, level pairs, factors), built once per
-    (N, L) and never modified.
+    (N, L) as read-only arrays.
 
     `occupations` holds one state per row, in the order of
     itertools.combinations_with_replacement. The other four list the
@@ -200,7 +200,10 @@ def _sector_pattern(n_sites, levels):
             cols.append(src)
             pairs.append(np.full(src.size, j * levels + i))
             factors.append(factor)
-    return (occupations, *map(np.concatenate, (rows, cols, pairs, factors)))
+    pattern = (occupations, *map(np.concatenate, (rows, cols, pairs, factors)))
+    for array in pattern:
+        array.setflags(write=False)   # shared by every caller, e.g. as h.occupations
+    return pattern
 
 
 def _summed(op, n_sites, sector=False):

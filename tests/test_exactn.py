@@ -620,3 +620,6 @@ def test_sector_parity_is_conserved(p33):
     assert set(np.unique(par)) == {-1.0, 1.0}
     with pytest.raises(ValidationError):
         gauge_fixing_unitary(cfg, p, p33.spectrum, 0.0, 1.0)
+    # h.occupations is the cached pattern every later (3, 4) sector reads.
+    with pytest.raises(ValueError):
+        h.occupations[0, 0] = 1
