@@ -47,6 +47,16 @@ operators, so those are built once and each point only combines them:
 
 An X or Y term whose coefficient is zero is left out and costs no
 Kronecker product.
+
+Every Hamiltonian conserves the joint parity of `parity_diagonal`,
+(-1)^(sum of the dipole levels + photon number). `ground_pair` slices the
+assembled matrix into its even and odd blocks and solves each for its lowest
+level; E is the other block's lowest level unless the ground block's second
+level lies below it, which a loose-tolerance solve ranks (exactly solved
+only where the ranking is not clear). The entries between the blocks, which
+the slicing drops, are rounding from the well solve and are checked against
+PARITY_TOL. Assembly, the basis order and the budget still cover the whole
+matrix, both blocks together.
 """
 
 import functools
@@ -76,8 +86,25 @@ DEFAULT_BUDGET = 200_000
 # Lanczos 19-47 ms at 560, 27-37 against 19-54 ms at 640); from 900 states up
 # Lanczos wins (65-155 against 23-82 ms at 900-1080).
 DENSE_THRESHOLD = 600
+# Lanczos basis size (ARPACK ncv, at least 2k + 1), ARPACK's default. For
+# ground_pair's parity-block solves at 1 BLAS thread, 40 against 20 took
+# 9.0 / 10.2 s against 8.1 / 9.9 s for default fig3a, 0.37 against 0.33 s for
+# N = 3, L = 8, M = 40 at eta 1.0 and 2.8, and 1.6 against 1.5 s at N = 5
+# (31,680 states); it won only near the multiplets of eta <= 0.1 (2.5
+# against 2.9 s over 30 points of N = 2..4).
+LANCZOS_NCV = 20
 FOCK_TAIL_TOL = 1e-8
 SYMMETRY_TOL = 1e-12
+# Relative Lanczos tolerance of ground_pair's solve that ranks the ground
+# block's second level against the other block's lowest. Solved at
+# tolerance 0, that level stalls ARPACK where it sits in a near-degenerate
+# multiplet (at eta <= 1e-3 no convergence in 300 restarts at N = 2 and 3).
+# At 1e-4 the ranking solve took 15-60 ms at N = 3, L = 8, M = 40 for eta
+# from 1e-6 to 2.8, and the level cleared the other by 0.58 or more.
+RANKING_TOL = 1e-4
+# Largest entry between the parity blocks, relative to max |H|, that
+# ground_pair may drop; the well solve leaves about 1e-13.
+PARITY_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -441,14 +468,16 @@ def dicke_two_level(config: HilbertConfig, params: ReducedParams,
 
 
 def lowest_eigenvalues(h: AssembledHamiltonian, k: int, method: str | None = None,
-                       return_vectors: bool = False):
+                       return_vectors: bool = False, tol: float = 0.0):
     """k smallest eigenvalues (ascending), and their vectors on request.
 
     method forces "dense" or "sparse"; the default is dense up to
     DENSE_THRESHOLD states (or when k reaches the dimension) and sparse
     above. The dense path is LAPACK's subset solve: only the k lowest pairs
     are computed, and no vectors unless asked for. The sparse path is
-    Lanczos (tol=0) with a fixed deterministic start vector.
+    Lanczos with a fixed deterministic start vector, stopped when each
+    residual is below tol max(|eigenvalue|, eps^(2/3)); tol = 0 means
+    machine precision. The dense path ignores tol.
     """
     if not 1 <= k <= h.dimension:
         raise ValidationError(f"k = {k} outside 1..{h.dimension}")
@@ -461,7 +490,8 @@ def lowest_eigenvalues(h: AssembledHamiltonian, k: int, method: str | None = Non
         raise ValidationError("method must be None, 'dense' or 'sparse'")
     v0 = np.ones(h.dimension) / math.sqrt(h.dimension)
     try:
-        vals, vecs = eigsh(h.matrix, k=k, which="SA", v0=v0, tol=0)
+        vals, vecs = eigsh(h.matrix, k=k, which="SA", v0=v0, tol=tol,
+                           ncv=min(h.dimension, max(2 * k + 1, LANCZOS_NCV)))
     except ArpackNoConvergence as err:
         got = len(err.eigenvalues)
         raise ConvergenceError(
@@ -484,19 +514,54 @@ def fock_tail_weight(h: AssembledHamiltonian, vector) -> float:
     return tail if tail > np.finfo(float).eps ** 2 * top.size else 0.0
 
 
+def _parity_leakage(matrix, parity):
+    """Largest |entry| of `matrix` between states of opposite parity."""
+    row_parity = np.repeat(parity, np.diff(matrix.indptr))
+    dropped = matrix.data[row_parity != parity[matrix.indices]]
+    return np.abs(dropped).max() if dropped.size else 0.0
+
+
 def ground_pair(h: AssembledHamiltonian):
     """(G, E, Fock-tail weight): the two lowest energies and the weight of
     the highest Fock state in the ground vector, with a warning when that
-    weight exceeds FOCK_TAIL_TOL."""
-    vals, vecs = lowest_eigenvalues(h, 2, return_vectors=True)
-    tail = fock_tail_weight(h, vecs[:, 0])
+    weight exceeds FOCK_TAIL_TOL.
+
+    H conserves the joint parity of `parity_diagonal`, so its even and odd
+    blocks are sliced out of h.matrix and solved apart. The lower of the two
+    blocks' lowest levels is G. E is the second level over both blocks: the
+    other block's lowest level, unless the ground block's second level lies
+    below it. A solve at tolerance RANKING_TOL ranks that second level; where
+    its error bound does not clear the other block's level, it is solved
+    exactly and E is the lower of the two. The slicing drops the entries
+    between the blocks, which are rounding from the well solve: a
+    ValidationError is raised when the largest exceeds PARITY_TOL max|H|.
+    The ground vector is put back into the full index for the Fock tail.
+    The budget bounds h, whose size is the sum of the two blocks'.
+    """
+    parity = parity_diagonal(h)
+    leak = _parity_leakage(h.matrix, parity)
+    scale = np.abs(h.matrix.data).max() if h.matrix.nnz else 0.0
+    if leak > PARITY_TOL * scale:
+        raise ValidationError(f"parity blocks coupled by {leak:.2e} (max |H| {scale:.2e})")
+    lowest = []
+    for index in (np.flatnonzero(parity > 0), np.flatnonzero(parity < 0)):
+        block = AssembledHamiltonian(h.matrix[index][:, index], (index.size,))
+        vals, vecs = lowest_eigenvalues(block, 1, return_vectors=True)
+        lowest.append((vals[0], vecs[:, 0], index, block))
+    (ground, block_vec, index, block), (excited, *_) = sorted(lowest, key=lambda level: level[0])
+    second = lowest_eigenvalues(block, 2, tol=RANKING_TOL)[1]
+    if second - RANKING_TOL * max(1.0, abs(second)) <= excited:
+        excited = min(excited, lowest_eigenvalues(block, 2)[1])
+    vector = np.zeros(h.dimension)
+    vector[index] = block_vec
+    tail = fock_tail_weight(h, vector)
     if tail > FOCK_TAIL_TOL:
         warnings.warn(
             f"Fock tail occupation {tail:.2e} exceeds {FOCK_TAIL_TOL:.0e}; "
             "raise fock_cutoff",
             stacklevel=3,
         )
-    return float(vals[0]), float(vals[1]), tail
+    return float(ground), float(excited), tail
 
 
 def _model_solver(config, model, convention=MainText):

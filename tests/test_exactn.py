@@ -332,6 +332,112 @@ def test_sectored_eigenvalues_match_unsectored(p33):
     assert np.abs(merged - full).max() <= 1e-8
 
 
+def _unsplit_pair(h):
+    """(G, E, Fock tail) from one k=2 solve of the whole matrix."""
+    vals, vecs = lowest_eigenvalues(h, 2, return_vectors=True)
+    return vals[0], vals[1], fock_tail_weight(h, vecs[:, 0])
+
+
+def test_ground_pair_blocks_match_unsplit_solve(p33):
+    """ground_pair's parity-block solve gives the G and E of one solve of
+    the whole matrix to 1e-12 max(1, |value|): in the sector at N = 2 (720
+    states per block, Lanczos) and N = 3, the product basis at N = 2 and the
+    collective two-level model at N = 1..4; in the Coulomb, JC and
+    multipolar gauges, both conventions, and at eta 0 and 0.05, beside
+    near-degenerate multiplets, within 0.04 of eta_c and at 2.8."""
+    eta_c = eta_critical(p33)
+    grid = GridSpec(points=64)
+    exact = ((2, HilbertConfig(2, 8, 40, SymmetricSector())),
+             (3, HilbertConfig(3, 5, 16, SymmetricSector())),
+             (2, HilbertConfig(2, 6, 20)))
+    for alpha in (0.0, jc_gauge(p33), 1.0):
+        for eta in (0.0, 0.05, eta_c - 0.04, 2.8):
+            hams = []
+            for n, cfg in exact:
+                p = p33.with_(n_dipoles=n, alpha=alpha, eta=eta)
+                absorbed = solve_double_well(
+                    WellShape(beta=3.3, energy_scale=p.energy_scale,
+                              renorm=SelfEnergyInBare(alpha, eta / math.sqrt(n), 1.0)),
+                    grid, levels=cfg.dipole_levels, gap_tol=1e-5)
+                hams += [assemble(cfg, p, p.spectrum),
+                         assemble(cfg, p, absorbed, SelfEnergyInBare)]
+            for n in (1, 2, 3, 4):
+                hams.append(dicke_two_level(
+                    HilbertConfig(n, 2, 40, representation=CollectiveSpin()),
+                    p33.with_(n_dipoles=n, alpha=alpha, eta=eta), p33.spectrum))
+            for h in hams:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")
+                    split = exactn.ground_pair(h)[:2]
+                full = _unsplit_pair(h)[:2]
+                for got, want in zip(split, full):
+                    assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+
+def test_ground_pair_converges_beside_near_degenerate_multiplets(p33):
+    """At eta = 1e-3 the ground block's second level sits in a two-excitation
+    multiplet split by about eta, where a tolerance-0 Lanczos solve for it
+    does not converge; ground_pair only ranks it, and still matches the
+    whole-matrix solve at 1e-12 in the sector at N = 2 and 3."""
+    for n in (2, 3):
+        for alpha in (0.0, 1.0):
+            h = assemble(HilbertConfig(n, 8, 40, SymmetricSector()),
+                         p33.with_(n_dipoles=n, alpha=alpha, eta=1e-3), p33.spectrum)
+            for got, want in zip(exactn.ground_pair(h)[:2], _unsplit_pair(h)[:2]):
+                assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+
+def test_ground_pair_embeds_the_ground_vector(p33):
+    """The Fock tail of the ground vector, put back from its parity block
+    into the full index, equals the whole-matrix solve's, at cutoffs tight
+    enough that the weight is far above rounding; the last two have blocks
+    of 720 and 756 states, solved by Lanczos."""
+    for n, levels, m, alpha, eta in ((2, 4, 8, 1.0, 2.8), (3, 4, 8, 0.0, 2.8),
+                                     (3, 8, 12, 1.0, 2.8), (4, 6, 12, 0.0, 2.8)):
+        h = assemble(HilbertConfig(n, levels, m, SymmetricSector()),
+                     p33.with_(n_dipoles=n, alpha=alpha, eta=eta), p33.spectrum)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            tail = exactn.ground_pair(h)[2]
+        want = _unsplit_pair(h)[2]
+        assert want > 1e-12
+        assert tail == pytest.approx(want, rel=1e-9)
+
+
+def _diagonal_hamiltonian(diagonal):
+    """A diagonal AssembledHamiltonian on 2 product-basis dipole levels x
+    Fock(4), whose joint parity is +-+- -+-+ in index order."""
+    return exactn.AssembledHamiltonian(sp.diags(np.asarray(diagonal, float)).tocsr(), (2, 4))
+
+
+def test_ground_pair_merges_the_two_blocks():
+    """G and E are the two lowest levels over both parity blocks, whichever
+    blocks hold them: E is the other block's lowest level, or the ground
+    block's second level where that lies lower."""
+    par = parity_diagonal(_diagonal_hamiltonian(np.ones(8)))
+    assert np.array_equal(par, [1, -1, 1, -1, -1, 1, -1, 1])
+    # Both lowest levels odd; the ground state is index 3, the top Fock
+    # state, so its embedded vector carries the whole tail.
+    with pytest.warns(UserWarning, match="Fock tail"):
+        assert exactn.ground_pair(_diagonal_hamiltonian([5, 2, 6, 1, 7, 8, 9, 10])) \
+            == (1.0, 2.0, 1.0)
+    # G odd, E even.
+    assert exactn.ground_pair(_diagonal_hamiltonian([2, 1, 5, 6, 7, 8, 9, 10])) \
+        == (1.0, 2.0, 0.0)
+
+
+def test_ground_pair_refuses_parity_leakage():
+    """An entry between the parity blocks above PARITY_TOL max|H| would be
+    dropped by the split, so ground_pair raises; one below it is dropped."""
+    def coupled(coupling):
+        leak = sp.coo_matrix(([coupling, coupling], ([0, 1], [1, 0])), shape=(8, 8))
+        return exactn.AssembledHamiltonian((sp.diags(np.arange(1.0, 9.0)) + leak).tocsr(), (2, 4))
+
+    with pytest.raises(ValidationError, match="parity blocks"):
+        exactn.ground_pair(coupled(1e-7 * 8.0))
+    assert exactn.ground_pair(coupled(1e-10 * 8.0))[:2] == (1.0, 2.0)
+
+
 def test_self_energy_conventions_agree_on_low_levels(make_params, grid):
     """Absorbing the self-energy into the well reshuffles the basis but not
     the physics; ground energies agree to well under the truncation error."""
