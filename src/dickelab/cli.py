@@ -36,7 +36,7 @@ from . import dipole, exactn, gauge, thermo
 from .dipole import GridSpec, SelfEnergyInBare, WellShape
 from .errors import EXIT_VALIDATION, DickelabError, ValidationError
 from .errors import EXIT_BUDGET, EXIT_CONVERGENCE  # noqa: F401 - re-exported for callers
-from .exactn import CollectiveSpin, HilbertConfig, SymmetricSector
+from .exactn import CollectiveSpin, HilbertConfig
 from .gauge import ReducedParams, derive_couplings
 
 # Every table solves its well from these keys.
@@ -288,7 +288,7 @@ def _exact_rows(cfg, base, include_two_level=True):
     n = cfg.n_dipoles
     alphas = _alpha_tokens(cfg, base)
     etas = cfg.eta_values()
-    hil = HilbertConfig(n, cfg.dipole_levels, cfg.fock_cutoff, SymmetricSector(), cfg.budget)
+    hil = HilbertConfig(n, cfg.dipole_levels, cfg.fock_cutoff, budget=cfg.budget)
     for a in alphas:
         template = base.with_(n_dipoles=n, alpha=a)
         if cfg.convention == "self-energy-in-bare":
@@ -410,7 +410,7 @@ def _convergence_rows(cfg):
     levels = max(BASE_LEVELS, *(rung[0] for rung in cfg.ladder))
     params = _base_params(cfg, levels).with_(
         eta=cfg.eta_point, n_dipoles=cfg.n_dipoles, alpha=cfg.alpha_point)
-    ladder = [HilbertConfig(cfg.n_dipoles, l, m, SymmetricSector(), cfg.budget)
+    ladder = [HilbertConfig(cfg.n_dipoles, l, m, budget=cfg.budget)
               for l, m in cfg.ladder]
     phase = _phase_label(params)
     for row in exactn.convergence_report(ladder, params, params.spectrum):

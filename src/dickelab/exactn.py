@@ -2,16 +2,14 @@
 
 The full light-matter Hamiltonian is assembled on N truncated dipole
 eigenbases (L levels each) times one Fock-truncated mode (M states), in one
-of two dipole bases:
-
-- `ProductBasis`, the L^N product states (the library default);
-- `SymmetricSector`, the C(N+L-1, N) permutation-symmetric occupation states
-  |n_0 ... n_(L-1)>, in the order of `itertools.combinations_with_replacement`
-  (for N = 1 the level order, for L = 2 the Dicke order m = -j..j). The
-  Hamiltonian commutes with every permutation of the dipoles and its two
-  lowest states lie in this sector; it is built there directly, a one-dipole
-  operator summed over the dipoles becoming sum_ij op_ji b_j^dag b_i.
-  `CollectiveSpin` is its two-level case, for the two-level model.
+dipole basis, the `SymmetricSector`: the C(N+L-1, N) permutation-symmetric
+occupation states |n_0 ... n_(L-1)>, in the order of
+`itertools.combinations_with_replacement` (for N = 1 the level order, for
+L = 2 the Dicke order m = -j..j). The Hamiltonian commutes with every
+permutation of the dipoles and its two lowest states lie in this sector; it
+is built there directly, a one-dipole operator summed over the dipoles
+becoming sum_ij op_ji b_j^dag b_i. `CollectiveSpin` is its two-level case,
+for the two-level model.
 
 Projecting onto that space leaves the bare dipole term exact,
 the field couplings linear in the imported matrix elements, and the square
@@ -38,10 +36,10 @@ operators, so those are built once and each point only combines them:
 - the Fock operators and identities, per cutoff (`_photon_ops`, `_identity`);
 - the symmetric sector's states and one-body pattern, per (N, L)
   (`_sector_pattern`), so a sector sum is one gather and one COO -> CSR;
-- J^z, J_x^2, J^+ - J^- and J_x of the two-level model, per dipole count and
-  basis (`_two_level_ops`);
+- J^z, J_x^2, J^+ - J^- and J_x of the two-level model, per dipole count
+  (`_two_level_ops`);
 - the dipole operators of `assemble` (Z, the summed momentum factor S, Z Z
-  and the one-dipole blocks), per (spectrum, N, L, basis) (`_dipole_sums`).
+  and the one-dipole blocks), per (spectrum, N, L) (`_dipole_sums`).
   One entry is kept: the last one built, holding its spectrum object, which
   is matched by identity because spectra hold arrays and do not hash.
 
@@ -108,11 +106,6 @@ PARITY_TOL = 1e-8
 
 
 @dataclass(frozen=True)
-class ProductBasis:
-    """Full tensor product of single-dipole eigenbases."""
-
-
-@dataclass(frozen=True)
 class SymmetricSector:
     """Permutation-symmetric occupation states of N identical dipoles."""
 
@@ -128,7 +121,7 @@ class HilbertConfig:
     n_dipoles: int
     dipole_levels: int
     fock_cutoff: int
-    representation: object = field(default_factory=ProductBasis)
+    representation: object = field(default_factory=SymmetricSector)
     budget: int = DEFAULT_BUDGET
 
     def __post_init__(self):
@@ -136,6 +129,8 @@ class HilbertConfig:
             raise ValidationError("n_dipoles must be at least 1")
         if self.dipole_levels < 2 or self.fock_cutoff < 2:
             raise ValidationError("need at least 2 dipole levels and 2 Fock states")
+        if not isinstance(self.representation, SymmetricSector):
+            raise ValidationError("representation must be SymmetricSector or CollectiveSpin")
         if isinstance(self.representation, CollectiveSpin) and self.dipole_levels != 2:
             raise ValidationError("collective-spin representation requires 2 levels")
         if self.dimension > self.budget:
@@ -144,28 +139,22 @@ class HilbertConfig:
             )
 
     @property
-    def sector(self):
-        return isinstance(self.representation, SymmetricSector)
-
-    @property
     def dimension(self):
-        if self.sector:
-            states = math.comb(self.n_dipoles + self.dipole_levels - 1, self.n_dipoles)
-            return states * self.fock_cutoff
-        return self.dipole_levels**self.n_dipoles * self.fock_cutoff
+        states = math.comb(self.n_dipoles + self.dipole_levels - 1, self.n_dipoles)
+        return states * self.fock_cutoff
 
 
 def default_hilbert(n_dipoles: int, budget: int = DEFAULT_BUDGET) -> HilbertConfig:
     """Symmetric-sector cutoffs that reproduce the figures at desk scale."""
     levels, fock = (8, 40) if n_dipoles <= 3 else (6, 30)
-    return HilbertConfig(n_dipoles, levels, fock, SymmetricSector(), budget)
+    return HilbertConfig(n_dipoles, levels, fock, budget=budget)
 
 
 @dataclass(frozen=True)
 class AssembledHamiltonian:
     matrix: sp.csr_matrix
-    axis_dims: tuple      # one entry per dipole (or the sector), then the mode
-    occupations: object = None    # the sector's (states, L) occupations, or None
+    axis_dims: tuple      # (sector states, Fock cutoff)
+    occupations: object = None    # the sector's (states, L) occupations; None on a parity block
 
     @property
     def dimension(self):
@@ -233,22 +222,13 @@ def _sector_pattern(n_sites, levels):
     return pattern
 
 
-def _summed(op, n_sites, sector=False):
+def _summed(op, n_sites):
     """sum_mu op_mu: the single-dipole operator op on each of n_sites dipoles,
-    on their product space or, with `sector`, on the symmetric sector as
-    canonical CSR without explicit zeros."""
-    if sector:
-        occupations, rows, cols, pairs, factors = _sector_pattern(n_sites, op.shape[0])
-        total = sp.csr_matrix((op.ravel()[pairs] * factors, (rows, cols)),
-                              shape=(len(occupations),) * 2)
-        total.eliminate_zeros()
-        return total
-    op = sp.csr_matrix(op)
-    levels = op.shape[0]
-    total = op
-    for k in range(1, n_sites):
-        total = (sp.kron(total, _identity(levels), format="csr")
-                 + sp.kron(_identity(levels**k), op, format="csr"))
+    on their symmetric sector as canonical CSR without explicit zeros."""
+    occupations, rows, cols, pairs, factors = _sector_pattern(n_sites, op.shape[0])
+    total = sp.csr_matrix((op.ravel()[pairs] * factors, (rows, cols)),
+                          shape=(len(occupations),) * 2)
+    total.eliminate_zeros()
     return total
 
 
@@ -276,13 +256,12 @@ def _with_mode(m, dipole, x, y, omega_field=0.0, c_w=0.0):
 @dataclass(frozen=True, eq=False)
 class _DipoleSums:
     """The eta- and alpha-independent dipole operators of `assemble` for one
-    spectrum's lowest `levels` levels on n_sites dipoles, in the product
-    basis or the symmetric sector."""
+    spectrum's lowest `levels` levels on n_sites dipoles, in their symmetric
+    sector."""
 
     spectrum: DipoleSpectrum      # held, so the identity check below stays sound
     n_sites: int
     levels: int
-    sector: bool
     bare: np.ndarray              # one dipole's bare energies, as a diagonal matrix
     zeta_sq: np.ndarray           # one dipole's <m|zeta^2|n>
     zeta_zeta: np.ndarray         # one dipole's (zeta zeta)_mn, levels-truncated
@@ -294,23 +273,22 @@ class _DipoleSums:
 _DIPOLE_MEMO = []                 # the last _DipoleSums built, at most one
 
 
-def _dipole_sums(spectrum, n_sites, levels, sector):
-    """_DipoleSums for (spectrum, n_sites, levels, sector), reused while a
+def _dipole_sums(spectrum, n_sites, levels):
+    """_DipoleSums for (spectrum, n_sites, levels), reused while a
     sweep keeps passing the same spectrum object. Spectra hold arrays and do
     not hash, so the memo compares the object it holds by identity."""
     for held in _DIPOLE_MEMO:
-        if held.spectrum is spectrum and \
-                (held.n_sites, held.levels, held.sector) == (n_sites, levels, sector):
+        if held.spectrum is spectrum and (held.n_sites, held.levels) == (n_sites, levels):
             return held
     z_op = spectrum.zeta_elements[:levels, :levels]
-    zeta = _summed(z_op, n_sites, sector)
+    zeta = _summed(z_op, n_sites)
     sums = _DipoleSums(
-        spectrum, n_sites, levels, sector,
+        spectrum, n_sites, levels,
         bare=np.diag(spectrum.energies[:levels]),
         zeta_sq=spectrum.zeta_sq_elements[:levels, :levels],
         zeta_zeta=z_op @ z_op,
         zeta=zeta,
-        s=_summed(spectrum.p_elements[:levels, :levels], n_sites, sector),
+        s=_summed(spectrum.p_elements[:levels, :levels], n_sites),
         zz=None if n_sites == 1 else zeta @ zeta)
     _DIPOLE_MEMO[:] = [sums]
     return sums
@@ -343,8 +321,8 @@ def _check_convention(config, params, spectrum, convention):
 
 def assemble(config: HilbertConfig, params: ReducedParams,
              spectrum: DipoleSpectrum, convention=MainText) -> AssembledHamiltonian:
-    """Projected full Hamiltonian on the dipole-eigenbasis x Fock space, in
-    the product basis or the symmetric sector.
+    """Projected full Hamiltonian on the symmetric sector of the dipole
+    eigenbases x Fock space.
 
     All coefficients are the reduced ones: with lam = eta sqrt(omega/(2 N E))
     the kinetic square per dipole is (E/2)[p~ + (1-alpha) lam (a^dag+a)]^2,
@@ -358,8 +336,8 @@ def assemble(config: HilbertConfig, params: ReducedParams,
     ------
     ConventionMismatch, ValidationError
     """
-    if type(config.representation) not in (ProductBasis, SymmetricSector):
-        raise ValidationError("assemble works in the product basis or the symmetric sector")
+    if isinstance(config.representation, CollectiveSpin):
+        raise ValidationError("assemble works in the symmetric sector, not the collective spin")
     n_sites, levels, m = config.n_dipoles, config.dipole_levels, config.fock_cutoff
     if n_sites != params.n_dipoles:
         raise ValidationError("config and params disagree on the dipole count")
@@ -387,14 +365,12 @@ def assemble(config: HilbertConfig, params: ReducedParams,
     # The on-site operator is summed over the dipoles per point, on the
     # dipole space only: adding cached sums instead regroups the diagonal,
     # which moved N = 4 Lanczos gaps by 1.5e-12.
-    sector = config.sector
-    sums = _dipole_sums(spectrum, n_sites, levels, sector)
+    sums = _dipole_sums(spectrum, n_sites, levels)
     if sums.zz is not None and c_dd != 0.0:
-        dipole = (_summed(sums.bare + c_se * sums.zeta_sq - c_dd * sums.zeta_zeta,
-                          n_sites, sector)
+        dipole = (_summed(sums.bare + c_se * sums.zeta_sq - c_dd * sums.zeta_zeta, n_sites)
                   + c_dd * sums.zz)
     else:
-        dipole = _summed(sums.bare + c_se * sums.zeta_sq, n_sites, sector)
+        dipole = _summed(sums.bare + c_se * sums.zeta_sq, n_sites)
     matrix = _with_mode(m, dipole, _scaled(-c_cross, sums.s), _scaled(c_pi, sums.zeta),
                         omega_field=omega, c_w=c_a2)
     _assert_symmetric(matrix)
@@ -402,13 +378,10 @@ def assemble(config: HilbertConfig, params: ReducedParams,
 
 
 def _hamiltonian(matrix, config, levels):
-    """AssembledHamiltonian of `matrix` on config's basis of `levels`-level
-    dipoles times its Fock cutoff."""
-    n_sites, m = config.n_dipoles, config.fock_cutoff
-    if not config.sector:
-        return AssembledHamiltonian(matrix, (levels,) * n_sites + (m,))
-    occupations = _sector_pattern(n_sites, levels)[0]
-    return AssembledHamiltonian(matrix, (len(occupations), m), occupations)
+    """AssembledHamiltonian of `matrix` on the symmetric sector of config's
+    `levels`-level dipoles times its Fock cutoff."""
+    occupations = _sector_pattern(config.n_dipoles, levels)[0]
+    return AssembledHamiltonian(matrix, (len(occupations), config.fock_cutoff), occupations)
 
 
 def _assert_symmetric(matrix):
@@ -420,14 +393,13 @@ def _assert_symmetric(matrix):
 
 
 @functools.lru_cache(maxsize=16)
-def _two_level_ops(n_sites, sector):
+def _two_level_ops(n_sites):
     """(J^z, J_x^2, J^+ - J^-, J_x, identity) of the two-level model on
-    n_sites dipoles, with J_x = J^+ + J^-, in the symmetric sector (the
-    collective spin, m = -j..j) or the product basis; built once per count
-    and basis, never modified."""
+    n_sites dipoles, with J_x = J^+ + J^-, on the collective spin
+    (m = -j..j); built once per count, never modified."""
     # sigma^z has eigenvalues -1/2 (ground) and +1/2; sigma^+ raises.
-    jz = _summed(np.diag([-0.5, 0.5]), n_sites, sector)
-    jp = _summed(np.array([[0.0, 0.0], [1.0, 0.0]]), n_sites, sector)
+    jz = _summed(np.diag([-0.5, 0.5]), n_sites)
+    jp = _summed(np.array([[0.0, 0.0], [1.0, 0.0]]), n_sites)
     jx = (jp + jp.T).tocsr()
     return jz, (jx @ jx).tocsr(), (jp - jp.T).tocsr(), jx, _identity(jz.shape[0])
 
@@ -437,10 +409,8 @@ def dicke_two_level(config: HilbertConfig, params: ReducedParams,
     """Two-level Dicke Hamiltonian from the replacement truncation.
 
     Uses the collective operators J^z, J^pm with the renormalized mode
-    frequency omega_alpha and the constant N(eps0+eps1)/2 + rho d^2/2. The
-    collective-spin basis is the natural one; the product basis (two levels
-    per dipole) is also supported so permutation symmetry of the ground state
-    can be checked.
+    frequency omega_alpha and the constant N(eps0+eps1)/2 + rho d^2/2, on
+    the collective spin, the symmetric sector of two-level dipoles.
     """
     if not isinstance(spectrum.shape.renorm, MainText):
         raise ConventionMismatch("two-level replacement uses the plain-well spectrum")
@@ -455,7 +425,7 @@ def dicke_two_level(config: HilbertConfig, params: ReducedParams,
     const = n_sites * 0.5 * (spectrum.energies[0] + spectrum.energies[1]) \
         + 0.5 * couplings.rho_d2
 
-    jz, jx2, jpm, jx, identity = _two_level_ops(n_sites, config.sector)
+    jz, jx2, jpm, jx, identity = _two_level_ops(n_sites)
 
     # Rotated interaction: +g'(J+ - J-)(c^dag - c) - g(J+ + J-)(c^dag + c).
     dipole = omega_m * jz - (couplings.c_alpha / n_sites) * jx2 + const * identity
@@ -496,7 +466,7 @@ def lowest_eigenvalues(h: AssembledHamiltonian, k: int, method: str | None = Non
         got = len(err.eigenvalues)
         raise ConvergenceError(
             f"Lanczos converged {got}/{k} eigenvalues at dimension {h.dimension}; "
-            "raise maxiter or loosen the request"
+            "loosen tol, ask for fewer levels k, or use method='dense'"
         ) from err
     order = np.argsort(vals)
     if return_vectors:
@@ -644,11 +614,11 @@ def gauge_fixing_unitary(config: HilbertConfig, params: ReducedParams,
 
     In the rotated real basis the exponent (alpha_to - alpha_from) lam
     sum_mu zeta_mu (a^dag - a) is real antisymmetric, so R is real
-    orthogonal. Exact only in the untruncated limit; used as a diagnostic.
+    orthogonal, and it keeps the symmetric sector since the exponent is
+    summed over the dipoles. Exact only in the untruncated limit; used as a
+    diagnostic.
     """
-    if not isinstance(config.representation, ProductBasis):
-        raise ValidationError("gauge unitary works in the product basis")
-    zeta_sum = _dipole_sums(spectrum, config.n_dipoles, config.dipole_levels, False).zeta
+    zeta_sum = _dipole_sums(spectrum, config.n_dipoles, config.dipole_levels).zeta
     # Conjugating by exp(i theta zeta (a^dag+a)) with theta = (to - from) lam
     # shifts the kinetic coupling between the gauges; the phase rotation of
     # the mode turns that exponent into the real antisymmetric form below.
@@ -697,15 +667,10 @@ def convergence_report(config_ladder, params: ReducedParams,
 def parity_diagonal(h: AssembledHamiltonian) -> np.ndarray:
     """Diagonal of the joint parity operator in the assembled basis.
 
-    Dipole level n carries parity (-1)^n (even potential), so a product state
-    carries (-1)^(sum of its levels) and an occupation state
-    (-1)^(sum_i i n_i); the mode carries (-1)^(photon number). The product
-    commutes with every assembled term.
+    Dipole level n carries parity (-1)^n (even potential), so an occupation
+    state carries (-1)^(sum_i i n_i), the sum of its dipoles' levels; the
+    mode carries (-1)^(photon number). The product commutes with every
+    assembled term.
     """
-    if h.occupations is None:
-        diag = np.ones(1)
-        for d in h.axis_dims[:-1]:
-            diag = np.kron(diag, (-1.0) ** np.arange(d))
-    else:
-        diag = (-1.0) ** (h.occupations @ np.arange(h.occupations.shape[1]))
+    diag = (-1.0) ** (h.occupations @ np.arange(h.occupations.shape[1]))
     return np.kron(diag, (-1.0) ** np.arange(h.axis_dims[-1]))

@@ -1,5 +1,6 @@
 """Exact finite-N diagonalization: limits, cross-builds, gauge diagnostics."""
 
+import itertools
 import math
 import warnings
 
@@ -16,7 +17,6 @@ from dickelab import (
     GridSpec,
     HilbertConfig,
     MainText,
-    ProductBasis,
     ReducedParams,
     SelfEnergyInBare,
     SymmetricSector,
@@ -58,8 +58,10 @@ def test_hilbert_config_validation():
         HilbertConfig(1, 1, 40)
     with pytest.raises(ValidationError):
         HilbertConfig(2, 4, 40, representation=CollectiveSpin())
+    with pytest.raises(ValidationError):
+        HilbertConfig(1, 8, 40, representation=object())
     with pytest.raises(BudgetError):
-        HilbertConfig(4, 10, 60)
+        HilbertConfig(8, 8, 40)      # 257,400 sector states
     with pytest.raises(BudgetError):
         HilbertConfig(1, 8, 40, budget=100)
 
@@ -88,9 +90,10 @@ def _site_op(op, site, n_sites, levels):
     return sp.kron(sp.kron(left, sp.csr_matrix(op)), right, format="csr")
 
 
-def reference_assemble(cfg, params, spectrum, convention):
-    """The full Hamiltonian built term by term: one kron chain per site and
-    one per dipole pair, each with its own photon operator."""
+def reference_assemble(cfg, params, spectrum, convention=MainText):
+    """The full Hamiltonian on the L^N product states, built term by term:
+    one kron chain per site and one per dipole pair, each with its own
+    photon operator."""
     n_sites, levels, m = cfg.n_dipoles, cfg.dipole_levels, cfg.fock_cutoff
     alpha, eta = params.alpha, params.eta
     omega, e_scale, lam = params.omega, params.energy_scale, params.lambda_a
@@ -135,10 +138,45 @@ def reference_assemble(cfg, params, spectrum, convention):
     return sum(terms).tocsr()
 
 
+def product_hamiltonian(cfg, matrix):
+    """An AssembledHamiltonian on cfg's L^N product states x Fock(M); each
+    product state's level counts stand in for its occupations, which give
+    parity_diagonal its parity (-1)^(sum of the levels)."""
+    levels, n_sites = cfg.dipole_levels, cfg.n_dipoles
+    counts = np.array([np.bincount(state, minlength=levels)
+                       for state in itertools.product(range(levels), repeat=n_sites)])
+    return exactn.AssembledHamiltonian(matrix, (levels**n_sites, cfg.fock_cutoff), counts)
+
+
+def symmetric_embedding(cfg):
+    """P, the sector in the product space: one column per sector state, in
+    combinations_with_replacement order, holding the normalised
+    symmetrised product state, times the identity on Fock(M)."""
+    n_sites, levels = cfg.n_dipoles, cfg.dipole_levels
+    rows, cols, vals = [], [], []
+    states = list(itertools.combinations_with_replacement(range(levels), n_sites))
+    for col, state in enumerate(states):
+        orderings = set(itertools.permutations(state))
+        for order in orderings:
+            rows.append(sum(level * levels ** (n_sites - 1 - site)
+                            for site, level in enumerate(order)))
+            cols.append(col)
+            vals.append(1.0 / math.sqrt(len(orderings)))
+    embed = sp.csr_matrix((vals, (rows, cols)), shape=(levels**n_sites, len(states)))
+    return sp.kron(embed, sp.identity(cfg.fock_cutoff), format="csr")
+
+
+def projected_reference(cfg, params, spectrum, convention=MainText):
+    """P^T H_ref P: the term-by-term product-space build on the sector."""
+    embed = symmetric_embedding(cfg)
+    return (embed.T @ reference_assemble(cfg, params, spectrum, convention) @ embed).tocsr()
+
+
 def test_assemble_matches_per_site_pair_reference(p33):
-    """The shared builder against the term-by-term construction, entry by
-    entry, for N = 1..3, three gauges, three couplings (both phases) and
-    both self-energy conventions; it may not store more entries either."""
+    """The shared builder against the term-by-term construction projected on
+    the sector, entry by entry, for N = 1..3, three gauges, three couplings
+    (both phases) and both self-energy conventions; it may not store more
+    entries either."""
     grid = GridSpec(points=64)
     for n in (1, 2, 3):
         cfg = HilbertConfig(n, 6, 10)
@@ -152,13 +190,13 @@ def test_assemble_matches_per_site_pair_reference(p33):
                 for spec, convention in ((p.spectrum, MainText),
                                          (absorbed, SelfEnergyInBare)):
                     ours = assemble(cfg, p, spec, convention).matrix
-                    ref = reference_assemble(cfg, p, spec, convention)
+                    ref = projected_reference(cfg, p, spec, convention)
                     assert abs(ours - ref).max() <= 1e-13 * abs(ref).max()
                     assert ours.nnz <= ref.nnz
 
 
 def test_cached_operators_stay_fresh_along_a_sweep(p33, make_params):
-    """The memoised dipole sums against the per-site reference while one
+    """The memoised dipole sums against the projected per-site reference while one
     spectrum object runs through three gauges and three couplings in a row
     (so the memo is hit), for N = 1..3 and both conventions; a different
     spectrum at the same (N, L) then gets its own matrix, not a stale one.
@@ -190,7 +228,7 @@ def test_cached_operators_stay_fresh_along_a_sweep(p33, make_params):
                     held = exactn._DIPOLE_MEMO[0]
                 assert len(exactn._DIPOLE_MEMO) == 1 and exactn._DIPOLE_MEMO[0] is held
                 assert held.spectrum is spec
-                ref = reference_assemble(cfg_i, p, spec, convention)
+                ref = projected_reference(cfg_i, p, spec, convention)
                 assert abs(ours - ref).max() <= 1e-13 * abs(ref).max()
                 assert ours.nnz <= ref.nnz
                 assert np.count_nonzero(ours.data) == ours.nnz
@@ -242,6 +280,29 @@ def test_two_level_matches_independent_complex_build(make_params):
         assert np.allclose(ours, theirs, rtol=0, atol=1e-10)
 
 
+def product_two_level(params, n_sites, m):
+    """dicke_two_level's rotated real Hamiltonian on the 2^N product states,
+    its collective operators summed site by site."""
+    def summed(op):
+        return sum(_site_op(op, site, n_sites, 2) for site in range(n_sites))
+
+    c = derive_couplings(params)
+    jz = summed(np.diag([-0.5, 0.5]))
+    jp = summed(np.array([[0.0, 0.0], [1.0, 0.0]]))
+    jx = jp + jp.T
+    e0, e1 = params.spectrum.energies[:2]
+    dipole = (params.spectrum.omega_m * jz - (c.c_alpha / n_sites) * (jx @ jx)
+              + (n_sites * (e0 + e1) / 2.0 + c.rho_d2 / 2.0) * sp.identity(2**n_sites))
+    lower = sp.diags(np.sqrt(np.arange(1.0, m)), 1)
+    matrix = (sp.kron(dipole, sp.identity(m))
+              + c.omega_alpha * sp.kron(sp.identity(2**n_sites),
+                                        lower.T @ lower + 0.5 * sp.identity(m))
+              + (c.g_prime_alpha / math.sqrt(n_sites)) * sp.kron(jp - jp.T, lower.T - lower)
+              - (c.g_alpha / math.sqrt(n_sites)) * sp.kron(jx, lower.T + lower)).tocsr()
+    matrix.eliminate_zeros()
+    return product_hamiltonian(HilbertConfig(n_sites, 2, m), matrix)
+
+
 def test_collective_and_product_ground_states_agree(make_params):
     """The ground state lives in the maximal-spin sector, so the collective
     basis and the full product basis give the same ground energy. Excited
@@ -249,9 +310,8 @@ def test_collective_and_product_ground_states_agree(make_params):
     permutation sectors."""
     p = make_params(beta=3.3, eta=1.0, alpha=1.0, n_dipoles=3)
     coll = HilbertConfig(3, 2, 30, representation=CollectiveSpin())
-    prod = HilbertConfig(3, 2, 30, representation=ProductBasis())
     g_coll = ground(dicke_two_level(coll, p, p.spectrum))
-    g_prod = ground(dicke_two_level(prod, p, p.spectrum))
+    g_prod = ground(product_two_level(p, 3, 30))
     assert abs(g_coll - g_prod) <= 1e-10
 
 
@@ -341,14 +401,14 @@ def _unsplit_pair(h):
 def test_ground_pair_blocks_match_unsplit_solve(p33):
     """ground_pair's parity-block solve gives the G and E of one solve of
     the whole matrix to 1e-12 max(1, |value|): in the sector at N = 2 (720
-    states per block, Lanczos) and N = 3, the product basis at N = 2 and the
-    collective two-level model at N = 1..4; in the Coulomb, JC and
+    states per block, Lanczos; 210, dense) and N = 3 and the collective
+    two-level model at N = 1..4; in the Coulomb, JC and
     multipolar gauges, both conventions, and at eta 0 and 0.05, beside
     near-degenerate multiplets, within 0.04 of eta_c and at 2.8."""
     eta_c = eta_critical(p33)
     grid = GridSpec(points=64)
-    exact = ((2, HilbertConfig(2, 8, 40, SymmetricSector())),
-             (3, HilbertConfig(3, 5, 16, SymmetricSector())),
+    exact = ((2, HilbertConfig(2, 8, 40)),
+             (3, HilbertConfig(3, 5, 16)),
              (2, HilbertConfig(2, 6, 20)))
     for alpha in (0.0, jc_gauge(p33), 1.0):
         for eta in (0.0, 0.05, eta_c - 0.04, 2.8):
@@ -381,7 +441,7 @@ def test_ground_pair_converges_beside_near_degenerate_multiplets(p33):
     whole-matrix solve at 1e-12 in the sector at N = 2 and 3."""
     for n in (2, 3):
         for alpha in (0.0, 1.0):
-            h = assemble(HilbertConfig(n, 8, 40, SymmetricSector()),
+            h = assemble(HilbertConfig(n, 8, 40),
                          p33.with_(n_dipoles=n, alpha=alpha, eta=1e-3), p33.spectrum)
             for got, want in zip(exactn.ground_pair(h)[:2], _unsplit_pair(h)[:2]):
                 assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
@@ -394,7 +454,7 @@ def test_ground_pair_embeds_the_ground_vector(p33):
     of 720 and 756 states, solved by Lanczos."""
     for n, levels, m, alpha, eta in ((2, 4, 8, 1.0, 2.8), (3, 4, 8, 0.0, 2.8),
                                      (3, 8, 12, 1.0, 2.8), (4, 6, 12, 0.0, 2.8)):
-        h = assemble(HilbertConfig(n, levels, m, SymmetricSector()),
+        h = assemble(HilbertConfig(n, levels, m),
                      p33.with_(n_dipoles=n, alpha=alpha, eta=eta), p33.spectrum)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
@@ -404,10 +464,14 @@ def test_ground_pair_embeds_the_ground_vector(p33):
         assert tail == pytest.approx(want, rel=1e-9)
 
 
+def _one_dipole(matrix):
+    """An AssembledHamiltonian on one two-level dipole x Fock(4), whose joint
+    parity is +-+- -+-+ in index order."""
+    return exactn.AssembledHamiltonian(matrix.tocsr(), (2, 4), np.eye(2, dtype=int))
+
+
 def _diagonal_hamiltonian(diagonal):
-    """A diagonal AssembledHamiltonian on 2 product-basis dipole levels x
-    Fock(4), whose joint parity is +-+- -+-+ in index order."""
-    return exactn.AssembledHamiltonian(sp.diags(np.asarray(diagonal, float)).tocsr(), (2, 4))
+    return _one_dipole(sp.diags(np.asarray(diagonal, float)))
 
 
 def test_ground_pair_merges_the_two_blocks():
@@ -431,7 +495,7 @@ def test_ground_pair_refuses_parity_leakage():
     dropped by the split, so ground_pair raises; one below it is dropped."""
     def coupled(coupling):
         leak = sp.coo_matrix(([coupling, coupling], ([0, 1], [1, 0])), shape=(8, 8))
-        return exactn.AssembledHamiltonian((sp.diags(np.arange(1.0, 9.0)) + leak).tocsr(), (2, 4))
+        return _one_dipole(sp.diags(np.arange(1.0, 9.0)) + leak)
 
     with pytest.raises(ValidationError, match="parity blocks"):
         exactn.ground_pair(coupled(1e-7 * 8.0))
@@ -495,9 +559,9 @@ def test_dense_and_iterative_solvers_agree(p33):
 def test_subset_solve_matches_full_eigh(p33):
     """The dense path computes only the lowest pairs. Its eigenvalues match
     a full np.linalg.eigh at rel 1e-13, and ground_pair's Fock-tail weight
-    (free of the vector's sign) matches to 1e-12, on product-basis and
-    two-level matrices in both phases and at both gauge ends, none of which
-    store explicit zeros."""
+    (free of the vector's sign) matches to 1e-12, on sector matrices and
+    two-level ones (collective, and a product-space build) in both phases
+    and at both gauge ends, none of which store explicit zeros."""
     hams = []
     for alpha in (0.0, 1.0):
         for eta in (0.8, 2.8):
@@ -505,10 +569,10 @@ def test_subset_solve_matches_full_eigh(p33):
                 hams.append(assemble(HilbertConfig(n, levels, m),
                                      p33.with_(n_dipoles=n, alpha=alpha, eta=eta),
                                      p33.spectrum))
-            for rep in (CollectiveSpin(), ProductBasis()):
-                hams.append(dicke_two_level(HilbertConfig(3, 2, 40, representation=rep),
-                                            p33.with_(n_dipoles=3, alpha=alpha, eta=eta),
-                                            p33.spectrum))
+            p = p33.with_(n_dipoles=3, alpha=alpha, eta=eta)
+            hams += [dicke_two_level(HilbertConfig(3, 2, 40, representation=CollectiveSpin()),
+                                     p, p33.spectrum),
+                     product_two_level(p, 3, 40)]
     for h in hams:
         assert h.dimension <= exactn.DENSE_THRESHOLD
         assert np.count_nonzero(h.matrix.data) == h.matrix.nnz
@@ -531,6 +595,22 @@ def test_default_method_just_above_the_dense_threshold(p33):
         h = assemble(cfg, p33.with_(alpha=alpha, eta=eta), p33.spectrum)
         assert np.allclose(lowest_eigenvalues(h, 2), lowest_eigenvalues(h, 2, method="dense"),
                            rtol=1e-12, atol=0)
+
+
+def test_lanczos_failure_names_what_the_caller_can_change(p33, monkeypatch):
+    """A Lanczos solve that does not converge raises ConvergenceError naming
+    the arguments lowest_eigenvalues takes: tol, k and the dense method."""
+    h = assemble(HilbertConfig(1, 8, 80), p33.with_(eta=0.5), p33.spectrum)
+
+    def stalled(matrix, k, **_):
+        raise exactn.ArpackNoConvergence("stalled", np.zeros(1), np.zeros((h.dimension, 1)))
+
+    monkeypatch.setattr(exactn, "eigsh", stalled)
+    with pytest.raises(ConvergenceError, match="1/2 eigenvalues") as err:
+        lowest_eigenvalues(h, 2)
+    message = str(err.value)
+    assert all(word in message for word in ("tol", "k", "method='dense'"))
+    assert "maxiter" not in message
 
 
 def test_lowest_eigenvalues_returns_vectors(p33):
@@ -603,12 +683,13 @@ def test_convergence_report_flags_heavy_tail(make_params):
 
 
 def test_collective_basis_fits_large_counts_in_budget():
-    """The collective representation grows linearly in N, so dipole counts
-    far beyond any product-basis budget are still admissible."""
+    """The collective representation grows linearly in N, so 100 two-level
+    dipoles fit the budget, while 8 dipoles of 8 levels (257,400 sector
+    states) do not."""
     cfg = HilbertConfig(100, 2, 40, representation=CollectiveSpin())
     assert cfg.dimension == 101 * 40
     with pytest.raises(BudgetError):
-        HilbertConfig(100, 2, 40)
+        HilbertConfig(8, 8, 40)
 
 
 def _same_csr(a, b):
@@ -617,13 +698,13 @@ def _same_csr(a, b):
 
 
 def test_sector_dimension_and_default_hilbert():
-    """The sector holds C(N+L-1, N) dipole states per Fock state; the CLI's
-    default cutoffs use it, the library default stays the product basis."""
+    """The sector holds C(N+L-1, N) dipole states per Fock state; it is the
+    library default and the basis of the CLI's default cutoffs."""
     assert HilbertConfig(3, 8, 40, SymmetricSector()).dimension == 120 * 40
     assert HilbertConfig(4, 6, 30, SymmetricSector()).dimension == 126 * 30
     assert HilbertConfig(1, 8, 40, SymmetricSector()).dimension == 8 * 40
     assert HilbertConfig(3, 2, 40, CollectiveSpin()).dimension == 4 * 40
-    assert isinstance(HilbertConfig(2, 8, 40).representation, ProductBasis)
+    assert type(HilbertConfig(2, 8, 40).representation) is SymmetricSector
     assert default_hilbert(3).representation == SymmetricSector()
     with pytest.raises(BudgetError):
         HilbertConfig(3, 8, 40, SymmetricSector(), budget=4799)
@@ -644,7 +725,7 @@ def test_sector_two_level_operators_are_the_dicke_matrices():
     """J^z and J^+ of the two-level sector equal the spin-N/2 matrices
     element for element, m = -j..j, in canonical CSR without zeros."""
     for n in (1, 2, 3, 4, 24):
-        jz, _, jpm, jx, _ = exactn._two_level_ops(n, True)
+        jz, _, jpm, jx, _ = exactn._two_level_ops(n)
         jp = ((jx + jpm) / 2.0).toarray()
         j = 0.5 * n
         m_vals = np.arange(-j, j + 1)
@@ -655,8 +736,10 @@ def test_sector_two_level_operators_are_the_dicke_matrices():
 
 
 def test_sector_is_the_product_basis_at_one_dipole(p33):
-    """At N = 1 both bases assemble bitwise-equal matrices with the same
-    axes and parity, in three gauges, three couplings and both conventions."""
+    """At N = 1 the sector is the level basis: its states are the levels in
+    order, its axes (L, M) and its parity (-1)^(level + photon number), and
+    its matrix equals the term-by-term reference without any embedding, in
+    three gauges, three couplings and both conventions."""
     grid = GridSpec(points=64)
     for alpha in (0.0, 0.37, 1.0):
         for eta in (0.0, 0.9, 2.8):
@@ -666,16 +749,20 @@ def test_sector_is_the_product_basis_at_one_dipole(p33):
                           renorm=SelfEnergyInBare(alpha, eta, 1.0)),
                 grid, levels=6, gap_tol=1e-5)
             for spec, convention in ((p.spectrum, MainText), (absorbed, SelfEnergyInBare)):
-                prod = assemble(HilbertConfig(1, 6, 12), p, spec, convention)
-                sect = assemble(HilbertConfig(1, 6, 12, SymmetricSector()), p, spec, convention)
-                assert _same_csr(prod.matrix, sect.matrix)
-                assert prod.axis_dims == sect.axis_dims
-                assert np.array_equal(parity_diagonal(prod), parity_diagonal(sect))
+                cfg = HilbertConfig(1, 6, 12)
+                h = assemble(cfg, p, spec, convention)
+                ref = reference_assemble(cfg, p, spec, convention)
+                assert abs(h.matrix - ref).max() <= 1e-13 * abs(ref).max()
+                assert np.array_equal(h.occupations, np.eye(6, dtype=int))
+                assert h.axis_dims == (6, 12)
+                assert np.array_equal(parity_diagonal(h), (-1.0) ** np.add.outer(
+                    np.arange(6), np.arange(12)).ravel())
 
 
 def test_sector_matches_product_basis(p33):
     """The two lowest states lie in the symmetric sector: its G and E equal
-    the product basis's to rel 1e-12 for N = 2 and 3, the Coulomb, JC and
+    the two lowest levels of the term-by-term product-space build to rel
+    1e-12 for N = 2 and 3, the Coulomb, JC and
     multipolar gauges, both conventions, and eta at 0, in the normal phase,
     within 0.05 of eta_c and in the abnormal phase."""
     eta_c = eta_critical(p33)
@@ -688,21 +775,24 @@ def test_sector_matches_product_basis(p33):
                     WellShape(beta=3.3, energy_scale=p.energy_scale,
                               renorm=SelfEnergyInBare(alpha, eta / math.sqrt(n), 1.0)),
                     grid, levels=levels, gap_tol=1e-5)
+                cfg = HilbertConfig(n, levels, m)
                 for spec, convention in ((p.spectrum, MainText), (absorbed, SelfEnergyInBare)):
-                    prod, sect = (lowest_eigenvalues(assemble(
-                        HilbertConfig(n, levels, m, rep), p, spec, convention), 2)
-                        for rep in (ProductBasis(), SymmetricSector()))
+                    prod = lowest_eigenvalues(product_hamiltonian(
+                        cfg, reference_assemble(cfg, p, spec, convention)), 2)
+                    sect = lowest_eigenvalues(assemble(cfg, p, spec, convention), 2)
                     assert np.allclose(sect, prod, rtol=1e-12, atol=0)
 
 
 def test_sector_fock_tail_matches_product_basis(p33):
-    """The ground vector's Fock-tail weight is the same in both bases, at
-    Fock cutoffs tight enough that the weight is far above rounding."""
+    """The ground vector's Fock-tail weight is the same in the sector as in
+    the term-by-term product-space build, at Fock cutoffs tight enough that
+    the weight is far above rounding."""
     for n, alpha, eta in ((2, 1.0, 2.8), (2, 0.0, 1.0), (3, 0.0, 2.8)):
         p = p33.with_(n_dipoles=n, alpha=alpha, eta=eta)
+        cfg = HilbertConfig(n, 4, 8)
         tails = []
-        for rep in (ProductBasis(), SymmetricSector()):
-            h = assemble(HilbertConfig(n, 4, 8, rep), p, p33.spectrum)
+        for h in (product_hamiltonian(cfg, reference_assemble(cfg, p, p33.spectrum)),
+                  assemble(cfg, p, p33.spectrum)):
             _, vecs = lowest_eigenvalues(h, 1, return_vectors=True)
             tails.append(fock_tail_weight(h, vecs[:, 0]))
         assert tails[0] > 1e-10
@@ -712,8 +802,8 @@ def test_sector_fock_tail_matches_product_basis(p33):
 def test_sector_parity_is_conserved(p33):
     """An occupation state carries (-1)^(sum_i i n_i) times the photon
     parity, which the sector Hamiltonian conserves at the product basis's
-    leakage bound; the sector has no gauge unitary."""
-    cfg = HilbertConfig(3, 4, 10, SymmetricSector())
+    leakage bound."""
+    cfg = HilbertConfig(3, 4, 10)
     p = p33.with_(eta=0.8, alpha=0.6, n_dipoles=3)
     h = assemble(cfg, p, p33.spectrum)
     par = parity_diagonal(h)
@@ -724,8 +814,41 @@ def test_sector_parity_is_conserved(p33):
     mixing = np.abs(m[np.not_equal.outer(par, par)]).max()
     assert mixing <= 1e-8 * np.abs(m).max()
     assert set(np.unique(par)) == {-1.0, 1.0}
-    with pytest.raises(ValidationError):
-        gauge_fixing_unitary(cfg, p, p33.spectrum, 0.0, 1.0)
     # h.occupations is the cached pattern every later (3, 4) sector reads.
     with pytest.raises(ValueError):
         h.occupations[0, 0] = 1
+
+
+def test_gauge_unitary_works_in_the_sector(p33):
+    """The gauge unitary of two dipoles (8 levels, Fock(30), 1,080 sector
+    states) is orthogonal and carries the Coulomb-gauge ground state onto
+    the multipolar one. Frozen from the same check on the 1,920 product
+    states: 1 - overlap 3.1e-11, ground energies 1.7e-6 apart (the
+    truncation's gauge defect)."""
+    cfg = HilbertConfig(2, 8, 30)
+    p = p33.with_(n_dipoles=2, eta=0.5, alpha=0.0)
+    r = gauge_fixing_unitary(cfg, p, p33.spectrum, 0.0, 1.0)
+    assert np.abs(r @ r.T - np.eye(cfg.dimension)).max() <= 1e-12
+    h0 = assemble(cfg, p, p33.spectrum).matrix.toarray()
+    h1 = assemble(cfg, p.with_(alpha=1.0), p33.spectrum).matrix.toarray()
+    w0, v0 = np.linalg.eigh(h0)
+    w1, v1 = np.linalg.eigh(h1)
+    assert abs(np.linalg.eigvalsh(r @ h0 @ r.T)[0] - w1[0]) <= 2e-6
+    assert abs(np.dot(r @ v0[:, 0], v1[:, 0])) >= 1.0 - 1e-10
+
+
+@pytest.mark.parametrize("n, levels, m", [(2, 8, 40), (3, 6, 24)])
+def test_dark_states_lie_above_the_sector_pair(p33, n, levels, m):
+    """The two lowest levels of the whole product space (2,560 states at
+    N = 2 with the CLI's cutoffs, 5,184 at N = 3) are the sector's G and E,
+    from the library's default config, to rel 1e-12 in
+    both phases and at both gauge ends: no state of lower permutation
+    symmetry falls below them."""
+    cfg = HilbertConfig(n, levels, m)
+    for alpha in (0.0, 1.0):
+        for eta in (0.5, 2.8):
+            p = p33.with_(n_dipoles=n, alpha=alpha, eta=eta)
+            product = lowest_eigenvalues(product_hamiltonian(
+                cfg, reference_assemble(cfg, p, p33.spectrum)), 2)
+            sector = exactn.ground_pair(assemble(cfg, p, p33.spectrum))[:2]
+            assert np.allclose(sector, product, rtol=1e-12, atol=0)
