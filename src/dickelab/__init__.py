@@ -38,7 +38,6 @@ from .exactn import (
     default_hilbert,
     dicke_two_level,
     fock_tail_weight,
-    gauge_fixing_unitary,
     lowest_eigenvalues,
     parity_diagonal,
     second_derivative_sweep,
@@ -111,7 +110,6 @@ __all__ = [
     "eta_critical",
     "evaluate",
     "fock_tail_weight",
-    "gauge_fixing_unitary",
     "ground_density_second_derivative",
     "is_positive_definite",
     "jc_gauge",

@@ -21,10 +21,10 @@ ever built:
     i (a^dag - a) -> -(a^dag + a)           (canonical momentum Pi)
     (a^dag + a)^2 ->  2 a^dag a + 1 - (a^dag^2 + a^2)
 
-Every finite-N Hamiltonian, and the gauge exponent, has the form
+Every finite-N Hamiltonian has the form
 D x 1 + 1 x F + X x (a^dag - a) + Y x (a^dag + a) with D, X, Y on the dipoles
 and F on the mode, formed by one builder, `_with_mode`, the only place that
-forms Kronecker products with the mode. Pair sums use sum_{mu != nu}
+forms products with the mode. Pair sums use sum_{mu != nu}
 zeta_mu zeta_nu = Z^2 - sum_mu (zeta^2)_mu with Z = sum_mu zeta_mu. The
 two-level collective-spin Dicke Hamiltonian comes from its replacement form;
 it differs from the L=2 projection in the self-energy term, which is the
@@ -33,28 +33,34 @@ point of keeping both.
 H(eta, alpha) is a fixed linear combination of eta- and alpha-independent
 operators, so those are built once and each point only combines them:
 
-- the Fock operators and identities, per cutoff (`_photon_ops`, `_identity`);
+- the Fock operators, per cutoff (`_photon_ops`);
 - the symmetric sector's states and one-body pattern, per (N, L)
   (`_sector_pattern`), so a sector sum is one gather and one COO -> CSR;
-- J^z, J_x^2, J^+ - J^- and J_x of the two-level model, per dipole count
-  (`_two_level_ops`);
+- J^z, J_x^2, J^+ - J^-, J_x and the identity of the two-level model, per
+  dipole count (`_two_level_ops`);
 - the dipole operators of `assemble` (Z, the summed momentum factor S, Z Z
   and the one-dipole blocks), per (spectrum, N, L) (`_dipole_sums`).
   One entry is kept: the last one built, holding its spectrum object, which
-  is matched by identity because spectra hold arrays and do not hash.
+  is matched by identity because spectra hold arrays and do not hash;
+- the index plan of each sparsity pattern of (D, X, Y, F) (`_ModePlan`),
+  held beside the operators it combines: in the `_DipoleSums` entry for the
+  exact model, per dipole count (`_two_level_plans`) for the two-level one.
+  It holds integer arrays only; each point's values are gathered through it.
 
-An X or Y term whose coefficient is zero is left out and costs no
-Kronecker product.
+An X or Y term whose coefficient is zero is left out, and a sparsity pattern
+without it has its own plan.
 
 Every Hamiltonian conserves the joint parity of `parity_diagonal`,
-(-1)^(sum of the dipole levels + photon number). `ground_pair` slices the
-assembled matrix into its even and odd blocks and solves each for its lowest
-level; E is the other block's lowest level unless the ground block's second
-level lies below it, which a loose-tolerance solve ranks (exactly solved
-only where the ranking is not clear). The entries between the blocks, which
-the slicing drops, are rounding from the well solve and are checked against
-PARITY_TOL. Assembly, the basis order and the budget still cover the whole
-matrix, both blocks together.
+(-1)^(sum of the dipole levels + photon number). The plan maps each
+Kronecker contribution straight into the CSR storage of the even and odd
+blocks; `ground_pair` solves each block for its lowest level, and E is the
+other block's lowest level unless the ground block's second level lies below
+it. The entries between the blocks, which no block stores, are rounding
+from the well solve. Each point reads the largest of them, and H - H^T, off
+the dipole factors, and checks them against PARITY_TOL and SYMMETRY_TOL.
+The budget and the basis order still cover the whole matrix, both blocks
+together, and `AssembledHamiltonian.matrix`, the whole matrix, is formed
+when it is read.
 """
 
 import functools
@@ -65,7 +71,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import eigh, expm
+from scipy.linalg import eigh
 from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
 from .dipole import DipoleSpectrum, MainText, SelfEnergyInBare
@@ -82,7 +88,9 @@ DEFAULT_BUDGET = 200_000
 # Dense subset solve up to this many states, Lanczos above. For two pairs at
 # 1 BLAS thread the two cost the same near 600 states (dense 22-25 ms against
 # Lanczos 19-47 ms at 560, 27-37 against 19-54 ms at 640); from 900 states up
-# Lanczos wins (65-155 against 23-82 ms at 900-1080).
+# Lanczos wins (65-155 against 23-82 ms at 900-1080). A dense solve is exact
+# at any tol, so ground_pair takes a dense block's second level from its one
+# ranking solve.
 DENSE_THRESHOLD = 600
 # Lanczos basis size (ARPACK ncv, at least 2k + 1), ARPACK's default. For
 # ground_pair's parity-block solves at 1 BLAS thread, 40 against 20 took
@@ -91,6 +99,14 @@ DENSE_THRESHOLD = 600
 # (31,680 states); it won only near the multiplets of eta <= 0.1 (2.5
 # against 2.9 s over 30 points of N = 2..4).
 LANCZOS_NCV = 20
+# ARPACK restarts (maxiter) before a Lanczos solve gives up. The most any
+# converged solve took was 75, over the test suite and default fig3a,
+# s-figs-gauges and exact-sweep (1,349 matvecs, 2,560 states, k = 2, tol 0),
+# and 60 on those commands (1,027 matvecs, a 2,400-state ranking solve).
+# ARPACK's default, 10 x dimension, let a tolerance-0 solve for a level in a
+# near-degenerate multiplet run 15 s (720 states) or 230 s (2,400 states)
+# before it failed.
+LANCZOS_MAXITER = 1000
 FOCK_TAIL_TOL = 1e-8
 SYMMETRY_TOL = 1e-12
 # Relative Lanczos tolerance of ground_pair's solve that ranks the ground
@@ -150,37 +166,89 @@ def default_hilbert(n_dipoles: int, budget: int = DEFAULT_BUDGET) -> HilbertConf
     return HilbertConfig(n_dipoles, levels, fock, budget=budget)
 
 
-@dataclass(frozen=True)
 class AssembledHamiltonian:
-    matrix: sp.csr_matrix
-    axis_dims: tuple      # (sector states, Fock cutoff)
-    occupations: object = None    # the sector's (states, L) occupations; None on a parity block
+    """A real symmetric Hamiltonian on (sector states, Fock cutoff), or on
+    one parity block (`axis_dims` of one entry).
+
+    Given `matrix`, its parity blocks are split out of it when first read.
+    `assemble` and `dicke_two_level` instead pass the blocks, built from an
+    index plan, and `whole`, which forms `matrix` when it is first read.
+    """
+
+    def __init__(self, matrix, axis_dims, occupations=None, *, blocks=None, whole=None):
+        self._matrix, self._blocks, self._whole = matrix, blocks, whole
+        self.axis_dims = tuple(axis_dims)     # (sector states, Fock cutoff)
+        self.occupations = occupations        # the sector's (states, L) occupations; None on a block
+
+    @property
+    def matrix(self) -> sp.csr_matrix:
+        if self._matrix is None:
+            self._matrix = self._whole()
+        return self._matrix
+
+    @property
+    def blocks(self):
+        """The `_ParityBlocks` of the joint parity of `parity_diagonal`."""
+        if self._blocks is None:
+            self._blocks = _parity_split(self.matrix, parity_diagonal(self))
+        return self._blocks
 
     @property
     def dimension(self):
-        return self.matrix.shape[0]
+        return math.prod(self.axis_dims)
+
+
+@dataclass(frozen=True, eq=False)
+class _ParityBlocks:
+    """The even and odd blocks of a Hamiltonian, each as CSR over its states
+    in index order; each block's state indices in the whole basis; the
+    largest |entry| between the blocks, which no block stores; and max |H|."""
+
+    matrices: tuple
+    index: tuple
+    leak: float
+    scale: float
+
+
+def _parity_split(matrix, parity):
+    """The `_ParityBlocks` of a square CSR `matrix` whose states carry
+    `parity` (+-1), each block keeping the entry order of `matrix`. The
+    index plan lays its blocks out in the same order (`_block_ranks`)."""
+    index, rank = _block_ranks(parity)
+    odd = parity < 0
+    row_odd = np.repeat(odd, np.diff(matrix.indptr))
+    inside = row_odd == odd[matrix.indices]
+    kept_per_row = np.diff(np.concatenate(([0], np.cumsum(inside)))[matrix.indptr])
+    blocks = []
+    for flag, states in zip((False, True), index):
+        keep = inside & (row_odd == flag)
+        indptr = np.concatenate(([0], np.cumsum(kept_per_row[states])))
+        blocks.append(sp.csr_matrix((matrix.data[keep], rank[matrix.indices[keep]], indptr),
+                                    shape=(states.size, states.size)))
+    between = matrix.data[~inside]
+    return _ParityBlocks(tuple(blocks), index,
+                         np.abs(between).max() if between.size else 0.0,
+                         np.abs(matrix.data).max() if matrix.nnz else 0.0)
 
 
 @functools.lru_cache(maxsize=8)
 def _photon_ops(m):
-    """Identity, a^dag a + 1/2, a^dag + a, a^dag - a and the rotated
-    (a^dag + a)^2 on Fock(m), built once per cutoff and shared: never
-    modified in place."""
+    """(a^dag a + 1/2, a^dag + a, a^dag - a, rotated (a^dag + a)^2) on
+    Fock(m), the first as its diagonal and also spread over the last one's
+    pattern, the others as CSR; built once per cutoff and shared, read-only."""
     n = np.arange(m, dtype=float)
     lower = sp.diags(np.sqrt(n[1:]), 1)          # annihilation
     raise_ = lower.T
-    number = sp.diags(n)
-    identity = sp.identity(m, format="csr")
     q = (raise_ + lower).tocsr()                 # a^dag + a
     t = (raise_ - lower).tocsr()                 # a^dag - a
     two_ph = raise_ @ raise_ + lower @ lower
-    w = (2.0 * number + sp.identity(m) - two_ph).tocsr()   # rotated (a^dag+a)^2
-    return identity, (number + 0.5 * identity).tocsr(), q, t, w
-
-
-@functools.lru_cache(maxsize=8)
-def _identity(dim):
-    return sp.identity(dim, format="csr")
+    w = (2.0 * sp.diags(n) + sp.identity(m) - two_ph).tocsr()   # rotated (a^dag+a)^2
+    half = n + 0.5
+    w_rows = np.repeat(np.arange(m), np.diff(w.indptr))
+    half_on_w = np.where(w_rows == w.indices, half[w_rows], 0.0)
+    for array in (half, half_on_w, q.data, t.data, w.data):
+        array.setflags(write=False)
+    return half, half_on_w, q, t, w
 
 
 @functools.lru_cache(maxsize=16)
@@ -237,20 +305,256 @@ def _scaled(coefficient, op):
     return None if coefficient == 0.0 else coefficient * op
 
 
-def _with_mode(m, dipole, x, y, omega_field=0.0, c_w=0.0):
-    """D x 1 + 1 x F + X x (a^dag - a) + Y x (a^dag + a) on dipoles x Fock(m),
-    with F = omega_field (a^dag a + 1/2) + c_w (rotated (a^dag + a)^2).
+def _coordinates(op):
+    """Row and column of each stored entry of a CSR matrix, in storage order."""
+    return np.repeat(np.arange(op.shape[0]), np.diff(op.indptr)), op.indices
 
-    X or Y may be None for an absent term, which then costs no Kronecker
-    product."""
-    id_ph, half_number, q, t, w = _photon_ops(m)
-    field = omega_field * half_number + c_w * w
-    total = (sp.kron(dipole, id_ph, format="csr")
-             + sp.kron(_identity(dipole.shape[0]), field, format="csr"))
-    for op, mode_op in ((x, t), (y, q)):
-        if op is not None:
-            total = total + sp.kron(op, mode_op, format="csr")
-    return total.tocsr()
+
+# Photon offsets n' - n of the Kronecker terms: F on 0 and +-2, t and q on +-1.
+_OFFSETS = np.arange(-2, 3)
+# Candidate entries (photon rows x entries of U x offsets) a plan build
+# handles at once: a whole small plan in one pass, a large one a few photon
+# rows at a time, so the build needs a few MB beyond the plan itself.
+_CHUNK = 1 << 16
+# Plans kept per operator set, oldest dropped first. Sweeps of one spectrum
+# through the Coulomb, JC and multipolar gauges meet four patterns per cutoff
+# (eta = 0, when every coupling vanishes, and one per gauge), and as many
+# whole-matrix plans where `matrix` is read.
+_PLANS_KEPT = 8
+
+
+@dataclass(frozen=True, eq=False)
+class _ModePlan:
+    """Where every Kronecker contribution of one sparsity pattern of
+    D x 1 + 1 x F + X x t + Y x q lands in the CSR storage of the blocks
+    (the two joint-parity blocks, or one block, the whole matrix).
+
+    A point's values are its table: D's data, F's data, X_e t_k and Y_e q_k
+    (`_mode_table`), then a 0. A stored entry is table[first], plus
+    table[second] at `pairs`, where two contributions meet (D_ii + F_nn or
+    X_e t_k + Y_e q_k); no entry has more.
+
+    The checks read the factors on the union U of the patterns of D, X, Y
+    and the identity: each entry's position in D, X and Y (a factor's nnz
+    where it has none), the position of its mirror in U (U's size where
+    there is none), and whether its two dipole states share their parity.
+    F needs no check: it is symmetric by construction and keeps the photon
+    parity. Every array is an integer array, read-only.
+    """
+
+    blocks: tuple         # per block: (indptr, indices, first, pairs, second)
+    index: tuple          # per block: its states' indices in the whole basis
+    on_union: tuple       # (in D, in X, in Y, mirror) per entry of U
+    same: np.ndarray      # per entry of U: its dipole states share their parity
+
+    def fill(self, table):
+        """The blocks as CSR matrices for one point's table."""
+        matrices = []
+        for (indptr, indices, first, pairs, second), states in zip(self.blocks, self.index):
+            data = table[first]
+            data[pairs] += table[second]
+            matrices.append(sp.csr_matrix((data, indices, indptr),
+                                          shape=(states.size, states.size)))
+        return matrices
+
+    def checks(self, dipole, x, y, photon_max):
+        """(largest |entry| between the blocks, largest |H - H^T|), both read
+        on the factors at the largest photon matrix element photon_max of
+        t and q, which holds each maximum up to rounding."""
+        at_d, at_x, at_y, mirror = self.on_union
+        d, x, y = (np.append(op.data, 0.0)[at] if op is not None else np.zeros(at.size)
+                   for op, at in ((dipole, at_d), (x, at_x), (y, at_y)))
+        # A hop entry X_u x t + Y_u x q reads (+-x + y) * photon_max on the
+        # links where t = +-photon_max; its mirror's link has the other sign.
+        x, y = x * photon_max, y * photon_max
+        up, down = x + y, y - x
+        between = np.concatenate((d[~self.same], up[self.same], down[self.same]))
+        asymmetry = np.concatenate((d - np.append(d, 0.0)[mirror],
+                                    up - np.append(down, 0.0)[mirror]))
+        return (np.abs(between).max() if between.size else 0.0,
+                np.abs(asymmetry).max() if asymmetry.size else 0.0)
+
+
+def _block_ranks(parity):
+    """(index, rank): the indices of the states of each block of `parity`,
+    the +1 block first, and each state's position within its block."""
+    odd = parity < 0
+    index = (np.flatnonzero(~odd), np.flatnonzero(odd))
+    rank = np.empty(odd.size, dtype=np.intp)
+    for states in index:
+        rank[states] = np.arange(states.size)
+    return index, rank
+
+
+def _mode_plan(occupations, m, dipole, x, y, f, whole):
+    """The `_ModePlan` of D x 1 + 1 x F + X x t + Y x q (X or Y None when
+    absent) on the sector states `occupations` x Fock(m), for the blocks of
+    the joint parity, or for the whole matrix as one block.
+
+    The entries of row (i, n) are, for each entry (i, j) of U in order, the
+    photon offsets n' - n its terms put there; they are laid out a chunk of
+    photon rows at a time."""
+    n_dip = dipole.shape[0]
+    _, _, q, t, _ = _photon_ops(m)      # q has t's pattern
+
+    def keys(op):
+        if op is None:
+            return np.empty(0, dtype=np.int64)
+        rows, cols = _coordinates(op)
+        return rows.astype(np.int64) * n_dip + cols
+
+    def position(stored, wanted):
+        """Where each wanted key is stored, or stored.size where it is not."""
+        if stored.size == 0:
+            return np.zeros(wanted.size, dtype=np.intp)
+        order = np.argsort(stored, kind="stable")
+        at = order[np.minimum(np.searchsorted(stored, wanted, sorter=order), stored.size - 1)]
+        return np.where(stored[at] == wanted, at, stored.size)
+
+    stored = [keys(op) for op in (dipole, x, y)]
+    diagonal = np.arange(n_dip, dtype=np.int64) * (n_dip + 1)
+    union = np.unique(np.concatenate(stored + [diagonal]))
+    u_rows, u_cols = np.divmod(union, n_dip)
+    at_d, at_x, at_y = (position(k, union) for k in stored)
+    in_d, in_x, in_y = (at < k.size for at, k in zip((at_d, at_x, at_y), stored))
+    mirror = position(union, u_cols * n_dip + u_rows)
+    dipole_parity = (-1) ** (occupations @ np.arange(occupations.shape[1]))
+    same = dipole_parity[u_rows] == dipole_parity[u_cols]
+    is_diag = u_rows == u_cols
+
+    # Which offsets (-2..2) each entry of U carries, and into which block.
+    carries = np.zeros((union.size, 5), dtype=bool)
+    carries[:, 2] = in_d | is_diag
+    carries[:, [0, 4]] = (is_diag & (f.nnz > m))[:, None]     # F beyond its diagonal
+    carries[:, [1, 3]] = (in_x | in_y)[:, None]
+    if whole:
+        index, rank = (np.arange(n_dip * m),), np.arange(n_dip * m)
+    else:
+        index, rank = _block_ranks(_joint_parity(occupations, m))
+        # Even offsets join states of equal dipole parity, odd ones the others.
+        carries &= (same[:, None] == (_OFFSETS % 2 == 0))
+
+    # Photon tables: the position of F's, and of t's (= q's), entry (n, n + offset).
+    photon_at = np.full((m, 5), -1)
+    for op in (f, t):
+        rows, cols = _coordinates(op)
+        photon_at[rows, cols - rows + 2] = np.arange(op.nnz)
+    inside = (np.arange(m)[:, None] + _OFFSETS >= 0) & (np.arange(m)[:, None] + _OFFSETS < m)
+
+    # Row lengths, each block's indptr, and where each row starts in the
+    # storage of all blocks, which lie one after the other.
+    starts = np.searchsorted(u_rows, np.arange(n_dip))
+    lengths = (np.add.reduceat(carries.astype(np.intp), starts, axis=0) @ inside.T).ravel()
+    f_base = dipole.nnz
+    x_base = f_base + f.nnz
+    y_base = x_base + (x.nnz * t.nnz if x is not None else 0)
+    zero = y_base + (y.nnz * q.nnz if y is not None else 0)
+    dtype = np.int32 if max(zero, lengths.sum() + 1) < 2**31 else np.int64
+    indptrs = [np.concatenate(([0], np.cumsum(lengths[states]))).astype(dtype)
+               for states in index]
+    bases = np.cumsum([0] + [ptr[-1] for ptr in indptrs])
+    row_start = np.empty(n_dip * m, dtype=np.intp)
+    for states, indptr, base in zip(index, indptrs, bases):
+        row_start[states] = base + indptr[:-1]
+    indices, firsts = np.empty(bases[-1], dtype=dtype), np.empty(bases[-1], dtype=dtype)
+    pairs = []
+
+    # A chunk of photon rows at a time: its entries in (n, i, j, offset) order.
+    step = max(1, _CHUNK // carries.size)
+    for n0 in range(0, m, step):
+        photons = np.arange(n0, min(m, n0 + step))
+        n, u, o = np.nonzero(carries & inside[photons][:, None, :])
+        n, off = photons[n], _OFFSETS[o]
+        row = u_rows[u] * m + n
+        k = photon_at[n, o]
+        hop = off % 2 == 1
+        first = np.where(hop, np.where(in_x[u], x_base + at_x[u] * t.nnz + k,
+                                       y_base + at_y[u] * q.nnz + k),
+                         np.where((off == 0) & in_d[u], at_d[u], f_base + k))
+        second = np.where(hop, np.where(in_x[u] & in_y[u], y_base + at_y[u] * q.nnz + k, zero),
+                          np.where((off == 0) & in_d[u] & is_diag[u], f_base + k, zero))
+        # A row's entries are consecutive; number them from its start.
+        run = np.flatnonzero(np.concatenate(([True], row[1:] != row[:-1])))
+        dest = row_start[row] + np.arange(row.size) - np.repeat(run, np.diff(np.append(run, row.size)))
+        indices[dest] = rank[u_cols[u] * m + n + off]
+        firsts[dest] = first
+        two = second != zero
+        pairs.append((dest[two], second[two]))
+
+    at, src = (np.concatenate(column) for column in zip(*pairs))
+    blocks = []
+    for indptr, lo, hi in zip(indptrs, bases[:-1], bases[1:]):
+        mine = (at >= lo) & (at < hi)
+        blocks.append((indptr, indices[lo:hi], firsts[lo:hi],
+                       (at[mine] - lo).astype(dtype), src[mine].astype(dtype)))
+    plan = _ModePlan(tuple(blocks), tuple(index),
+                     tuple(a.astype(dtype) for a in (at_d, at_x, at_y, mirror)), same)
+    for array in (*itertools.chain.from_iterable(blocks), *plan.index, *plan.on_union, same):
+        array.setflags(write=False)
+    return plan
+
+
+def _mode_table(m, dipole, x, y, omega_field, c_w):
+    """(F's CSR pattern, the point's table of values), with F = omega_field
+    (a^dag a + 1/2) + c_w (rotated (a^dag + a)^2): diagonal when c_w = 0,
+    so a zero A^2 term stores nothing."""
+    half, half_on_w, q, t, w = _photon_ops(m)
+    if c_w == 0.0:
+        f, f_data = _diagonal_pattern(m), omega_field * half
+    else:
+        f, f_data = w, omega_field * half_on_w + c_w * w.data
+    table = np.concatenate([dipole.data, f_data]
+                           + [np.multiply.outer(op.data, photon.data).ravel()
+                              for op, photon in ((x, t), (y, q)) if op is not None]
+                           + [[0.0]])
+    return f, table
+
+
+@functools.lru_cache(maxsize=8)
+def _diagonal_pattern(m):
+    return sp.identity(m, format="csr")
+
+
+def _planned(plans, occupations, m, dipole, x, y, f, whole=False):
+    """From `plans`, the plan of this sparsity pattern for the joint-parity
+    blocks of the sector states `occupations` x Fock(m), or for the whole
+    matrix; built on first use."""
+    key = (whole, m, f.nnz,
+           *((op.indptr.tobytes(), op.indices.tobytes()) if op is not None else None
+             for op in (dipole, x, y)))
+    plan = plans.get(key)
+    if plan is None:
+        if len(plans) >= _PLANS_KEPT:
+            del plans[next(iter(plans))]          # the oldest
+        plan = plans[key] = _mode_plan(occupations, m, dipole, x, y, f, whole)
+    return plan
+
+
+def _with_mode(plans, occupations, m, dipole, x, y, omega_field, c_w=0.0):
+    """The Hamiltonian D x 1 + 1 x F + X x (a^dag - a) + Y x (a^dag + a) on
+    the sector states `occupations` x Fock(m), with F = omega_field
+    (a^dag a + 1/2) + c_w (rotated (a^dag + a)^2), built as its two
+    joint-parity blocks through the plan of its sparsity pattern, cached in
+    `plans`. X or Y may be None for an absent term.
+
+    Raises ValidationError when H - H^T exceeds SYMMETRY_TOL max|H|.
+    """
+    f, table = _mode_table(m, dipole, x, y, omega_field, c_w)
+    plan = _planned(plans, occupations, m, dipole, x, y, f)
+    matrices = plan.fill(table)
+    photon_max = np.sqrt(m - 1.0)       # the largest |entry| of t and q
+    leak, asymmetry = plan.checks(dipole, x, y, photon_max)
+    scale = max([leak] + [np.abs(block.data).max() for block in matrices if block.nnz])
+    if asymmetry > SYMMETRY_TOL * max(scale, 1.0):
+        raise ValidationError(f"assembled matrix asymmetric by {asymmetry:.2e}")
+
+    def whole():
+        f, table = _mode_table(m, dipole, x, y, omega_field, c_w)
+        return _planned(plans, occupations, m, dipole, x, y, f, whole=True).fill(table)[0]
+
+    return AssembledHamiltonian(
+        None, (len(occupations), m), occupations,
+        blocks=_ParityBlocks(tuple(matrices), plan.index, leak, scale), whole=whole)
 
 
 @dataclass(frozen=True, eq=False)
@@ -268,6 +572,7 @@ class _DipoleSums:
     zeta: sp.csr_matrix           # Z = sum_mu zeta_mu
     s: sp.csr_matrix              # sum_mu S_mu, S_mn = (e_m - e_n) zeta_mn
     zz: object                    # Z Z, or None for a single dipole
+    plans: dict = field(default_factory=dict)   # _with_mode's plans, per sparsity pattern
 
 
 _DIPOLE_MEMO = []                 # the last _DipoleSums built, at most one
@@ -371,25 +676,9 @@ def assemble(config: HilbertConfig, params: ReducedParams,
                   + c_dd * sums.zz)
     else:
         dipole = _summed(sums.bare + c_se * sums.zeta_sq, n_sites)
-    matrix = _with_mode(m, dipole, _scaled(-c_cross, sums.s), _scaled(c_pi, sums.zeta),
-                        omega_field=omega, c_w=c_a2)
-    _assert_symmetric(matrix)
-    return _hamiltonian(matrix, config, levels)
-
-
-def _hamiltonian(matrix, config, levels):
-    """AssembledHamiltonian of `matrix` on the symmetric sector of config's
-    `levels`-level dipoles times its Fock cutoff."""
-    occupations = _sector_pattern(config.n_dipoles, levels)[0]
-    return AssembledHamiltonian(matrix, (len(occupations), config.fock_cutoff), occupations)
-
-
-def _assert_symmetric(matrix):
-    gap = (matrix - matrix.T).data
-    top = np.abs(gap).max() if gap.size else 0.0
-    scale = np.abs(matrix.data).max() if matrix.nnz else 0.0
-    if top > SYMMETRY_TOL * max(scale, 1.0):
-        raise ValidationError(f"assembled matrix asymmetric by {top:.2e}")
+    return _with_mode(sums.plans, _sector_pattern(n_sites, levels)[0], m, dipole,
+                      _scaled(-c_cross, sums.s), _scaled(c_pi, sums.zeta),
+                      omega_field=omega, c_w=c_a2)
 
 
 @functools.lru_cache(maxsize=16)
@@ -401,7 +690,14 @@ def _two_level_ops(n_sites):
     jz = _summed(np.diag([-0.5, 0.5]), n_sites)
     jp = _summed(np.array([[0.0, 0.0], [1.0, 0.0]]), n_sites)
     jx = (jp + jp.T).tocsr()
-    return jz, (jx @ jx).tocsr(), (jp - jp.T).tocsr(), jx, _identity(jz.shape[0])
+    return jz, (jx @ jx).tocsr(), (jp - jp.T).tocsr(), jx, sp.identity(jz.shape[0], format="csr")
+
+
+@functools.lru_cache(maxsize=16)
+def _two_level_plans(n_sites):
+    """_with_mode's plans for the two-level model on n_sites dipoles, per
+    sparsity pattern."""
+    return {}
 
 
 def dicke_two_level(config: HilbertConfig, params: ReducedParams,
@@ -429,12 +725,10 @@ def dicke_two_level(config: HilbertConfig, params: ReducedParams,
 
     # Rotated interaction: +g'(J+ - J-)(c^dag - c) - g(J+ + J-)(c^dag + c).
     dipole = omega_m * jz - (couplings.c_alpha / n_sites) * jx2 + const * identity
-    matrix = _with_mode(m, dipole,
-                        _scaled(couplings.g_prime_alpha / math.sqrt(n_sites), jpm),
-                        _scaled(-(couplings.g_alpha / math.sqrt(n_sites)), jx),
-                        omega_field=couplings.omega_alpha)
-    _assert_symmetric(matrix)
-    return _hamiltonian(matrix, config, 2)
+    return _with_mode(_two_level_plans(n_sites), _sector_pattern(n_sites, 2)[0], m, dipole,
+                      _scaled(couplings.g_prime_alpha / math.sqrt(n_sites), jpm),
+                      _scaled(-(couplings.g_alpha / math.sqrt(n_sites)), jx),
+                      omega_field=couplings.omega_alpha)
 
 
 def lowest_eigenvalues(h: AssembledHamiltonian, k: int, method: str | None = None,
@@ -447,7 +741,8 @@ def lowest_eigenvalues(h: AssembledHamiltonian, k: int, method: str | None = Non
     are computed, and no vectors unless asked for. The sparse path is
     Lanczos with a fixed deterministic start vector, stopped when each
     residual is below tol max(|eigenvalue|, eps^(2/3)); tol = 0 means
-    machine precision. The dense path ignores tol.
+    machine precision. It raises ConvergenceError after LANCZOS_MAXITER
+    restarts. The dense path ignores tol.
     """
     if not 1 <= k <= h.dimension:
         raise ValidationError(f"k = {k} outside 1..{h.dimension}")
@@ -461,7 +756,8 @@ def lowest_eigenvalues(h: AssembledHamiltonian, k: int, method: str | None = Non
     v0 = np.ones(h.dimension) / math.sqrt(h.dimension)
     try:
         vals, vecs = eigsh(h.matrix, k=k, which="SA", v0=v0, tol=tol,
-                           ncv=min(h.dimension, max(2 * k + 1, LANCZOS_NCV)))
+                           ncv=min(h.dimension, max(2 * k + 1, LANCZOS_NCV)),
+                           maxiter=LANCZOS_MAXITER)
     except ArpackNoConvergence as err:
         got = len(err.eigenvalues)
         raise ConvergenceError(
@@ -484,44 +780,40 @@ def fock_tail_weight(h: AssembledHamiltonian, vector) -> float:
     return tail if tail > np.finfo(float).eps ** 2 * top.size else 0.0
 
 
-def _parity_leakage(matrix, parity):
-    """Largest |entry| of `matrix` between states of opposite parity."""
-    row_parity = np.repeat(parity, np.diff(matrix.indptr))
-    dropped = matrix.data[row_parity != parity[matrix.indices]]
-    return np.abs(dropped).max() if dropped.size else 0.0
-
-
 def ground_pair(h: AssembledHamiltonian):
     """(G, E, Fock-tail weight): the two lowest energies and the weight of
     the highest Fock state in the ground vector, with a warning when that
     weight exceeds FOCK_TAIL_TOL.
 
     H conserves the joint parity of `parity_diagonal`, so its even and odd
-    blocks are sliced out of h.matrix and solved apart. The lower of the two
-    blocks' lowest levels is G. E is the second level over both blocks: the
-    other block's lowest level, unless the ground block's second level lies
-    below it. A solve at tolerance RANKING_TOL ranks that second level; where
-    its error bound does not clear the other block's level, it is solved
-    exactly and E is the lower of the two. The slicing drops the entries
-    between the blocks, which are rounding from the well solve: a
-    ValidationError is raised when the largest exceeds PARITY_TOL max|H|.
-    The ground vector is put back into the full index for the Fock tail.
-    The budget bounds h, whose size is the sum of the two blocks'.
+    blocks (`h.blocks`) are solved apart, each for its lowest level. The
+    lower of the two is G. E is the second level over both blocks: the other
+    block's lowest level, unless the ground block's second level lies below
+    it. A solve at tolerance RANKING_TOL ranks that second level; on a block
+    of at most DENSE_THRESHOLD states that solve is dense and exact, and on a
+    Lanczos block, where its error bound does not clear the other block's
+    level, the level is solved exactly. E is the lower of the two. The
+    blocks leave out the entries between them, which are rounding from the
+    well solve: a ValidationError is raised when the largest exceeds
+    PARITY_TOL max|H|. The ground vector is put back into the full index for
+    the Fock tail. The budget bounds h, whose size is the sum of the two
+    blocks'.
     """
-    parity = parity_diagonal(h)
-    leak = _parity_leakage(h.matrix, parity)
-    scale = np.abs(h.matrix.data).max() if h.matrix.nnz else 0.0
-    if leak > PARITY_TOL * scale:
-        raise ValidationError(f"parity blocks coupled by {leak:.2e} (max |H| {scale:.2e})")
-    lowest = []
-    for index in (np.flatnonzero(parity > 0), np.flatnonzero(parity < 0)):
-        block = AssembledHamiltonian(h.matrix[index][:, index], (index.size,))
+    blocks = h.blocks
+    if blocks.leak > PARITY_TOL * blocks.scale:
+        raise ValidationError(
+            f"parity blocks coupled by {blocks.leak:.2e} (max |H| {blocks.scale:.2e})")
+    solved = []
+    for matrix, index in zip(blocks.matrices, blocks.index):
+        block = AssembledHamiltonian(matrix, (index.size,))
         vals, vecs = lowest_eigenvalues(block, 1, return_vectors=True)
-        lowest.append((vals[0], vecs[:, 0], index, block))
-    (ground, block_vec, index, block), (excited, *_) = sorted(lowest, key=lambda level: level[0])
+        solved.append((vals[0], vecs[:, 0], index, block))
+    (ground, block_vec, index, block), (excited, *_) = sorted(solved, key=lambda level: level[0])
     second = lowest_eigenvalues(block, 2, tol=RANKING_TOL)[1]
-    if second - RANKING_TOL * max(1.0, abs(second)) <= excited:
-        excited = min(excited, lowest_eigenvalues(block, 2)[1])
+    if block.dimension > DENSE_THRESHOLD and \
+            second - RANKING_TOL * max(1.0, abs(second)) <= excited:
+        second = lowest_eigenvalues(block, 2)[1]
+    excited = min(excited, second)
     vector = np.zeros(h.dimension)
     vector[index] = block_vec
     tail = fock_tail_weight(h, vector)
@@ -607,26 +899,6 @@ def second_derivative_sweep(config: HilbertConfig, params_template: ReducedParam
     return rows
 
 
-def gauge_fixing_unitary(config: HilbertConfig, params: ReducedParams,
-                         spectrum: DipoleSpectrum, alpha_from: float,
-                         alpha_to: float) -> np.ndarray:
-    """Truncated gauge-change unitary R with R H(alpha_from) R^T ~ H(alpha_to).
-
-    In the rotated real basis the exponent (alpha_to - alpha_from) lam
-    sum_mu zeta_mu (a^dag - a) is real antisymmetric, so R is real
-    orthogonal, and it keeps the symmetric sector since the exponent is
-    summed over the dipoles. Exact only in the untruncated limit; used as a
-    diagnostic.
-    """
-    zeta_sum = _dipole_sums(spectrum, config.n_dipoles, config.dipole_levels).zeta
-    # Conjugating by exp(i theta zeta (a^dag+a)) with theta = (to - from) lam
-    # shifts the kinetic coupling between the gauges; the phase rotation of
-    # the mode turns that exponent into the real antisymmetric form below.
-    exponent = _with_mode(config.fock_cutoff, sp.csr_matrix(zeta_sum.shape),
-                          -(alpha_to - alpha_from) * params.lambda_a * zeta_sum, None)
-    return expm(exponent.toarray())
-
-
 def convergence_report(config_ladder, params: ReducedParams,
                        spectrum: DipoleSpectrum, convention=MainText):
     """Ground/first-excited energies along a (L, M) cutoff ladder.
@@ -672,5 +944,9 @@ def parity_diagonal(h: AssembledHamiltonian) -> np.ndarray:
     mode carries (-1)^(photon number). The product commutes with every
     assembled term.
     """
-    diag = (-1.0) ** (h.occupations @ np.arange(h.occupations.shape[1]))
-    return np.kron(diag, (-1.0) ** np.arange(h.axis_dims[-1]))
+    return _joint_parity(h.occupations, h.axis_dims[-1])
+
+
+def _joint_parity(occupations, m):
+    diag = (-1.0) ** (occupations @ np.arange(occupations.shape[1]))
+    return np.kron(diag, (-1.0) ** np.arange(m))

@@ -2,11 +2,13 @@
 
 import itertools
 import math
+import time
 import warnings
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.linalg import expm
 
 from dickelab import (
     BudgetError,
@@ -29,7 +31,6 @@ from dickelab import (
     dicke_two_level,
     eta_critical,
     fock_tail_weight,
-    gauge_fixing_unitary,
     jc_gauge,
     lowest_eigenvalues,
     parity_diagonal,
@@ -232,6 +233,44 @@ def test_cached_operators_stay_fresh_along_a_sweep(p33, make_params):
                 assert abs(ours - ref).max() <= 1e-13 * abs(ref).max()
                 assert ours.nnz <= ref.nnz
                 assert np.count_nonzero(ours.data) == ours.nnz
+    # One sweep alternating the exact and two-level models, two spectra, and
+    # eta = 0 (no X, Y, A^2 or pair term) and eta > 0, so each point meets the
+    # plans its predecessors left: its blocks and whole matrix stay fresh.
+    for n in (1, 2, 3):
+        cfg = HilbertConfig(n, 5, 10)
+        two = HilbertConfig(n, 2, 10, representation=CollectiveSpin())
+        for eta in (0.0, 1.3, 0.0, 2.8):
+            for params in (p33, other):
+                p = params.with_(n_dipoles=n, alpha=0.37, eta=eta)
+                for h, ref in ((assemble(cfg, p, p.spectrum),
+                                projected_reference(cfg, p, p.spectrum).toarray()),
+                               (dicke_two_level(two, p, p.spectrum),
+                                collective_reference(p, n, 10))):
+                    scale = np.abs(ref).max()
+                    assert np.abs(h.matrix.toarray() - ref).max() <= 1e-13 * scale
+                    assert np.count_nonzero(h.matrix.data) == h.matrix.nnz
+                    for block, index in zip(h.blocks.matrices, h.blocks.index):
+                        assert np.abs(block.toarray() - ref[np.ix_(index, index)]).max() \
+                            <= 1e-13 * scale
+                assert exactn._DIPOLE_MEMO[0].spectrum is p.spectrum
+
+
+def collective_reference(params, n_sites, m):
+    """dicke_two_level's rotated real Hamiltonian, dense, from the spin-N/2
+    matrices m = -j..j."""
+    c = derive_couplings(params)
+    j = n_sites / 2.0
+    m_vals = np.arange(-j, j + 1.0)
+    jp = np.diag(np.sqrt(j * (j + 1) - m_vals[:-1] * (m_vals[:-1] + 1)), -1)
+    jx = jp + jp.T
+    e0, e1 = params.spectrum.energies[:2]
+    dipole = (params.spectrum.omega_m * np.diag(m_vals) - (c.c_alpha / n_sites) * (jx @ jx)
+              + (n_sites * (e0 + e1) / 2.0 + c.rho_d2 / 2.0) * np.eye(n_sites + 1))
+    a = np.diag(np.sqrt(np.arange(1.0, m)), 1)
+    return (np.kron(dipole, np.eye(m))
+            + c.omega_alpha * np.kron(np.eye(n_sites + 1), a.T @ a + 0.5 * np.eye(m))
+            + (c.g_prime_alpha / math.sqrt(n_sites)) * np.kron(jp - jp.T, a.T - a)
+            - (c.g_alpha / math.sqrt(n_sites)) * np.kron(jx, a.T + a))
 
 
 def test_zero_coupling_ground_energy_is_exact(p33):
@@ -331,6 +370,23 @@ def test_truncation_gauge_defect_shrinks_with_levels(make_params):
         defects[levels] = abs(g0 - g1)
     assert defects[8] <= 2e-6
     assert defects[10] <= defects[8] / 10.0
+
+
+def gauge_fixing_unitary(config, params, spectrum, alpha_from, alpha_to):
+    """Truncated gauge-change unitary R with R H(alpha_from) R^T ~ H(alpha_to).
+
+    Conjugating by exp(i theta zeta (a^dag+a)) with theta = (to - from) lam
+    shifts the kinetic coupling between the gauges. In the rotated real
+    basis the exponent -(to - from) lam sum_mu zeta_mu x (a^dag - a) is real
+    antisymmetric, so R is real orthogonal, and it keeps the symmetric
+    sector since the exponent is summed over the dipoles. Exact only in the
+    untruncated limit; a diagnostic of the truncation.
+    """
+    zeta_sum = exactn._summed(
+        spectrum.zeta_elements[:config.dipole_levels, :config.dipole_levels], config.n_dipoles)
+    lower = sp.diags(np.sqrt(np.arange(1.0, config.fock_cutoff)), 1)
+    exponent = sp.kron(-(alpha_to - alpha_from) * params.lambda_a * zeta_sum, lower.T - lower)
+    return expm(exponent.toarray())
 
 
 def test_gauge_unitary_is_orthogonal_and_fixes_the_gauge(p33):
@@ -500,6 +556,130 @@ def test_ground_pair_refuses_parity_leakage():
     with pytest.raises(ValidationError, match="parity blocks"):
         exactn.ground_pair(coupled(1e-7 * 8.0))
     assert exactn.ground_pair(coupled(1e-10 * 8.0))[:2] == (1.0, 2.0)
+
+
+def kron_with_mode(m, dipole, x, y, omega_field, c_w=0.0):
+    """D x 1 + 1 x F + X x (a^dag - a) + Y x (a^dag + a) built the slow way:
+    four sp.kron calls and sparse sums, the assembly the index plan
+    replaced."""
+    n = np.arange(m, dtype=float)
+    lower = sp.diags(np.sqrt(n[1:]), 1)
+    raise_ = lower.T
+    identity = sp.identity(m, format="csr")
+    half_number = (sp.diags(n) + 0.5 * identity).tocsr()
+    w = (2.0 * sp.diags(n) + sp.identity(m) - (raise_ @ raise_ + lower @ lower)).tocsr()
+    field = omega_field * half_number + c_w * w
+    total = (sp.kron(dipole, identity, format="csr")
+             + sp.kron(sp.identity(dipole.shape[0], format="csr"), field, format="csr"))
+    for op, mode_op in ((x, (raise_ - lower).tocsr()), (y, (raise_ + lower).tocsr())):
+        if op is not None:
+            total = total + sp.kron(op, mode_op, format="csr")
+    return total.tocsr()
+
+
+def sliced_ground_pair(matrix, parity):
+    """G and E from fancy-index slices of the whole matrix: each block's
+    lowest level, and the ground block's second level."""
+    lowest = []
+    for index in (np.flatnonzero(parity > 0), np.flatnonzero(parity < 0)):
+        block = exactn.AssembledHamiltonian(matrix[index][:, index], (index.size,))
+        lowest.append((lowest_eigenvalues(block, 1)[0], block))
+    (ground, block), (excited, _) = sorted(lowest, key=lambda level: level[0])
+    return ground, min(excited, lowest_eigenvalues(block, 2)[1])
+
+
+def test_plan_blocks_match_the_kronecker_build(p33, monkeypatch):
+    """Fast path against slow path: every point's parity blocks, read from
+    its index plan, equal the fancy-index slices of the sp.kron build of the
+    same factors entry by entry (1e-15 max|H|), and so does its whole
+    matrix; the leakage between the blocks and max|H| match; ground_pair's G
+    and E match the sliced solve at rel 1e-12. The sector at N = 1..3 and
+    the two-level model at N = 1..4, in the Coulomb (no Y), JC and
+    multipolar (no X, no A^2) gauges, both conventions, and at eta 0 (no X,
+    Y or A^2 term), 0.05, eta_c - 0.04 and 2.8."""
+    points = []
+    built = exactn._with_mode
+
+    def spy(plans, occupations, m, dipole, x, y, omega_field, c_w=0.0):
+        h = built(plans, occupations, m, dipole, x, y, omega_field, c_w)
+        points.append((h, kron_with_mode(m, dipole, x, y, omega_field, c_w)))
+        return h
+
+    monkeypatch.setattr(exactn, "_with_mode", spy)
+    eta_c = eta_critical(p33)
+    grid = GridSpec(points=64)
+    for alpha in (0.0, jc_gauge(p33), 1.0):
+        for eta in (0.0, 0.05, eta_c - 0.04, 2.8):
+            for n, cfg in ((1, HilbertConfig(1, 6, 12)), (2, HilbertConfig(2, 5, 12)),
+                           (3, HilbertConfig(3, 4, 10))):
+                p = p33.with_(n_dipoles=n, alpha=alpha, eta=eta)
+                absorbed = solve_double_well(
+                    WellShape(beta=3.3, energy_scale=p.energy_scale,
+                              renorm=SelfEnergyInBare(alpha, eta / math.sqrt(n), 1.0)),
+                    grid, levels=cfg.dipole_levels, gap_tol=1e-5)
+                assemble(cfg, p, p.spectrum)
+                assemble(cfg, p, absorbed, SelfEnergyInBare)
+            for n in (1, 2, 3, 4):
+                dicke_two_level(HilbertConfig(n, 2, 12, representation=CollectiveSpin()),
+                                p33.with_(n_dipoles=n, alpha=alpha, eta=eta), p33.spectrum)
+    assert len(points) == 3 * 4 * 10
+    for h, ref in points:
+        parity = parity_diagonal(h)
+        scale = abs(ref).max()
+        blocks = h.blocks
+        for matrix, index, sign in zip(blocks.matrices, blocks.index, (1, -1)):
+            assert np.array_equal(index, np.flatnonzero(parity == sign))
+            assert abs(matrix - ref[index][:, index]).max() <= 1e-15 * scale
+        assert abs(h.matrix - ref).max() <= 1e-15 * scale
+        between = ref.tocoo()
+        between = np.abs(between.data[parity[between.row] != parity[between.col]])
+        assert blocks.leak == pytest.approx(between.max() if between.size else 0.0, rel=1e-12)
+        assert blocks.scale == scale
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            got = exactn.ground_pair(h)[:2]
+        assert np.allclose(got, sliced_ground_pair(ref, parity), rtol=1e-12, atol=0)
+
+
+def test_plans_are_read_only_and_live_beside_their_operators(p33):
+    """A plan holds integer arrays only, read-only as the sector pattern's
+    are; exact-model plans sit in the dipole-sum memo entry, two-level ones
+    with the two-level operators of their dipole count, each keyed by its
+    sparsity pattern: the blocks of eta = 0 and eta > 0 and the whole
+    matrix each have their own."""
+    cfg = HilbertConfig(2, 4, 10)
+    two = HilbertConfig(2, 2, 10, representation=CollectiveSpin())
+    exactn._two_level_plans.cache_clear()
+    for eta in (0.0, 0.8):
+        p = p33.with_(n_dipoles=2, eta=eta, alpha=0.6)
+        assemble(cfg, p, p33.spectrum).matrix
+        dicke_two_level(two, p, p33.spectrum).matrix
+    exact_plans = list(exactn._DIPOLE_MEMO[0].plans.values())
+    two_plans = list(exactn._two_level_plans(2).values())
+    assert len(exact_plans) == 4 and len(two_plans) == 4
+    for plan in exact_plans + two_plans:
+        arrays = [*itertools.chain.from_iterable(plan.blocks), *plan.index,
+                  *plan.on_union, plan.same]
+        for array in arrays:
+            assert array.dtype.kind in "ib" and not array.flags.writeable
+        with pytest.raises(ValueError):
+            plan.blocks[0][2][0] = 0
+
+
+def test_lanczos_gives_up_after_bounded_restarts(p33):
+    """A tolerance-0 solve for the second level of the N = 2 even block at
+    eta = 1e-6, which sits in a near-degenerate multiplet, stops after
+    LANCZOS_MAXITER restarts with ConvergenceError (about 1 s here; ARPACK's
+    default of 10 x 720 restarts ran about 15 s)."""
+    h = assemble(HilbertConfig(2, 8, 40), p33.with_(n_dipoles=2, alpha=0.0, eta=1e-6),
+                 p33.spectrum)
+    even = exactn.AssembledHamiltonian(h.blocks.matrices[0], (h.blocks.index[0].size,))
+    assert even.dimension == 720
+    start = time.perf_counter()
+    with pytest.raises(ConvergenceError, match="1/2 eigenvalues") as err:
+        lowest_eigenvalues(even, 2)
+    assert time.perf_counter() - start < 8.0
+    assert all(word in str(err.value) for word in ("tol", "k", "method='dense'"))
 
 
 def test_self_energy_conventions_agree_on_low_levels(make_params, grid):
