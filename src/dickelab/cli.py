@@ -430,6 +430,9 @@ def _spectrum_rows(cfg):
         yield n, e[n], zeta[0, n], zeta[1, n]
 
 
+# The thermodynamic-limit sweep, written as `thermo-sweep` and as `fig1`.
+THERMO_SWEEP = (THERMO_HEADER, _thermo_rows, "alpha_list eta_grid", {})
+
 # Command name -> its table as (header, rows, reads, pins). `rows(used)`
 # yields the data rows from `used = replace(cfg, **pins)`, the config with the
 # keys the command fixes whatever the run sets. `reads` names the keys the
@@ -437,11 +440,11 @@ def _spectrum_rows(cfg):
 # read nor pinned changes no row.
 COMMANDS = {
     "spectrum": (("n", "e_n", "zeta_0n", "zeta_1n"), _spectrum_rows, "levels", {}),
-    "thermo-sweep": (THERMO_HEADER, _thermo_rows, "alpha_list eta_grid", {}),
+    "thermo-sweep": THERMO_SWEEP,
     "exact-sweep": (EXACT_HEADER, _exact_sweep_rows,
                     "alpha_list eta_grid n_dipoles dipole_levels fock_cutoff convention budget",
                     {}),
-    "fig1": (THERMO_HEADER, _thermo_rows, "alpha_list eta_grid", {}),
+    "fig1": THERMO_SWEEP,
     "fig2": (THERMO_HEADER, _fig2_rows, "eta_grid", {}),
     "fig3a": (EXACT_HEADER, _fig3a_rows, "eta_grid budget",
               {"convention": "main-text", "alpha_list": ("1",)}),

@@ -94,7 +94,7 @@ class GridSpec:
         return -self.zeta_max + h * np.arange(1, n + 1), h
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DipoleSpectrum:
     """Eigenvalues and matrix elements of one anharmonic dipole.
 
@@ -103,6 +103,7 @@ class DipoleSpectrum:
     imaginary momentum elements <m|p~|n> = i S_mn with
     S_mn = (e_m - e_n) zeta_mn in dimensionless units. zeta_sq_elements
     (<m|zeta^2|n>) is carried for the exact-diagonalization self-energy term.
+    A spectrum holds arrays, so it compares and hashes by identity.
     """
 
     energies: np.ndarray

@@ -33,19 +33,19 @@ point of keeping both.
 H(eta, alpha) is a fixed linear combination of eta- and alpha-independent
 operators, so those are built once and each point only combines them:
 
-- the Fock operators, per cutoff (`_photon_ops`);
+- the Fock operators and the identity, per cutoff (`_photon_ops`);
 - the symmetric sector's states and one-body pattern, per (N, L)
   (`_sector_pattern`), so a sector sum is one gather and one COO -> CSR;
-- J^z, J_x^2, J^+ - J^-, J_x and the identity of the two-level model, per
-  dipole count (`_two_level_ops`);
+- J^z, J_x^2, J^+ - J^- and J_x of the two-level model, per dipole count
+  (`_two_level_ops`);
 - the dipole operators of `assemble` (Z, the summed momentum factor S, Z Z
-  and the one-dipole blocks), per (spectrum, N, L) (`_dipole_sums`).
-  One entry is kept: the last one built, holding its spectrum object, which
-  is matched by identity because spectra hold arrays and do not hash;
+  and the one-dipole blocks), per (spectrum, N, L) (`_dipole_sums`), for
+  the last key only; a spectrum hashes by identity;
 - the index plan of each sparsity pattern of (D, X, Y, F) (`_ModePlan`),
-  held beside the operators it combines: in the `_DipoleSums` entry for the
-  exact model, per dipole count (`_two_level_plans`) for the two-level one.
-  It holds integer arrays only; each point's values are gathered through it.
+  held in a dict beside the operators it combines: in the `_dipole_sums`
+  entry for the exact model, in the `_two_level_ops` entry for the
+  two-level one. It holds integer arrays only; each point's values are
+  gathered through it.
 
 An X or Y term whose coefficient is zero is left out, and a sparsity pattern
 without it has its own plan.
@@ -167,16 +167,18 @@ def default_hilbert(n_dipoles: int, budget: int = DEFAULT_BUDGET) -> HilbertConf
 
 
 class AssembledHamiltonian:
-    """A real symmetric Hamiltonian on (sector states, Fock cutoff), or on
-    one parity block (`axis_dims` of one entry).
+    """A real symmetric Hamiltonian, of one of two kinds:
 
-    Given `matrix`, its parity blocks are split out of it when first read.
-    `assemble` and `dicke_two_level` instead pass the blocks, built from an
-    index plan, and `whole`, which forms `matrix` when it is first read.
+    - an assembled point, from `assemble` or `dicke_two_level`, on (sector
+      states, Fock cutoff): its `blocks`, built from an index plan, and
+      `whole`, which forms `matrix` when it is first read;
+    - a bare `matrix` for `lowest_eigenvalues`, e.g. one parity block
+      (`axis_dims` of one entry); its `blocks` are None.
     """
 
     def __init__(self, matrix, axis_dims, occupations=None, *, blocks=None, whole=None):
-        self._matrix, self._blocks, self._whole = matrix, blocks, whole
+        self._matrix, self._whole = matrix, whole
+        self.blocks = blocks                  # the _ParityBlocks of parity_diagonal, or None
         self.axis_dims = tuple(axis_dims)     # (sector states, Fock cutoff)
         self.occupations = occupations        # the sector's (states, L) occupations; None on a block
 
@@ -185,13 +187,6 @@ class AssembledHamiltonian:
         if self._matrix is None:
             self._matrix = self._whole()
         return self._matrix
-
-    @property
-    def blocks(self):
-        """The `_ParityBlocks` of the joint parity of `parity_diagonal`."""
-        if self._blocks is None:
-            self._blocks = _parity_split(self.matrix, parity_diagonal(self))
-        return self._blocks
 
     @property
     def dimension(self):
@@ -210,31 +205,10 @@ class _ParityBlocks:
     scale: float
 
 
-def _parity_split(matrix, parity):
-    """The `_ParityBlocks` of a square CSR `matrix` whose states carry
-    `parity` (+-1), each block keeping the entry order of `matrix`. The
-    index plan lays its blocks out in the same order (`_block_ranks`)."""
-    index, rank = _block_ranks(parity)
-    odd = parity < 0
-    row_odd = np.repeat(odd, np.diff(matrix.indptr))
-    inside = row_odd == odd[matrix.indices]
-    kept_per_row = np.diff(np.concatenate(([0], np.cumsum(inside)))[matrix.indptr])
-    blocks = []
-    for flag, states in zip((False, True), index):
-        keep = inside & (row_odd == flag)
-        indptr = np.concatenate(([0], np.cumsum(kept_per_row[states])))
-        blocks.append(sp.csr_matrix((matrix.data[keep], rank[matrix.indices[keep]], indptr),
-                                    shape=(states.size, states.size)))
-    between = matrix.data[~inside]
-    return _ParityBlocks(tuple(blocks), index,
-                         np.abs(between).max() if between.size else 0.0,
-                         np.abs(matrix.data).max() if matrix.nnz else 0.0)
-
-
 @functools.lru_cache(maxsize=8)
 def _photon_ops(m):
-    """(a^dag a + 1/2, a^dag + a, a^dag - a, rotated (a^dag + a)^2) on
-    Fock(m), the first as its diagonal and also spread over the last one's
+    """(a^dag a + 1/2, a^dag + a, a^dag - a, rotated (a^dag + a)^2, 1) on
+    Fock(m), the first as its diagonal and also spread over the fourth one's
     pattern, the others as CSR; built once per cutoff and shared, read-only."""
     n = np.arange(m, dtype=float)
     lower = sp.diags(np.sqrt(n[1:]), 1)          # annihilation
@@ -246,9 +220,10 @@ def _photon_ops(m):
     half = n + 0.5
     w_rows = np.repeat(np.arange(m), np.diff(w.indptr))
     half_on_w = np.where(w_rows == w.indices, half[w_rows], 0.0)
-    for array in (half, half_on_w, q.data, t.data, w.data):
+    identity = sp.identity(m, format="csr")
+    for array in (half, half_on_w, q.data, t.data, w.data, identity.data):
         array.setflags(write=False)
-    return half, half_on_w, q, t, w
+    return half, half_on_w, q, t, w, identity
 
 
 @functools.lru_cache(maxsize=16)
@@ -395,7 +370,7 @@ def _mode_plan(occupations, m, dipole, x, y, f, whole):
     photon offsets n' - n its terms put there; they are laid out a chunk of
     photon rows at a time."""
     n_dip = dipole.shape[0]
-    _, _, q, t, _ = _photon_ops(m)      # q has t's pattern
+    _, _, q, t, _, _ = _photon_ops(m)      # q has t's pattern
 
     def keys(op):
         if op is None:
@@ -498,9 +473,9 @@ def _mode_table(m, dipole, x, y, omega_field, c_w):
     """(F's CSR pattern, the point's table of values), with F = omega_field
     (a^dag a + 1/2) + c_w (rotated (a^dag + a)^2): diagonal when c_w = 0,
     so a zero A^2 term stores nothing."""
-    half, half_on_w, q, t, w = _photon_ops(m)
+    half, half_on_w, q, t, w, identity = _photon_ops(m)
     if c_w == 0.0:
-        f, f_data = _diagonal_pattern(m), omega_field * half
+        f, f_data = identity, omega_field * half
     else:
         f, f_data = w, omega_field * half_on_w + c_w * w.data
     table = np.concatenate([dipole.data, f_data]
@@ -508,11 +483,6 @@ def _mode_table(m, dipole, x, y, omega_field, c_w):
                               for op, photon in ((x, t), (y, q)) if op is not None]
                            + [[0.0]])
     return f, table
-
-
-@functools.lru_cache(maxsize=8)
-def _diagonal_pattern(m):
-    return sp.identity(m, format="csr")
 
 
 def _planned(plans, occupations, m, dipole, x, y, f, whole=False):
@@ -560,12 +530,8 @@ def _with_mode(plans, occupations, m, dipole, x, y, omega_field, c_w=0.0):
 @dataclass(frozen=True, eq=False)
 class _DipoleSums:
     """The eta- and alpha-independent dipole operators of `assemble` for one
-    spectrum's lowest `levels` levels on n_sites dipoles, in their symmetric
-    sector."""
+    spectrum's lowest levels on some dipoles, in their symmetric sector."""
 
-    spectrum: DipoleSpectrum      # held, so the identity check below stays sound
-    n_sites: int
-    levels: int
     bare: np.ndarray              # one dipole's bare energies, as a diagonal matrix
     zeta_sq: np.ndarray           # one dipole's <m|zeta^2|n>
     zeta_zeta: np.ndarray         # one dipole's (zeta zeta)_mn, levels-truncated
@@ -575,28 +541,19 @@ class _DipoleSums:
     plans: dict = field(default_factory=dict)   # _with_mode's plans, per sparsity pattern
 
 
-_DIPOLE_MEMO = []                 # the last _DipoleSums built, at most one
-
-
+@functools.lru_cache(maxsize=1)
 def _dipole_sums(spectrum, n_sites, levels):
-    """_DipoleSums for (spectrum, n_sites, levels), reused while a
-    sweep keeps passing the same spectrum object. Spectra hold arrays and do
-    not hash, so the memo compares the object it holds by identity."""
-    for held in _DIPOLE_MEMO:
-        if held.spectrum is spectrum and (held.n_sites, held.levels) == (n_sites, levels):
-            return held
+    """_DipoleSums for (spectrum, n_sites, levels), reused while a sweep
+    keeps passing the same spectrum object, which hashes by identity."""
     z_op = spectrum.zeta_elements[:levels, :levels]
     zeta = _summed(z_op, n_sites)
-    sums = _DipoleSums(
-        spectrum, n_sites, levels,
+    return _DipoleSums(
         bare=np.diag(spectrum.energies[:levels]),
         zeta_sq=spectrum.zeta_sq_elements[:levels, :levels],
         zeta_zeta=z_op @ z_op,
         zeta=zeta,
         s=_summed(spectrum.p_elements[:levels, :levels], n_sites),
         zz=None if n_sites == 1 else zeta @ zeta)
-    _DIPOLE_MEMO[:] = [sums]
-    return sums
 
 
 def _check_convention(config, params, spectrum, convention):
@@ -683,21 +640,15 @@ def assemble(config: HilbertConfig, params: ReducedParams,
 
 @functools.lru_cache(maxsize=16)
 def _two_level_ops(n_sites):
-    """(J^z, J_x^2, J^+ - J^-, J_x, identity) of the two-level model on
-    n_sites dipoles, with J_x = J^+ + J^-, on the collective spin
-    (m = -j..j); built once per count, never modified."""
+    """(J^z, J_x^2, J^+ - J^-, J_x) of the two-level model on n_sites
+    dipoles, with J_x = J^+ + J^-, on the collective spin (m = -j..j), built
+    once per count, never modified; then `_with_mode`'s plans for it, per
+    sparsity pattern."""
     # sigma^z has eigenvalues -1/2 (ground) and +1/2; sigma^+ raises.
     jz = _summed(np.diag([-0.5, 0.5]), n_sites)
     jp = _summed(np.array([[0.0, 0.0], [1.0, 0.0]]), n_sites)
     jx = (jp + jp.T).tocsr()
-    return jz, (jx @ jx).tocsr(), (jp - jp.T).tocsr(), jx, sp.identity(jz.shape[0], format="csr")
-
-
-@functools.lru_cache(maxsize=16)
-def _two_level_plans(n_sites):
-    """_with_mode's plans for the two-level model on n_sites dipoles, per
-    sparsity pattern."""
-    return {}
+    return jz, (jx @ jx).tocsr(), (jp - jp.T).tocsr(), jx, {}
 
 
 def dicke_two_level(config: HilbertConfig, params: ReducedParams,
@@ -721,11 +672,12 @@ def dicke_two_level(config: HilbertConfig, params: ReducedParams,
     const = n_sites * 0.5 * (spectrum.energies[0] + spectrum.energies[1]) \
         + 0.5 * couplings.rho_d2
 
-    jz, jx2, jpm, jx, identity = _two_level_ops(n_sites)
+    jz, jx2, jpm, jx, plans = _two_level_ops(n_sites)
 
     # Rotated interaction: +g'(J+ - J-)(c^dag - c) - g(J+ + J-)(c^dag + c).
-    dipole = omega_m * jz - (couplings.c_alpha / n_sites) * jx2 + const * identity
-    return _with_mode(_two_level_plans(n_sites), _sector_pattern(n_sites, 2)[0], m, dipole,
+    dipole = (omega_m * jz - (couplings.c_alpha / n_sites) * jx2
+              + const * sp.identity(n_sites + 1, format="csr"))
+    return _with_mode(plans, _sector_pattern(n_sites, 2)[0], m, dipole,
                       _scaled(couplings.g_prime_alpha / math.sqrt(n_sites), jpm),
                       _scaled(-(couplings.g_alpha / math.sqrt(n_sites)), jx),
                       omega_field=couplings.omega_alpha)
@@ -736,11 +688,11 @@ def lowest_eigenvalues(h: AssembledHamiltonian, k: int, method: str | None = Non
     """k smallest eigenvalues (ascending), and their vectors on request.
 
     method forces "dense" or "sparse"; the default is dense up to
-    DENSE_THRESHOLD states (or when k reaches the dimension) and sparse
-    above. The dense path is LAPACK's subset solve: only the k lowest pairs
-    are computed, and no vectors unless asked for. The sparse path is
-    Lanczos with a fixed deterministic start vector, stopped when each
-    residual is below tol max(|eigenvalue|, eps^(2/3)); tol = 0 means
+    DENSE_THRESHOLD states (or when k is at least the dimension less one)
+    and sparse above. The dense path is LAPACK's subset solve: only the k
+    lowest pairs are computed, and no vectors unless asked for. The sparse
+    path is Lanczos with a fixed deterministic start vector, stopped when
+    each residual is below tol max(|eigenvalue|, eps^(2/3)); tol = 0 means
     machine precision. It raises ConvergenceError after LANCZOS_MAXITER
     restarts. The dense path ignores tol.
     """
@@ -797,9 +749,11 @@ def ground_pair(h: AssembledHamiltonian):
     well solve: a ValidationError is raised when the largest exceeds
     PARITY_TOL max|H|. The ground vector is put back into the full index for
     the Fock tail. The budget bounds h, whose size is the sum of the two
-    blocks'.
+    blocks'. A bare matrix, without blocks, raises ValidationError.
     """
     blocks = h.blocks
+    if blocks is None:
+        raise ValidationError("ground_pair needs a point from assemble or dicke_two_level")
     if blocks.leak > PARITY_TOL * blocks.scale:
         raise ValidationError(
             f"parity blocks coupled by {blocks.leak:.2e} (max |H| {blocks.scale:.2e})")
@@ -826,19 +780,6 @@ def ground_pair(h: AssembledHamiltonian):
     return float(ground), float(excited), tail
 
 
-def _model_solver(config, model, convention=MainText):
-    """(params, spectrum) -> ground_pair of the "exact" model on `config`, or
-    of the collective "two_level" model with its dipole count and Fock cutoff."""
-    if model == "exact":
-        return lambda params, spectrum: ground_pair(
-            assemble(config, params, spectrum, convention))
-    if model == "two_level":
-        two = HilbertConfig(config.n_dipoles, 2, config.fock_cutoff,
-                            representation=CollectiveSpin(), budget=config.budget)
-        return lambda params, spectrum: ground_pair(dicke_two_level(two, params, spectrum))
-    raise ValidationError("model must be 'exact' or 'two_level'")
-
-
 def transition_sweep(config: HilbertConfig, params_template: ReducedParams,
                      eta_grid, include_two_level: bool = True):
     """Ground and first-excited energies along an eta grid.
@@ -850,15 +791,16 @@ def transition_sweep(config: HilbertConfig, params_template: ReducedParams,
     spectrum = params_template.spectrum
     if spectrum is None:
         raise ValidationError("params_template carries no dipole spectrum")
-    if not isinstance(spectrum.shape.renorm, MainText):
-        raise ConventionMismatch("transition sweeps use the plain-well spectrum")
+    two = HilbertConfig(config.n_dipoles, 2, config.fock_cutoff,
+                        representation=CollectiveSpin(), budget=config.budget)
     models = ("exact", "two_level") if include_two_level else ("exact",)
-    solvers = [(model, _model_solver(config, model)) for model in models]
     rows = []
     for eta in eta_grid:
         params = params_template.with_(eta=float(eta))
-        for model, solve in solvers:
-            ground, excited, _ = solve(params, spectrum)
+        for model in models:
+            ground, excited, _ = ground_pair(
+                assemble(config, params, spectrum) if model == "exact"
+                else dicke_two_level(two, params, spectrum))
             rows.append({
                 "eta": float(eta), "alpha": params.alpha, "model": model,
                 "G": ground, "E": excited,
@@ -868,11 +810,17 @@ def transition_sweep(config: HilbertConfig, params_template: ReducedParams,
 
 
 def second_derivative_sweep(config: HilbertConfig, params_template: ReducedParams,
-                            eta_grid, model: str = "two_level"):
-    """Central second differences of the shifted ground energy per dipole.
+                            eta_grid):
+    """Central second differences of the shifted ground energy per dipole of
+    the two-level model on `config` (dipole_levels = 2).
 
     G_s = G - rho d^2 / 2; returns rows (eta, (N omega)^-1 d^2 G_s / d eta^2)
     for the interior grid points. The grid must be uniform.
+
+    d^2 is the central second difference at the grid step h. Its truncation
+    error, (h^2/12) d^4 G_s / d eta^4, is far larger than rounding: at
+    h = 0.01 it is 1.6-1.9e-6 of the value at N = 1 and 1.3-3.6e-5 at
+    N = 4, so only about 5 of the 17 digits the CLI prints hold.
     """
     grid = np.asarray(list(eta_grid), dtype=float)
     if grid.size < 3:
@@ -884,11 +832,10 @@ def second_derivative_sweep(config: HilbertConfig, params_template: ReducedParam
     spectrum = params_template.spectrum
     if spectrum is None:
         raise ValidationError("params_template carries no dipole spectrum")
-    solve = _model_solver(config, model)
     g_s = []
     for eta in grid:
         params = params_template.with_(eta=float(eta))
-        ground = solve(params, spectrum)[0]
+        ground = ground_pair(dicke_two_level(config, params, spectrum))[0]
         g_s.append(ground - 0.5 * params.rho_d2)
     g_s = np.asarray(g_s)
     scale = 1.0 / (config.n_dipoles * params_template.omega * h_step**2)
@@ -899,8 +846,7 @@ def second_derivative_sweep(config: HilbertConfig, params_template: ReducedParam
     return rows
 
 
-def convergence_report(config_ladder, params: ReducedParams,
-                       spectrum: DipoleSpectrum, convention=MainText):
+def convergence_report(config_ladder, params: ReducedParams, spectrum: DipoleSpectrum):
     """Ground/first-excited energies along a (L, M) cutoff ladder.
 
     Reports successive deltas and flags rungs whose Fock tail is heavy or
@@ -910,7 +856,7 @@ def convergence_report(config_ladder, params: ReducedParams,
     prev_g = prev_e = None
     prev_dg = None
     for cfg in config_ladder:
-        ground, excited, tail = _model_solver(cfg, "exact", convention)(params, spectrum)
+        ground, excited, tail = ground_pair(assemble(cfg, params, spectrum))
         flags = []
         if tail > FOCK_TAIL_TOL:
             flags.append("fock-tail")

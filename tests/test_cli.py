@@ -206,6 +206,22 @@ def test_fig1_zero_coupling_normalization(tmp_path):
     assert all(v == pytest.approx(1.0, abs=1e-9) for v in polariton)
 
 
+def test_fig1_is_the_thermo_sweep(tmp_path):
+    """fig1 and thermo-sweep are one table: identical data rows, and config
+    lines whose listings differ only in the command token."""
+    lines = []
+    for command in ("thermo-sweep", "fig1"):
+        out = tmp_path / f"{command}.csv"
+        assert main(["--command", command, "--out", str(out), "eta_grid=0,2.4,4"] + FAST) == 0
+        lines.append(out.read_text().splitlines())
+    (sweep, *sweep_rows), (fig1, *fig1_rows) = lines
+    assert sweep_rows == fig1_rows and len(sweep_rows) == 1 + 3 * 4
+    sweep_listing, fig1_listing = (line.split(" ")[3:] for line in (sweep, fig1))
+    assert len(sweep_listing) == len(fig1_listing)
+    assert [(a, b) for a, b in zip(sweep_listing, fig1_listing) if a != b] \
+        == [("command=thermo-sweep", "command=fig1")]
+
+
 def test_fig2_ratio_tracks_pointwise_jc_gauge(tmp_path):
     out = tmp_path / "fig2.csv"
     assert main(["--command", "fig2", "--out", str(out),

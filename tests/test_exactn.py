@@ -139,6 +139,20 @@ def reference_assemble(cfg, params, spectrum, convention=MainText):
     return sum(terms).tocsr()
 
 
+def sliced_hamiltonian(matrix, axis_dims, occupations):
+    """An AssembledHamiltonian of a hand-built whole CSR matrix, with the
+    parity blocks ground_pair reads cut out of it by fancy-index slices."""
+    h = exactn.AssembledHamiltonian(matrix, axis_dims, occupations)
+    parity = parity_diagonal(h)
+    index = (np.flatnonzero(parity > 0), np.flatnonzero(parity < 0))
+    coo = matrix.tocoo()
+    between = np.abs(coo.data[parity[coo.row] != parity[coo.col]])
+    h.blocks = exactn._ParityBlocks(tuple(matrix[states][:, states] for states in index), index,
+                                    between.max() if between.size else 0.0,
+                                    np.abs(matrix.data).max())
+    return h
+
+
 def product_hamiltonian(cfg, matrix):
     """An AssembledHamiltonian on cfg's L^N product states x Fock(M); each
     product state's level counts stand in for its occupations, which give
@@ -146,7 +160,7 @@ def product_hamiltonian(cfg, matrix):
     levels, n_sites = cfg.dipole_levels, cfg.n_dipoles
     counts = np.array([np.bincount(state, minlength=levels)
                        for state in itertools.product(range(levels), repeat=n_sites)])
-    return exactn.AssembledHamiltonian(matrix, (levels**n_sites, cfg.fock_cutoff), counts)
+    return sliced_hamiltonian(matrix, (levels**n_sites, cfg.fock_cutoff), counts)
 
 
 def symmetric_embedding(cfg):
@@ -225,10 +239,12 @@ def test_cached_operators_stay_fresh_along_a_sweep(p33, make_params):
             held = None
             for cfg_i, p, spec, convention in run:
                 ours = assemble(cfg_i, p, spec, convention).matrix
+                misses = exactn._dipole_sums.cache_info().misses
+                sums = exactn._dipole_sums(spec, n, cfg_i.dipole_levels)
                 if held is None:
-                    held = exactn._DIPOLE_MEMO[0]
-                assert len(exactn._DIPOLE_MEMO) == 1 and exactn._DIPOLE_MEMO[0] is held
-                assert held.spectrum is spec
+                    held = sums
+                assert exactn._dipole_sums.cache_info().currsize == 1 and sums is held
+                assert exactn._dipole_sums.cache_info().misses == misses   # held for spec
                 ref = projected_reference(cfg_i, p, spec, convention)
                 assert abs(ours - ref).max() <= 1e-13 * abs(ref).max()
                 assert ours.nnz <= ref.nnz
@@ -252,7 +268,9 @@ def test_cached_operators_stay_fresh_along_a_sweep(p33, make_params):
                     for block, index in zip(h.blocks.matrices, h.blocks.index):
                         assert np.abs(block.toarray() - ref[np.ix_(index, index)]).max() \
                             <= 1e-13 * scale
-                assert exactn._DIPOLE_MEMO[0].spectrum is p.spectrum
+                misses = exactn._dipole_sums.cache_info().misses
+                exactn._dipole_sums(p.spectrum, n, cfg.dipole_levels)
+                assert exactn._dipole_sums.cache_info().misses == misses
 
 
 def collective_reference(params, n_sites, m):
@@ -523,7 +541,7 @@ def test_ground_pair_embeds_the_ground_vector(p33):
 def _one_dipole(matrix):
     """An AssembledHamiltonian on one two-level dipole x Fock(4), whose joint
     parity is +-+- -+-+ in index order."""
-    return exactn.AssembledHamiltonian(matrix.tocsr(), (2, 4), np.eye(2, dtype=int))
+    return sliced_hamiltonian(matrix.tocsr(), (2, 4), np.eye(2, dtype=int))
 
 
 def _diagonal_hamiltonian(diagonal):
@@ -556,6 +574,15 @@ def test_ground_pair_refuses_parity_leakage():
     with pytest.raises(ValidationError, match="parity blocks"):
         exactn.ground_pair(coupled(1e-7 * 8.0))
     assert exactn.ground_pair(coupled(1e-10 * 8.0))[:2] == (1.0, 2.0)
+
+
+def test_ground_pair_refuses_a_bare_matrix(p33):
+    """A bare matrix carries no parity blocks; ground_pair names the two
+    builders that make them."""
+    h = assemble(HilbertConfig(1, 4, 10), p33.with_(eta=0.5), p33.spectrum)
+    bare = exactn.AssembledHamiltonian(h.matrix, h.axis_dims, h.occupations)
+    with pytest.raises(ValidationError, match="assemble or dicke_two_level"):
+        exactn.ground_pair(bare)
 
 
 def kron_with_mode(m, dipole, x, y, omega_field, c_w=0.0):
@@ -643,19 +670,20 @@ def test_plan_blocks_match_the_kronecker_build(p33, monkeypatch):
 
 def test_plans_are_read_only_and_live_beside_their_operators(p33):
     """A plan holds integer arrays only, read-only as the sector pattern's
-    are; exact-model plans sit in the dipole-sum memo entry, two-level ones
+    are; exact-model plans sit in the dipole-sum cache entry, two-level ones
     with the two-level operators of their dipole count, each keyed by its
     sparsity pattern: the blocks of eta = 0 and eta > 0 and the whole
     matrix each have their own."""
     cfg = HilbertConfig(2, 4, 10)
     two = HilbertConfig(2, 2, 10, representation=CollectiveSpin())
-    exactn._two_level_plans.cache_clear()
+    exactn._dipole_sums.cache_clear()
+    exactn._two_level_ops.cache_clear()
     for eta in (0.0, 0.8):
         p = p33.with_(n_dipoles=2, eta=eta, alpha=0.6)
         assemble(cfg, p, p33.spectrum).matrix
         dicke_two_level(two, p, p33.spectrum).matrix
-    exact_plans = list(exactn._DIPOLE_MEMO[0].plans.values())
-    two_plans = list(exactn._two_level_plans(2).values())
+    exact_plans = list(exactn._dipole_sums(p33.spectrum, 2, 4).plans.values())
+    two_plans = list(exactn._two_level_ops(2)[-1].values())
     assert len(exact_plans) == 4 and len(two_plans) == 4
     for plan in exact_plans + two_plans:
         arrays = [*itertools.chain.from_iterable(plan.blocks), *plan.index,
@@ -838,6 +866,14 @@ def test_second_derivative_sweep_grid_rules(make_params):
     pairs = second_derivative_sweep(cfg, p, np.linspace(0.0, 0.5, 6))
     assert len(pairs) == 4  # interior points only
     assert all(np.isfinite(v) for _, v in pairs)
+
+
+def test_second_derivative_sweep_needs_two_levels(make_params):
+    """The sweep solves the two-level model on the config it is given; a
+    config of more levels is refused, not replaced."""
+    p = make_params(beta=3.3, eta=0.0, alpha=1.0)
+    with pytest.raises(ValidationError, match="dipole_levels = 2"):
+        second_derivative_sweep(HilbertConfig(1, 4, 20), p, np.linspace(0.0, 0.5, 6))
 
 
 def test_convergence_report_tracks_cutoff_ladder(make_params):
