@@ -830,6 +830,112 @@ def test_lowest_eigenvalues_returns_vectors(p33):
         assert np.abs(residual).max() <= 1e-9
 
 
+def test_sparse_solve_refuses_k_near_the_dimension(p33):
+    """Lanczos needs k below the dimension less one; at k = dimension - 1
+    and k = dimension a forced sparse solve names the dense method, which
+    solves both."""
+    h = assemble(HilbertConfig(1, 4, 10), p33.with_(eta=0.5), p33.spectrum)
+    full = np.linalg.eigvalsh(h.matrix.toarray())
+    for k in (h.dimension - 1, h.dimension):
+        with pytest.raises(ValidationError, match="method='dense'"):
+            lowest_eigenvalues(h, k, method="sparse")
+        assert np.allclose(lowest_eigenvalues(h, k), full[:k], rtol=1e-13, atol=1e-13)
+
+
+def _lanczos_blocks(p33):
+    """Parity blocks solved by Lanczos: N = 2 (720 states), N = 3 (840) and
+    N = 5 (756), at both gauge ends and the JC gauge, from an exactly
+    diagonal block with degenerate entries (eta = 0, alpha = 1) through
+    near-degenerate multiplets (eta = 1e-3) and eta_c - 0.04 to 2.8."""
+    eta_c = eta_critical(p33)
+    points = []
+    for n, levels, m in ((2, 8, 40), (3, 6, 30), (5, 5, 12)):
+        for alpha in (0.0, jc_gauge(p33), 1.0):
+            for eta in (0.0, 1e-3, eta_c - 0.04, 2.8):
+                points.append(assemble(HilbertConfig(n, levels, m),
+                                       p33.with_(n_dipoles=n, alpha=alpha, eta=eta),
+                                       p33.spectrum))
+    for h in points:
+        assert min(index.size for index in h.blocks.index) > exactn.DENSE_THRESHOLD
+    return points
+
+
+def _block(h, which):
+    return exactn.AssembledHamiltonian(h.blocks.matrices[which], (h.blocks.index[which].size,))
+
+
+def test_lean_operator_matches_eigsh_on_the_csr(p33):
+    """lowest_eigenvalues hands ARPACK a lean operator over the CSR matrix;
+    its levels and vectors equal eigsh's on the CSR itself, at the same
+    start vector, bit for bit: k = 1 at tolerance 0 and the ranking solve."""
+    eta_c = eta_critical(p33)
+    for alpha, eta in ((0.0, 2.8), (1.0, eta_c - 0.04), (jc_gauge(p33), 1e-3)):
+        h = assemble(HilbertConfig(2, 8, 40), p33.with_(n_dipoles=2, alpha=alpha, eta=eta),
+                     p33.spectrum)
+        for which in (0, 1):
+            block = _block(h, which)
+            for k, tol in ((1, 0.0), (2, exactn.RANKING_TOL)):
+                vals, vecs = lowest_eigenvalues(block, k, return_vectors=True, tol=tol)
+                want_vals, want_vecs = exactn.eigsh(
+                    block.matrix, k=k, which="SA", v0=exactn._start_vector(block.matrix),
+                    tol=tol, ncv=exactn.LANCZOS_NCV, maxiter=exactn.LANCZOS_MAXITER)
+                order = np.argsort(want_vals)
+                assert np.array_equal(vals, want_vals[order])
+                assert np.array_equal(vecs, want_vecs[:, order])
+
+
+@pytest.mark.filterwarnings("ignore:Fock tail")
+def test_weighted_start_agrees_with_the_uniform_start(p33, monkeypatch):
+    """The start vector weighted by the diagonal moves G and E by at most
+    5e-14 relative against the uniform start it replaced."""
+    points = _lanczos_blocks(p33)
+    weighted = [exactn.ground_pair(h)[:2] for h in points]
+
+    def uniform(matrix):
+        return np.full(matrix.shape[0], 1.0 / math.sqrt(matrix.shape[0]))
+
+    monkeypatch.setattr(exactn, "_start_vector", uniform)
+    for h, got in zip(points, weighted):
+        want = exactn.ground_pair(h)[:2]
+        assert np.allclose(got, want, rtol=5e-14, atol=0)
+
+
+@pytest.mark.filterwarnings("ignore:Fock tail")
+def test_block_solve_does_not_depend_on_earlier_solves(p33):
+    """After a breakdown ARPACK restarts from a random vector, drawn from a
+    seed it keeps between calls or, in newer scipy, from fresh entropy. A
+    block solved again after unrelated solves, the exactly diagonal
+    degenerate blocks among them, gives the same levels and vectors bit for
+    bit."""
+    points = _lanczos_blocks(p33)
+    block = _block(points[2], 0)
+    first = [lowest_eigenvalues(block, k, return_vectors=True, tol=tol)
+             for k, tol in ((1, 0.0), (2, exactn.RANKING_TOL))]
+    for h in points:
+        exactn.ground_pair(h)
+    again = [lowest_eigenvalues(block, k, return_vectors=True, tol=tol)
+             for k, tol in ((1, 0.0), (2, exactn.RANKING_TOL))]
+    for (vals, vecs), (want_vals, want_vecs) in zip(again, first):
+        assert np.array_equal(vals, want_vals)
+        assert np.array_equal(vecs, want_vecs)
+
+
+def test_a_point_does_not_depend_on_its_grid(p33):
+    """A sweep's row at one eta is the same bit for bit whatever grid holds
+    it (N = 3, Lanczos blocks of 2,400 states), and the G-only path of
+    second_derivative_sweep gives ground_pair's G bit for bit."""
+    cfg = HilbertConfig(3, 8, 40)
+    template = p33.with_(n_dipoles=3)
+    alone = transition_sweep(cfg, template, [2.8])
+    in_grid = [row for row in transition_sweep(cfg, template, [1.0, 2.8]) if row["eta"] == 2.8]
+    assert alone == in_grid
+    two = HilbertConfig(3, 2, 40, representation=CollectiveSpin())
+    for h in (assemble(cfg, template.with_(eta=2.8), p33.spectrum),
+              assemble(HilbertConfig(2, 8, 40), p33.with_(n_dipoles=2, eta=1.0), p33.spectrum),
+              dicke_two_level(two, template.with_(eta=2.2), p33.spectrum)):
+        assert exactn._block_grounds(h)[0] == exactn.ground_pair(h)[0]
+
+
 def test_fock_tail_flags_tight_cutoff(p33):
     cfg = HilbertConfig(1, 4, 6)
     h = assemble(cfg, p33.with_(eta=1.5), p33.spectrum)
