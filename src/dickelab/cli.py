@@ -69,6 +69,8 @@ class RunConfig:
     def __post_init__(self):
         if self.command not in COMMANDS:
             raise ValidationError(f"unknown command {self.command!r}")
+        if not self.alpha_list:
+            raise ValidationError("alpha_list needs at least one gauge value")
         start, stop, steps = self.eta_grid
         if steps < 2:
             raise ValidationError("eta_grid needs at least 2 steps")
@@ -490,7 +492,6 @@ def main(argv=None) -> int:
     # No argparse `choices`: an unknown command takes the JSON error path.
     parser.add_argument("--command", help=f"the table to write: {', '.join(COMMANDS)}")
     parser.add_argument("--out", help="output CSV path")
-    parser.add_argument("--budget", type=int)
     parser.add_argument("overrides", nargs="*", metavar="KEY=VALUE",
                         help="config overrides, applied after the file")
     args = parser.parse_args(argv)
@@ -506,8 +507,6 @@ def main(argv=None) -> int:
             items["command"] = args.command
         if args.out:
             items["output_path"] = args.out
-        if args.budget is not None:
-            items["budget"] = str(args.budget)
         return run(build_config(items))
     except Exception as err:  # noqa: BLE001 - single reporting funnel
         code, record = _error_record(err)

@@ -42,9 +42,9 @@ operators, so those are built once and each point only combines them:
   and the one-dipole blocks), per (spectrum, N, L) (`_dipole_sums`), for
   the last key only; a spectrum hashes by identity;
 - the index plan of each sparsity pattern of (D, X, Y, F) (`_ModePlan`),
-  held in a dict beside the operators it combines: in the `_dipole_sums`
-  entry for the exact model, in the `_two_level_ops` entry for the
-  two-level one. It holds integer arrays only; each point's values are
+  per (N, L, M) (`_scope_plans`), for the last two keys: a sweep alternates
+  the exact model and the two-level one (L = 2). A plan holds integer arrays
+  only, whatever spectrum the values come from; each point's values are
   gathered through it.
 
 An X or Y term whose coefficient is zero is left out, and a sparsity pattern
@@ -53,16 +53,16 @@ without it has its own plan.
 Every Hamiltonian conserves the joint parity of `parity_diagonal`,
 (-1)^(sum of the dipole levels + photon number). The plan maps each
 Kronecker contribution straight into the CSR storage of the even and odd
-blocks; `ground_pair` solves each block for its lowest level, and E is the
-other block's lowest level unless the ground block's second level lies below
-it; `second_derivative_sweep` reads only G, and solves each block for its
-lowest level alone. The entries between the blocks, which no block stores,
-are rounding from the well solve. Each point reads the largest of them, and
-H - H^T, off the dipole factors, and checks them against PARITY_TOL and
-SYMMETRY_TOL.
+blocks, and no solve reads anything else; `ground_pair` solves each block
+for its lowest level, and E is the other block's lowest level unless the
+ground block's second level lies below it; `second_derivative_sweep` reads
+only G, and solves each block for its lowest level alone. The entries
+between the blocks, which no block stores, are rounding from the well solve.
+Each point reads the largest of them, and H - H^T, off the dipole factors,
+and checks them against PARITY_TOL and SYMMETRY_TOL.
 The budget and the basis order still cover the whole matrix, both blocks
 together, and `AssembledHamiltonian.matrix`, the whole matrix, is formed
-when it is read.
+when it is read, as the sparse Kronecker sum of the point's factors.
 
 A block above DENSE_THRESHOLD states is solved by ARPACK's Lanczos. It starts
 from a vector weighted towards the block's lowest diagonal entries
@@ -100,13 +100,6 @@ DEFAULT_BUDGET = 200_000
 # at any tol, so ground_pair takes a dense block's second level from its one
 # ranking solve.
 DENSE_THRESHOLD = 600
-# Lanczos basis size (ARPACK ncv, at least 2k + 1), ARPACK's default. For
-# ground_pair's parity-block solves at 1 BLAS thread, 40 against 20 took
-# 9.0 / 10.2 s against 8.1 / 9.9 s for default fig3a, 0.37 against 0.33 s for
-# N = 3, L = 8, M = 40 at eta 1.0 and 2.8, and 1.6 against 1.5 s at N = 5
-# (31,680 states); it won only near the multiplets of eta <= 0.1 (2.5
-# against 2.9 s over 30 points of N = 2..4).
-LANCZOS_NCV = 20
 # ARPACK restarts (maxiter) before a Lanczos solve gives up. The most any
 # converged solve took was 75, over the test suite and default fig3a,
 # s-figs-gauges and exact-sweep (1,349 matvecs, 2,560 states, k = 2, tol 0),
@@ -187,8 +180,9 @@ class AssembledHamiltonian:
     """A real symmetric Hamiltonian, of one of two kinds:
 
     - an assembled point, from `assemble` or `dicke_two_level`, on (sector
-      states, Fock cutoff): its `blocks`, built from an index plan, and
-      `whole`, which forms `matrix` when it is first read;
+      states, Fock cutoff): its `blocks`, built from an index plan, which
+      every solve reads, and `whole`, which forms `matrix` on first read as
+      the Kronecker sum D x 1 + 1 x F + X x t + Y x q of its factors;
     - a bare `matrix` for `lowest_eigenvalues`, e.g. one parity block
       (`axis_dims` of one entry); its `blocks` are None.
     """
@@ -308,18 +302,19 @@ _OFFSETS = np.arange(-2, 3)
 # handles at once: a whole small plan in one pass, a large one a few photon
 # rows at a time, so the build needs a few MB beyond the plan itself.
 _CHUNK = 1 << 16
-# Plans kept per operator set, oldest dropped first. Sweeps of one spectrum
-# through the Coulomb, JC and multipolar gauges meet four patterns per cutoff
-# (eta = 0, when every coupling vanishes, and one per gauge), and as many
-# whole-matrix plans where `matrix` is read.
-_PLANS_KEPT = 8
+# Plans kept per (N, L, M) scope, oldest dropped first. A command keeps at
+# most three patterns of one scope in use: s-figs-gauges cycles through one
+# per gauge at each eta (2 kept: 369 builds, 3 or more: 18). A
+# self-energy-in-bare sweep's new well per point repeats a pattern only at the
+# next point: 13 builds at N = 3 over 3 gauges and 6 etas, whether 2 or 100 are kept.
+_PLANS_KEPT = 3
 
 
 @dataclass(frozen=True, eq=False)
 class _ModePlan:
     """Where every Kronecker contribution of one sparsity pattern of
-    D x 1 + 1 x F + X x t + Y x q lands in the CSR storage of the blocks
-    (the two joint-parity blocks, or one block, the whole matrix).
+    D x 1 + 1 x F + X x t + Y x q lands in the CSR storage of the two
+    joint-parity blocks.
 
     A point's values are its table: D's data, F's data, X_e t_k and Y_e q_k
     (`_mode_table`), then a 0. A stored entry is table[first], plus
@@ -367,21 +362,10 @@ class _ModePlan:
                 np.abs(asymmetry).max() if asymmetry.size else 0.0)
 
 
-def _block_ranks(parity):
-    """(index, rank): the indices of the states of each block of `parity`,
-    the +1 block first, and each state's position within its block."""
-    odd = parity < 0
-    index = (np.flatnonzero(~odd), np.flatnonzero(odd))
-    rank = np.empty(odd.size, dtype=np.intp)
-    for states in index:
-        rank[states] = np.arange(states.size)
-    return index, rank
-
-
-def _mode_plan(occupations, m, dipole, x, y, f, whole):
+def _mode_plan(occupations, m, dipole, x, y, f):
     """The `_ModePlan` of D x 1 + 1 x F + X x t + Y x q (X or Y None when
     absent) on the sector states `occupations` x Fock(m), for the blocks of
-    the joint parity, or for the whole matrix as one block.
+    the joint parity.
 
     The entries of row (i, n) are, for each entry (i, j) of U in order, the
     photon offsets n' - n its terms put there; they are laid out a chunk of
@@ -414,17 +398,19 @@ def _mode_plan(occupations, m, dipole, x, y, f, whole):
     same = dipole_parity[u_rows] == dipole_parity[u_cols]
     is_diag = u_rows == u_cols
 
-    # Which offsets (-2..2) each entry of U carries, and into which block.
+    # Which offsets (-2..2) each entry of U carries within a block: even
+    # offsets join states of equal dipole parity, odd ones the others.
     carries = np.zeros((union.size, 5), dtype=bool)
     carries[:, 2] = in_d | is_diag
     carries[:, [0, 4]] = (is_diag & (f.nnz > m))[:, None]     # F beyond its diagonal
     carries[:, [1, 3]] = (in_x | in_y)[:, None]
-    if whole:
-        index, rank = (np.arange(n_dip * m),), np.arange(n_dip * m)
-    else:
-        index, rank = _block_ranks(_joint_parity(occupations, m))
-        # Even offsets join states of equal dipole parity, odd ones the others.
-        carries &= (same[:, None] == (_OFFSETS % 2 == 0))
+    carries &= (same[:, None] == (_OFFSETS % 2 == 0))
+    # Each block's states, the even block first, and each state's place in its block.
+    parity = _joint_parity(occupations, m)
+    index = (np.flatnonzero(parity > 0), np.flatnonzero(parity < 0))
+    rank = np.empty(parity.size, dtype=np.intp)
+    for states in index:
+        rank[states] = np.arange(states.size)
 
     # Photon tables: the position of F's, and of t's (= q's), entry (n, n + offset).
     photon_at = np.full((m, 5), -1)
@@ -502,32 +488,37 @@ def _mode_table(m, dipole, x, y, omega_field, c_w):
     return f, table
 
 
-def _planned(plans, occupations, m, dipole, x, y, f, whole=False):
-    """From `plans`, the plan of this sparsity pattern for the joint-parity
-    blocks of the sector states `occupations` x Fock(m), or for the whole
-    matrix; built on first use."""
-    key = (whole, m, f.nnz,
-           *((op.indptr.tobytes(), op.indices.tobytes()) if op is not None else None
-             for op in (dipole, x, y)))
+@functools.lru_cache(maxsize=2)
+def _scope_plans(n_sites, levels, m):
+    """`_planned`'s plans on one sector x Fock(m), per pattern, oldest first."""
+    return {}
+
+
+def _planned(n_sites, levels, m, dipole, x, y, f):
+    """The plan of this sparsity pattern on its sector x Fock(m), built on first use."""
+    plans = _scope_plans(n_sites, levels, m)
+    key = (f.nnz, *((op.indptr.tobytes(), op.indices.tobytes()) if op is not None else None
+                    for op in (dipole, x, y)))
     plan = plans.get(key)
     if plan is None:
         if len(plans) >= _PLANS_KEPT:
             del plans[next(iter(plans))]          # the oldest
-        plan = plans[key] = _mode_plan(occupations, m, dipole, x, y, f, whole)
+        plan = plans[key] = _mode_plan(_sector_pattern(n_sites, levels)[0], m,
+                                       dipole, x, y, f)
     return plan
 
 
-def _with_mode(plans, occupations, m, dipole, x, y, omega_field, c_w=0.0):
+def _with_mode(n_sites, levels, m, dipole, x, y, omega_field, c_w=0.0):
     """The Hamiltonian D x 1 + 1 x F + X x (a^dag - a) + Y x (a^dag + a) on
-    the sector states `occupations` x Fock(m), with F = omega_field
-    (a^dag a + 1/2) + c_w (rotated (a^dag + a)^2), built as its two
-    joint-parity blocks through the plan of its sparsity pattern, cached in
-    `plans`. X or Y may be None for an absent term.
+    the sector of n_sites dipoles with `levels` levels x Fock(m), with
+    F = omega_field (a^dag a + 1/2) + c_w (rotated (a^dag + a)^2), built as
+    its two joint-parity blocks through the plan of its sparsity pattern.
+    X or Y may be None for an absent term.
 
     Raises ValidationError when H - H^T exceeds SYMMETRY_TOL max|H|.
     """
     f, table = _mode_table(m, dipole, x, y, omega_field, c_w)
-    plan = _planned(plans, occupations, m, dipole, x, y, f)
+    plan = _planned(n_sites, levels, m, dipole, x, y, f)
     matrices = plan.fill(table)
     photon_max = np.sqrt(m - 1.0)       # the largest |entry| of t and q
     leak, asymmetry = plan.checks(dipole, x, y, photon_max)
@@ -536,11 +527,19 @@ def _with_mode(plans, occupations, m, dipole, x, y, omega_field, c_w=0.0):
         raise ValidationError(f"assembled matrix asymmetric by {asymmetry:.2e}")
 
     def whole():
-        f, table = _mode_table(m, dipole, x, y, omega_field, c_w)
-        return _planned(plans, occupations, m, dipole, x, y, f, whole=True).fill(table)[0]
+        # No entry has more than two terms, so each sum is the plan's sum;
+        # sparse sums store no zeros.
+        half, _, q, t, w, identity = _photon_ops(m)
+        mode = omega_field * sp.diags(half) + c_w * w
+        total = (sp.kron(dipole, identity, format="csr")
+                 + sp.kron(sp.identity(dipole.shape[0]), mode, format="csr"))
+        for op, photon in ((x, t), (y, q)):
+            if op is not None:
+                total = total + sp.kron(op, photon, format="csr")
+        return total
 
     return AssembledHamiltonian(
-        None, (len(occupations), m), occupations,
+        None, (dipole.shape[0], m), _sector_pattern(n_sites, levels)[0],
         blocks=_ParityBlocks(tuple(matrices), plan.index, leak, scale), whole=whole)
 
 
@@ -555,7 +554,6 @@ class _DipoleSums:
     zeta: sp.csr_matrix           # Z = sum_mu zeta_mu
     s: sp.csr_matrix              # sum_mu S_mu, S_mn = (e_m - e_n) zeta_mn
     zz: object                    # Z Z, or None for a single dipole
-    plans: dict = field(default_factory=dict)   # _with_mode's plans, per sparsity pattern
 
 
 @functools.lru_cache(maxsize=1)
@@ -650,7 +648,7 @@ def assemble(config: HilbertConfig, params: ReducedParams,
                   + c_dd * sums.zz)
     else:
         dipole = _summed(sums.bare + c_se * sums.zeta_sq, n_sites)
-    return _with_mode(sums.plans, _sector_pattern(n_sites, levels)[0], m, dipole,
+    return _with_mode(n_sites, levels, m, dipole,
                       _scaled(-c_cross, sums.s), _scaled(c_pi, sums.zeta),
                       omega_field=omega, c_w=c_a2)
 
@@ -659,13 +657,12 @@ def assemble(config: HilbertConfig, params: ReducedParams,
 def _two_level_ops(n_sites):
     """(J^z, J_x^2, J^+ - J^-, J_x) of the two-level model on n_sites
     dipoles, with J_x = J^+ + J^-, on the collective spin (m = -j..j), built
-    once per count, never modified; then `_with_mode`'s plans for it, per
-    sparsity pattern."""
+    once per count, never modified."""
     # sigma^z has eigenvalues -1/2 (ground) and +1/2; sigma^+ raises.
     jz = _summed(np.diag([-0.5, 0.5]), n_sites)
     jp = _summed(np.array([[0.0, 0.0], [1.0, 0.0]]), n_sites)
     jx = (jp + jp.T).tocsr()
-    return jz, (jx @ jx).tocsr(), (jp - jp.T).tocsr(), jx, {}
+    return jz, (jx @ jx).tocsr(), (jp - jp.T).tocsr(), jx
 
 
 def dicke_two_level(config: HilbertConfig, params: ReducedParams,
@@ -689,12 +686,12 @@ def dicke_two_level(config: HilbertConfig, params: ReducedParams,
     const = n_sites * 0.5 * (spectrum.energies[0] + spectrum.energies[1]) \
         + 0.5 * couplings.rho_d2
 
-    jz, jx2, jpm, jx, plans = _two_level_ops(n_sites)
+    jz, jx2, jpm, jx = _two_level_ops(n_sites)
 
     # Rotated interaction: +g'(J+ - J-)(c^dag - c) - g(J+ + J-)(c^dag + c).
     dipole = (omega_m * jz - (couplings.c_alpha / n_sites) * jx2
               + const * sp.identity(n_sites + 1, format="csr"))
-    return _with_mode(plans, _sector_pattern(n_sites, 2)[0], m, dipole,
+    return _with_mode(n_sites, 2, m, dipole,
                       _scaled(couplings.g_prime_alpha / math.sqrt(n_sites), jpm),
                       _scaled(-(couplings.g_alpha / math.sqrt(n_sites)), jx),
                       omega_field=couplings.omega_alpha)
@@ -758,9 +755,11 @@ def lowest_eigenvalues(h: AssembledHamiltonian, k: int, method: str | None = Non
             f"Lanczos needs k below dimension - 1 = {h.dimension - 1}; use method='dense'")
     matrix = h.matrix
     try:
+        # ARPACK's default basis, max(2k + 1, 20) vectors. 40 took 9.0 / 10.2
+        # against 8.1 / 9.9 s for default fig3a, 1.6 against 1.5 s at N = 5, and
+        # won only near the eta <= 0.1 multiplets (2.5 against 2.9 s, N = 2..4).
         vals, vecs = eigsh(_CsrOperator(matrix), k=k, which="SA", v0=_start_vector(matrix),
-                           tol=tol, ncv=min(h.dimension, max(2 * k + 1, LANCZOS_NCV)),
-                           maxiter=LANCZOS_MAXITER)
+                           tol=tol, maxiter=LANCZOS_MAXITER)
     except ArpackNoConvergence as err:
         got = len(err.eigenvalues)
         raise ConvergenceError(

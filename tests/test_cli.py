@@ -85,6 +85,18 @@ def test_unknown_key_and_bad_values_exit_validation(tmp_path, capsys):
     assert main(["--out", str(out), "command=s-figs"]) == EXIT_VALIDATION
 
 
+def test_empty_alpha_list_exits_validation_before_the_file_opens(tmp_path, capsys):
+    """An alpha_list without a value would leave the tables that read it with
+    a header and no rows."""
+    out = tmp_path / "x.csv"
+    for command in ("thermo-sweep", "fig1", "exact-sweep", "s-figs-absorbed"):
+        for text in ("", ","):
+            assert main(["--command", command, "--out", str(out),
+                         f"alpha_list={text}"] + FAST) == EXIT_VALIDATION
+            assert json.loads(capsys.readouterr().err)["error"] == "ValidationError"
+            assert not out.exists()
+
+
 # The exit code of every package error, a bare ValueError and a foreign error.
 EXIT_CODES = {
     errors.DickelabError: EXIT_VALIDATION,
@@ -118,7 +130,7 @@ def test_each_error_exits_with_its_code(tmp_path, monkeypatch, capsys, error):
 def test_budget_violation_exit_code(tmp_path, capsys):
     out = tmp_path / "x.csv"
     code = main(["--command", "exact-sweep", "--out", str(out),
-                 "--budget", "100", "n_dipoles=2", "eta_grid=0,0.4,3"] + FAST)
+                 "budget=100", "n_dipoles=2", "eta_grid=0,0.4,3"] + FAST)
     assert code == EXIT_BUDGET
     assert json.loads(capsys.readouterr().err)["error"] == "BudgetError"
 
@@ -138,7 +150,7 @@ def test_mid_sweep_failure_marks_truncated_output(tmp_path, capsys):
     (1,440 sector states at N = 2, 4,800 at N = 3) leaves the N = 1 and
     N = 2 rows behind with an explicit truncation marker."""
     out = tmp_path / "partial.csv"
-    code = main(["--command", "fig3a", "--out", str(out), "--budget", "2000",
+    code = main(["--command", "fig3a", "--out", str(out), "budget=2000",
                  "eta_grid=0,0.4,3"] + FAST)
     assert code == EXIT_BUDGET
     assert json.loads(capsys.readouterr().err)["error"] == "BudgetError"
@@ -373,7 +385,7 @@ def test_fig3a_solves_each_well_once(tmp_path, monkeypatch, capsys):
 
     monkeypatch.setattr(dipole, "solve_double_well", counted)
     out = tmp_path / "f3a.csv"
-    assert main(["--command", "fig3a", "--out", str(out), "--budget", "3000",
+    assert main(["--command", "fig3a", "--out", str(out), "budget=3000",
                  "eta_grid=0,0.4,3"] + FAST) == EXIT_BUDGET
     assert json.loads(capsys.readouterr().err)["error"] == "BudgetError"
     assert {int(r["n_dipoles"]) for r in csv.DictReader(out.read_text().splitlines()[1:-1])} \
@@ -399,7 +411,7 @@ def test_s_figs_solves_each_distinct_well_once(tmp_path, monkeypatch, capsys):
                                   ("s-figs-gauges", EXIT_BUDGET, 2)):
         calls.clear()
         assert main(["--command", command, "eta_grid=0,0.6,3", "dipole_levels=4",
-                     "fock_cutoff=10", "--budget", "100",
+                     "fock_cutoff=10", "budget=100",
                      "--out", str(tmp_path / f"{command}.csv")]) == code
         assert len(calls) == solves
     assert json.loads(capsys.readouterr().err)["error"] == "BudgetError"
@@ -597,7 +609,7 @@ SMALL = {
     "exact-sweep": (["eta_grid=0,0.8,3", "dipole_levels=4", "fock_cutoff=12", "alpha_list=1"], 0),
     "fig1": (["eta_grid=0,2,5"], 0),
     "fig2": (["eta_grid=0.4,1.2,3"], 0),
-    "fig3a": (["--budget", "3000", "eta_grid=0,0.4,3"], EXIT_BUDGET),
+    "fig3a": (["budget=3000", "eta_grid=0,0.4,3"], EXIT_BUDGET),
     "fig3b": (["eta_grid=1.9,2.2,4", "fock_cutoff=20"], 0),
     "s-figs-absorbed": (["eta_grid=0,0.6,3", "dipole_levels=4", "fock_cutoff=10"], 0),
     "s-figs-gauges": (["eta_grid=0,0.6,3", "dipole_levels=4", "fock_cutoff=10"], 0),

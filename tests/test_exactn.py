@@ -618,17 +618,18 @@ def sliced_ground_pair(matrix, parity):
 def test_plan_blocks_match_the_kronecker_build(p33, monkeypatch):
     """Fast path against slow path: every point's parity blocks, read from
     its index plan, equal the fancy-index slices of the sp.kron build of the
-    same factors entry by entry (1e-15 max|H|), and so does its whole
-    matrix; the leakage between the blocks and max|H| match; ground_pair's G
-    and E match the sliced solve at rel 1e-12. The sector at N = 1..3 and
-    the two-level model at N = 1..4, in the Coulomb (no Y), JC and
-    multipolar (no X, no A^2) gauges, both conventions, and at eta 0 (no X,
-    Y or A^2 term), 0.05, eta_c - 0.04 and 2.8."""
+    same factors entry by entry (1e-15 max|H|), and its whole matrix equals
+    that build exactly, without explicit zeros; the leakage between the
+    blocks and max|H| match; ground_pair's G and E match the sliced solve
+    at rel 1e-12. The sector at N = 1..3 and the two-level model at
+    N = 1..4, in the Coulomb (no Y), JC and multipolar (no X, no A^2)
+    gauges, both conventions, and at eta 0 (no X, Y or A^2 term), 0.05,
+    eta_c - 0.04 and 2.8."""
     points = []
     built = exactn._with_mode
 
-    def spy(plans, occupations, m, dipole, x, y, omega_field, c_w=0.0):
-        h = built(plans, occupations, m, dipole, x, y, omega_field, c_w)
+    def spy(n_sites, levels, m, dipole, x, y, omega_field, c_w=0.0):
+        h = built(n_sites, levels, m, dipole, x, y, omega_field, c_w)
         points.append((h, kron_with_mode(m, dipole, x, y, omega_field, c_w)))
         return h
 
@@ -657,7 +658,8 @@ def test_plan_blocks_match_the_kronecker_build(p33, monkeypatch):
         for matrix, index, sign in zip(blocks.matrices, blocks.index, (1, -1)):
             assert np.array_equal(index, np.flatnonzero(parity == sign))
             assert abs(matrix - ref[index][:, index]).max() <= 1e-15 * scale
-        assert abs(h.matrix - ref).max() <= 1e-15 * scale
+        assert np.array_equal(h.matrix.toarray(), ref.toarray())
+        assert np.count_nonzero(h.matrix.data) == h.matrix.nnz
         between = ref.tocoo()
         between = np.abs(between.data[parity[between.row] != parity[between.col]])
         assert blocks.leak == pytest.approx(between.max() if between.size else 0.0, rel=1e-12)
@@ -668,23 +670,21 @@ def test_plan_blocks_match_the_kronecker_build(p33, monkeypatch):
         assert np.allclose(got, sliced_ground_pair(ref, parity), rtol=1e-12, atol=0)
 
 
-def test_plans_are_read_only_and_live_beside_their_operators(p33):
+def test_plans_are_read_only_and_kept_per_scope(p33):
     """A plan holds integer arrays only, read-only as the sector pattern's
-    are; exact-model plans sit in the dipole-sum cache entry, two-level ones
-    with the two-level operators of their dipole count, each keyed by its
-    sparsity pattern: the blocks of eta = 0 and eta > 0 and the whole
-    matrix each have their own."""
+    are; the plans of one (N, L, M) scope sit together, whichever model
+    they serve, each keyed by its sparsity pattern: the blocks of eta = 0
+    and eta > 0 each have their own, and reading `matrix` builds none."""
     cfg = HilbertConfig(2, 4, 10)
     two = HilbertConfig(2, 2, 10, representation=CollectiveSpin())
-    exactn._dipole_sums.cache_clear()
-    exactn._two_level_ops.cache_clear()
+    exactn._scope_plans.cache_clear()
     for eta in (0.0, 0.8):
         p = p33.with_(n_dipoles=2, eta=eta, alpha=0.6)
         assemble(cfg, p, p33.spectrum).matrix
         dicke_two_level(two, p, p33.spectrum).matrix
-    exact_plans = list(exactn._dipole_sums(p33.spectrum, 2, 4).plans.values())
-    two_plans = list(exactn._two_level_ops(2)[-1].values())
-    assert len(exact_plans) == 4 and len(two_plans) == 4
+    exact_plans = list(exactn._scope_plans(2, 4, 10).values())
+    two_plans = list(exactn._scope_plans(2, 2, 10).values())
+    assert len(exact_plans) == 2 and len(two_plans) == 2
     for plan in exact_plans + two_plans:
         arrays = [*itertools.chain.from_iterable(plan.blocks), *plan.index,
                   *plan.on_union, plan.same]
@@ -692,6 +692,44 @@ def test_plans_are_read_only_and_live_beside_their_operators(p33):
             assert array.dtype.kind in "ib" and not array.flags.writeable
         with pytest.raises(ValueError):
             plan.blocks[0][2][0] = 0
+
+
+def test_a_plan_is_built_once_per_sector_cutoff_and_pattern(p33, monkeypatch):
+    """A self-energy-in-bare sweep solves a new well at each point, so each
+    point brings its own spectrum; a plan is built once per distinct
+    (N, L, M, sparsity pattern) all the same, as many times as there are
+    distinct patterns among the points."""
+    built, patterns = [], set()
+    plan = exactn._mode_plan
+
+    def counted(*args):
+        built.append(args)
+        return plan(*args)
+
+    def pattern(op):
+        return None if op is None else (op.indptr.tobytes(), op.indices.tobytes())
+
+    with_mode = exactn._with_mode
+
+    def seen(n_sites, levels, m, dipole, x, y, omega_field, c_w=0.0):
+        patterns.add((n_sites, levels, m, c_w == 0.0, pattern(dipole), pattern(x), pattern(y)))
+        return with_mode(n_sites, levels, m, dipole, x, y, omega_field, c_w)
+
+    monkeypatch.setattr(exactn, "_mode_plan", counted)
+    monkeypatch.setattr(exactn, "_with_mode", seen)
+    exactn._scope_plans.cache_clear()
+    grid = GridSpec(points=64)
+    for n, cfg in ((2, HilbertConfig(2, 5, 12)), (3, HilbertConfig(3, 4, 10))):
+        for alpha in (0.0, jc_gauge(p33), 1.0):
+            for eta in (0.4, 1.3, 2.2, 2.8):
+                p = p33.with_(n_dipoles=n, alpha=alpha, eta=eta)
+                absorbed = solve_double_well(
+                    WellShape(beta=3.3, energy_scale=p.energy_scale,
+                              renorm=SelfEnergyInBare(alpha, eta / math.sqrt(n), 1.0)),
+                    grid, levels=cfg.dipole_levels, gap_tol=1e-5)
+                assemble(cfg, p, absorbed, SelfEnergyInBare)
+    assert len(patterns) < 2 * 3 * 4
+    assert len(built) == len(patterns)
 
 
 def test_lanczos_gives_up_after_bounded_restarts(p33):
@@ -878,7 +916,7 @@ def test_lean_operator_matches_eigsh_on_the_csr(p33):
                 vals, vecs = lowest_eigenvalues(block, k, return_vectors=True, tol=tol)
                 want_vals, want_vecs = exactn.eigsh(
                     block.matrix, k=k, which="SA", v0=exactn._start_vector(block.matrix),
-                    tol=tol, ncv=exactn.LANCZOS_NCV, maxiter=exactn.LANCZOS_MAXITER)
+                    tol=tol, maxiter=exactn.LANCZOS_MAXITER)
                 order = np.argsort(want_vals)
                 assert np.array_equal(vals, want_vals[order])
                 assert np.array_equal(vecs, want_vecs[:, order])
@@ -1047,7 +1085,7 @@ def test_sector_two_level_operators_are_the_dicke_matrices():
     """J^z and J^+ of the two-level sector equal the spin-N/2 matrices
     element for element, m = -j..j, in canonical CSR without zeros."""
     for n in (1, 2, 3, 4, 24):
-        jz, _, jpm, jx, _ = exactn._two_level_ops(n)
+        jz, _, jpm, jx = exactn._two_level_ops(n)
         jp = ((jx + jpm) / 2.0).toarray()
         j = 0.5 * n
         m_vals = np.arange(-j, j + 1)
