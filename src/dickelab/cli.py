@@ -74,14 +74,16 @@ class RunConfig:
         start, stop, steps = self.eta_grid
         if steps < 2:
             raise ValidationError("eta_grid needs at least 2 steps")
-        if not 0.0 <= start < stop:
-            raise ValidationError("eta_grid requires stop > start >= 0")
+        if not 0.0 <= start < stop < math.inf:
+            raise ValidationError("eta_grid requires finite stop > start >= 0")
         if self.n_dipoles < 1:
             raise ValidationError("n_dipoles must be positive")
         if self.convention not in ("main-text", "self-energy-in-bare"):
             raise ValidationError(f"unknown convention {self.convention!r}")
         if not 0.0 <= self.alpha_point <= 1.0:
             raise ValidationError("alpha_point must lie in [0, 1]")
+        if not 0.0 <= self.eta_point < math.inf:
+            raise ValidationError("eta_point must be finite and at least 0")
 
     def eta_values(self):
         start, stop, steps = self.eta_grid

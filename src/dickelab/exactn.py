@@ -36,8 +36,10 @@ operators, so those are built once and each point only combines them:
 - the Fock operators and the identity, per cutoff (`_photon_ops`);
 - the symmetric sector's states and one-body pattern, per (N, L)
   (`_sector_pattern`), so a sector sum is one gather and one COO -> CSR;
-- J^z, J_x^2, J^+ - J^- and J_x of the two-level model, per dipole count
-  (`_two_level_ops`);
+- J^z, J_x^2 and the identity of the two-level model, dense, which each
+  point sums into its dipole factor, and J^+ - J^- and J_x, per dipole count
+  (`_two_level_ops`); X and Y are their cached CSR patterns with scaled
+  values (`_scaled`);
 - the dipole operators of `assemble` (Z, the summed momentum factor S, Z Z
   and the one-dipole blocks), per (spectrum, N, L) (`_dipole_sums`), for
   the last key only; a spectrum hashes by identity;
@@ -64,6 +66,13 @@ The budget and the basis order still cover the whole matrix, both blocks
 together, and `AssembledHamiltonian.matrix`, the whole matrix, is formed
 when it is read, as the sparse Kronecker sum of the point's factors.
 
+A block of at most DENSE_THRESHOLD states is solved densely by the steps of
+LAPACK's dsyevr, which scipy.linalg.eigh's subset solve runs, through
+`scipy.linalg.lapack`: the block is reduced to tridiagonal form once
+(`_Tridiagonal`, kept on the block), and its lowest level, ground vector and
+second level are each read from that reduction, bit for bit eigh's. So a
+dense point costs two reductions, one per block.
+
 A block above DENSE_THRESHOLD states is solved by ARPACK's Lanczos. It starts
 from a vector weighted towards the block's lowest diagonal entries
 (`_start_vector`, built from the diagonal alone), so each point's result
@@ -71,6 +80,7 @@ depends on that point only, not on the grid around it, and it multiplies
 through `_CsrOperator`, a lean operator over the block's CSR storage.
 """
 
+import copy
 import functools
 import itertools
 import math
@@ -79,7 +89,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import eigh
+from scipy.linalg import lapack
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from .dipole import DipoleSpectrum, MainText, SelfEnergyInBare
@@ -93,12 +103,15 @@ from .errors import (
 from .gauge import ReducedParams, derive_couplings
 
 DEFAULT_BUDGET = 200_000
-# Dense subset solve up to this many states, Lanczos above. For two pairs at
-# 1 BLAS thread the two cost the same near 600 states (dense 22-25 ms against
-# Lanczos 19-47 ms at 560, 27-37 against 19-54 ms at 640); from 900 states up
-# Lanczos wins (65-155 against 23-82 ms at 900-1080). A dense solve is exact
-# at any tol, so ground_pair takes a dense block's second level from its one
-# ranking solve.
+# Dense subset solve up to this many states, Lanczos above. Per block, a k = 1
+# solve with its vector and the ranking solve, on both blocks of N = 2, L = 8
+# at 1 BLAS thread (one reduction dense, the weighted start for Lanczos): the
+# two cost the same near 360-470 states (dense 6.8-7.5 against Lanczos
+# 7.2-10.0 ms at 360, 13-15 against 10-13 ms at 468, eta 1); above, Lanczos
+# wins (17-19 against 7-12 ms at 576, 67-69 against 10-14 at 900 and 141-148
+# against 15-24 at 1080, eta 1 and 2.8). The value stays 600, since moving it
+# moves rows between the solvers. A dense solve is exact at any tol, so
+# ground_pair takes a dense block's second level from its one ranking solve.
 DENSE_THRESHOLD = 600
 # ARPACK restarts (maxiter) before a Lanczos solve gives up. The most any
 # converged solve took was 75, over the test suite and default fig3a,
@@ -185,6 +198,9 @@ class AssembledHamiltonian:
       the Kronecker sum D x 1 + 1 x F + X x t + Y x q of its factors;
     - a bare `matrix` for `lowest_eigenvalues`, e.g. one parity block
       (`axis_dims` of one entry); its `blocks` are None.
+
+    The matrix is never modified: the first dense solve keeps its
+    tridiagonal reduction (`_Tridiagonal`) for the next.
     """
 
     def __init__(self, matrix, axis_dims, occupations=None, *, blocks=None, whole=None):
@@ -192,6 +208,7 @@ class AssembledHamiltonian:
         self.blocks = blocks                  # the _ParityBlocks of parity_diagonal, or None
         self.axis_dims = tuple(axis_dims)     # (sector states, Fock cutoff)
         self.occupations = occupations        # the sector's (states, L) occupations; None on a block
+        self.tridiagonal = None               # the _Tridiagonal of the first dense solve
 
     @property
     def matrix(self) -> sp.csr_matrix:
@@ -226,7 +243,8 @@ def _photon_ops(m):
     raise_ = lower.T
     q = (raise_ + lower).tocsr()                 # a^dag + a
     t = (raise_ - lower).tocsr()                 # a^dag - a
-    two_ph = raise_ @ raise_ + lower @ lower
+    pair = np.sqrt(n[1:-1]) * np.sqrt(n[2:])     # <n+2|a^dag^2|n>, empty at m = 2
+    two_ph = sp.diags([pair, pair], [-2, 2], shape=(m, m))   # a^dag^2 + a^2
     w = (2.0 * sp.diags(n) + sp.identity(m) - two_ph).tocsr()   # rotated (a^dag+a)^2
     half = n + 0.5
     w_rows = np.repeat(np.arange(m), np.diff(w.indptr))
@@ -287,8 +305,13 @@ def _summed(op, n_sites):
 
 
 def _scaled(coefficient, op):
-    """coefficient * op, or None (an absent term) when the coefficient is 0."""
-    return None if coefficient == 0.0 else coefficient * op
+    """coefficient * op, a shallow copy of the CSR matrix op that shares its
+    index arrays, or None (an absent term) when the coefficient is 0."""
+    if coefficient == 0.0:
+        return None
+    scaled = copy.copy(op)
+    scaled.data = op.data * coefficient
+    return scaled
 
 
 def _coordinates(op):
@@ -655,14 +678,18 @@ def assemble(config: HilbertConfig, params: ReducedParams,
 
 @functools.lru_cache(maxsize=16)
 def _two_level_ops(n_sites):
-    """(J^z, J_x^2, J^+ - J^-, J_x) of the two-level model on n_sites
+    """(J^z, J_x^2, 1, J^+ - J^-, J_x) of the two-level model on n_sites
     dipoles, with J_x = J^+ + J^-, on the collective spin (m = -j..j), built
-    once per count, never modified."""
+    once per count, never modified: the first three as dense arrays, which
+    the dipole factor combines, the others as CSR."""
     # sigma^z has eigenvalues -1/2 (ground) and +1/2; sigma^+ raises.
-    jz = _summed(np.diag([-0.5, 0.5]), n_sites)
+    jz = _summed(np.diag([-0.5, 0.5]), n_sites).toarray()
     jp = _summed(np.array([[0.0, 0.0], [1.0, 0.0]]), n_sites)
     jx = (jp + jp.T).tocsr()
-    return jz, (jx @ jx).tocsr(), (jp - jp.T).tocsr(), jx
+    dense = (jz, (jx @ jx).toarray(), np.identity(n_sites + 1))
+    for array in dense:
+        array.setflags(write=False)
+    return *dense, (jp - jp.T).tocsr(), jx
 
 
 def dicke_two_level(config: HilbertConfig, params: ReducedParams,
@@ -686,11 +713,12 @@ def dicke_two_level(config: HilbertConfig, params: ReducedParams,
     const = n_sites * 0.5 * (spectrum.energies[0] + spectrum.energies[1]) \
         + 0.5 * couplings.rho_d2
 
-    jz, jx2, jpm, jx = _two_level_ops(n_sites)
+    jz, jx2, identity, jpm, jx = _two_level_ops(n_sites)
 
     # Rotated interaction: +g'(J+ - J-)(c^dag - c) - g(J+ + J-)(c^dag + c).
-    dipole = (omega_m * jz - (couplings.c_alpha / n_sites) * jx2
-              + const * sp.identity(n_sites + 1, format="csr"))
+    # Formed densely, left to right; csr_matrix stores only its nonzero entries.
+    dipole = sp.csr_matrix(omega_m * jz - (couplings.c_alpha / n_sites) * jx2
+                           + const * identity)
     return _with_mode(n_sites, 2, m, dipole,
                       _scaled(couplings.g_prime_alpha / math.sqrt(n_sites), jpm),
                       _scaled(-(couplings.g_alpha / math.sqrt(n_sites)), jx),
@@ -721,15 +749,97 @@ def _start_vector(matrix) -> np.ndarray:
     return v0 / np.linalg.norm(v0)
 
 
+# The range of the largest |entry| that LAPACK's dsyevr reduces as it is,
+# from its safe minimum and precision; it scales a matrix outside the range
+# into it and scales the eigenvalues back.
+_SMLNUM = np.finfo(float).tiny / np.finfo(float).eps
+_RMIN = math.sqrt(_SMLNUM)
+_RMAX = min(math.sqrt(1.0 / _SMLNUM), 1.0 / math.sqrt(math.sqrt(np.finfo(float).tiny)))
+
+
+@dataclass(frozen=True, eq=False)
+class _Tridiagonal:
+    """A dense real symmetric matrix A reduced to tridiagonal form
+    T = Q^T A Q as LAPACK's dsyevr reduces it: dsytrd on the lower triangle
+    at dsyevr's workspace size, which sets the block size and so the bits.
+    `lowest` repeats dsyevr's steps after the reduction, so every subset
+    solve of A reads this one reduction and equals
+    scipy.linalg.eigh(subset_by_index=[0, k - 1]) bit for bit."""
+
+    reflectors: np.ndarray    # dsytrd's output: Q's Householder vectors below the subdiagonal
+    tau: np.ndarray           # their scalar factors
+    d: np.ndarray             # T's diagonal
+    e: np.ndarray             # T's subdiagonal
+    lwork: int                # dsyevr's workspace size
+    sigma: float              # the factor A was scaled by, 1.0 within range
+
+    @classmethod
+    def of(cls, matrix):
+        """The reduction of a sparse symmetric matrix, whose largest |entry|
+        is dsyevr's norm of its lower triangle; dsyevr solves a 1 x 1 matrix
+        before it scales."""
+        n = matrix.shape[0]
+        a = matrix.toarray()      # dsytrd's wrapper copies it to Fortran order
+        top = np.abs(matrix.data).max(initial=0.0)
+        sigma = 1.0
+        if n > 1 and (0.0 < top < _RMIN or top > _RMAX):
+            sigma = (_RMIN if top < _RMIN else _RMAX) / top
+            a *= sigma
+        lwork = int(lapack.dsyevr_lwork(n, lower=1)[0])
+        reflectors, d, e, tau, _ = lapack.dsytrd(a, lower=1, lwork=lwork - 5 * n)
+        return cls(reflectors, tau, d, e, lwork, sigma)
+
+    def lowest(self, k, vectors):
+        """The k lowest eigenvalues, ascending, and their vectors as columns
+        when asked for. As in dsyevr: for k = n the whole spectrum by dsterf
+        (values) or dstemr (vectors), else, or where those fail, bisection
+        (dstebz) and inverse iteration (dstein); the vectors taken back
+        through Q (dormqr on the reflectors, dormtr's work on a lower
+        triangle) and put in order by dsyevr's selection sort."""
+        d, e, n = self.d, self.e, self.d.size
+        if n == 1:
+            return (d.copy(), np.ones((1, 1))) if vectors else d.copy()
+        info = 1
+        if k == n:
+            if vectors:
+                _, w, z, info = lapack.dstemr(d, np.append(e, 0.0), 0, 0.0, 0.0, 1, n)
+            else:
+                w, info = lapack.dsterf(d, e)
+        if info:
+            m, w, iblock, isplit, info = lapack.dstebz(d, e, 2, 0.0, 0.0, 1, k, 0.0,
+                                                       "B" if vectors else "E")
+            w = w[:m]
+            if vectors and not info:
+                z, info = lapack.dstein(d, e, w, iblock, isplit)
+            if info:
+                raise ConvergenceError(
+                    f"LAPACK's tridiagonal solve failed (info {info}) at dimension {n}")
+        if self.sigma != 1.0:
+            w = w * (1.0 / self.sigma)
+        if not vectors:
+            return w
+        z[1:] = lapack.dormqr("L", "N", self.reflectors[1:, :-1], self.tau, z[1:],
+                              self.lwork - 2 * n)[0]
+        for j in range(w.size - 1):
+            i = j + 1 + np.argmin(w[j + 1:])
+            if w[i] < w[j]:
+                w[[i, j]] = w[[j, i]]
+                z[:, [i, j]] = z[:, [j, i]]
+        return w, z
+
+
 def lowest_eigenvalues(h: AssembledHamiltonian, k: int, method: str | None = None,
                        return_vectors: bool = False, tol: float = 0.0):
     """k smallest eigenvalues (ascending), and their vectors on request.
 
     method forces "dense" or "sparse"; the default is dense up to
     DENSE_THRESHOLD states (or when k is at least the dimension less one)
-    and sparse above. The dense path is LAPACK's subset solve: only the k
-    lowest pairs are computed, and no vectors unless asked for. The dense
-    path ignores tol.
+    and sparse above. The dense path runs LAPACK's dsyevr step by step: the
+    first dense solve of h reduces its matrix to tridiagonal form and keeps
+    the reduction on h (`_Tridiagonal`), and every dense solve of h reads
+    it, computing only the k lowest pairs, and no vectors unless asked for.
+    Each result equals scipy.linalg.eigh(subset_by_index=[0, k - 1]) bit
+    for bit. The dense path ignores tol.
 
     The sparse path is ARPACK's Lanczos, stopped when each residual is
     below tol max(|eigenvalue|, eps^(2/3)); tol = 0 means machine
@@ -746,8 +856,9 @@ def lowest_eigenvalues(h: AssembledHamiltonian, k: int, method: str | None = Non
     if method is None:
         method = "dense" if (h.dimension <= DENSE_THRESHOLD or k >= h.dimension - 1) else "sparse"
     if method == "dense":
-        return eigh(h.matrix.toarray(), eigvals_only=not return_vectors,
-                    subset_by_index=[0, k - 1], overwrite_a=True, check_finite=False)
+        if h.tridiagonal is None:
+            h.tridiagonal = _Tridiagonal.of(h.matrix)
+        return h.tridiagonal.lowest(k, return_vectors)
     if method != "sparse":
         raise ValidationError("method must be None, 'dense' or 'sparse'")
     if k >= h.dimension - 1:
@@ -891,6 +1002,8 @@ def second_derivative_sweep(config: HilbertConfig, params_template: ReducedParam
     grid = np.asarray(list(eta_grid), dtype=float)
     if grid.size < 3:
         raise GridError("need at least 3 grid points for a second difference")
+    if not np.all(np.isfinite(grid)) or grid[1] == grid[0]:
+        raise GridError("eta grid needs finite points and a nonzero step")
     steps = np.diff(grid)
     h_step = steps[0]
     if np.any(np.abs(steps - h_step) > 1e-9 * max(abs(h_step), 1e-30)):

@@ -460,6 +460,21 @@ def test_alpha_point_outside_gauge_family_exits_validation(tmp_path, capsys):
         assert "alpha_point" in json.loads(capsys.readouterr().err)["message"]
 
 
+def test_bad_eta_point_or_grid_end_exits_validation_before_the_file_opens(tmp_path, capsys):
+    """A non-finite or negative eta_point and a non-finite eta_grid end are
+    refused with ValidationError before the file opens, as a table that read
+    them would fail mid-sweep or fill with inf and nan."""
+    out = tmp_path / "x.csv"
+    for command, override in (("convergence", "eta_point=nan"), ("convergence", "eta_point=-1"),
+                              ("convergence", "eta_point=inf"), ("exact-sweep", "eta_grid=0,inf,3"),
+                              ("thermo-sweep", "eta_grid=0,nan,3"), ("fig2", "eta_grid=-inf,1,3")):
+        assert main(["--command", command, "--out", str(out), override] + FAST) == EXIT_VALIDATION
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "ValidationError"
+        assert override.split("=")[0] in record["message"]
+        assert not out.exists()
+
+
 def test_non_positive_gap_tol_exits_validation(tmp_path, capsys):
     out = tmp_path / "jc.csv"
     for tol in ("0", "-1"):

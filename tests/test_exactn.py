@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from scipy.linalg import expm
+from scipy.linalg import eigh, expm
 
 from dickelab import (
     BudgetError,
@@ -590,7 +590,7 @@ def kron_with_mode(m, dipole, x, y, omega_field, c_w=0.0):
     four sp.kron calls and sparse sums, the assembly the index plan
     replaced."""
     n = np.arange(m, dtype=float)
-    lower = sp.diags(np.sqrt(n[1:]), 1)
+    lower = sp.diags(np.sqrt(n[1:]), 1, format="csr")   # CSR products also work at m = 2
     raise_ = lower.T
     identity = sp.identity(m, format="csr")
     half_number = (sp.diags(n) + 0.5 * identity).tocsr()
@@ -668,6 +668,37 @@ def test_plan_blocks_match_the_kronecker_build(p33, monkeypatch):
             warnings.simplefilter("ignore")
             got = exactn.ground_pair(h)[:2]
         assert np.allclose(got, sliced_ground_pair(ref, parity), rtol=1e-12, atol=0)
+
+
+def test_two_fock_states_match_the_kronecker_build(p33, monkeypatch):
+    """At fock_cutoff = 2, where a^dag^2 + a^2 has no entry, a point builds:
+    its parity blocks and whole matrix equal the sp.kron build of the same
+    factors exactly, and ground_pair solves it, for the sector (with and
+    without the A^2 term) and the two-level model, at eta 0 and 1.4."""
+    points = []
+    built = exactn._with_mode
+
+    def spy(n_sites, levels, m, dipole, x, y, omega_field, c_w=0.0):
+        h = built(n_sites, levels, m, dipole, x, y, omega_field, c_w)
+        points.append((h, kron_with_mode(m, dipole, x, y, omega_field, c_w)))
+        return h
+
+    monkeypatch.setattr(exactn, "_with_mode", spy)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")          # two Fock states leave a heavy tail
+        for eta in (0.0, 1.4):
+            for alpha in (0.0, 1.0):
+                p = p33.with_(n_dipoles=2, alpha=alpha, eta=eta)
+                exactn.ground_pair(assemble(HilbertConfig(2, 4, 2), p, p33.spectrum))
+                exactn.ground_pair(dicke_two_level(
+                    HilbertConfig(2, 2, 2, representation=CollectiveSpin()), p, p33.spectrum))
+    assert len(points) == 8
+    for h, ref in points:
+        parity = parity_diagonal(h)
+        for matrix, sign in zip(h.blocks.matrices, (1, -1)):
+            index = np.flatnonzero(parity == sign)
+            assert np.array_equal(matrix.toarray(), ref[index][:, index].toarray())
+        assert np.array_equal(h.matrix.toarray(), ref.toarray())
 
 
 def test_plans_are_read_only_and_kept_per_scope(p33):
@@ -922,6 +953,70 @@ def test_lean_operator_matches_eigsh_on_the_csr(p33):
                 assert np.array_equal(vecs, want_vecs[:, order])
 
 
+def test_dense_solves_equal_eigh_bit_for_bit(p33):
+    """A dense solve repeats LAPACK's dsyevr on the matrix's one kept
+    reduction: its levels and vectors equal scipy.linalg.eigh's subset
+    solve byte for byte, for k = 1, 2, 3 and the dimension, asked in any
+    order, on the parity blocks of the sector and the two-level model at
+    eta = 0 and 1.8, among them blocks of 600 states and of 2 and 3 states,
+    on a block scaled by 1e-150 and 1e80, which dsyevr scales back into
+    range, on a 1 x 1 matrix, and on a diagonal matrix, whose tridiagonal
+    form splits, so bisection returns its levels out of order."""
+    blocks = []
+    for eta in (0.0, 1.8):
+        for n, cfg, build in ((1, HilbertConfig(1, 12, 100), assemble),
+                              (2, HilbertConfig(2, 4, 10), assemble),
+                              (1, HilbertConfig(1, 2, 2, representation=CollectiveSpin()),
+                               dicke_two_level),
+                              (2, HilbertConfig(2, 2, 2, representation=CollectiveSpin()),
+                               dicke_two_level),
+                              (3, HilbertConfig(3, 2, 12, representation=CollectiveSpin()),
+                               dicke_two_level)):
+            p = p33.with_(n_dipoles=n, alpha=0.6, eta=eta)
+            blocks += build(cfg, p, p33.spectrum).blocks.matrices
+    blocks += [blocks[-1] * 1e-150, blocks[-1] * 1e80, sp.csr_matrix([[2.5]]),
+               sp.diags([2.0, 1.0, 3.0, 0.5, 4.0], format="csr")]
+    assert {600, 3, 2, 1} <= {block.shape[0] for block in blocks}
+    for matrix in blocks:
+        n = matrix.shape[0]
+        block = exactn.AssembledHamiltonian(matrix, (n,))
+        for k in sorted({1, 2, 3, n} & set(range(1, n + 1)), key=lambda k: (k % 2, -k)):
+            for vectors in (True, False):
+                want = eigh(matrix.toarray(), eigvals_only=not vectors,
+                            subset_by_index=[0, k - 1])
+                got = lowest_eigenvalues(block, k, method="dense", return_vectors=vectors)
+                for have, expect in zip(*((got, want) if vectors else ((got,), (want,)))):
+                    assert have.dtype == expect.dtype and have.shape == expect.shape
+                    assert have.tobytes() == expect.tobytes()
+
+
+def test_a_dense_block_is_reduced_once(p33, monkeypatch):
+    """Each dense parity block is reduced to tridiagonal form once (dsytrd):
+    ground_pair reads G, the ground vector and the ranking level from two
+    reductions, one per block, and second_derivative_sweep's G from two per
+    point; a matrix asked again for any k or vectors is not reduced again."""
+    sizes = []
+    dsytrd = exactn.lapack.dsytrd
+
+    def counted(a, *args, **kwargs):
+        sizes.append(a.shape[0])
+        return dsytrd(a, *args, **kwargs)
+
+    monkeypatch.setattr(exactn.lapack, "dsytrd", counted)
+    exactn.ground_pair(assemble(HilbertConfig(1, 8, 40), p33.with_(eta=1.2), p33.spectrum))
+    assert sizes == [160, 160]
+    second_derivative_sweep(HilbertConfig(2, 2, 40, representation=CollectiveSpin()),
+                            p33.with_(n_dipoles=2), [1.6, 1.7, 1.8])
+    assert sizes[2:] == [60] * 6
+    h = assemble(HilbertConfig(1, 4, 10), p33.with_(eta=0.7), p33.spectrum)
+    first = lowest_eigenvalues(h, 2, return_vectors=True)
+    for k, vectors in ((1, False), (3, True), (40, False), (2, True)):
+        lowest_eigenvalues(h, k, return_vectors=vectors)
+    again = lowest_eigenvalues(h, 2, return_vectors=True)
+    assert sizes[8:] == [40]
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(first, again))
+
+
 @pytest.mark.filterwarnings("ignore:Fock tail")
 def test_weighted_start_agrees_with_the_uniform_start(p33, monkeypatch):
     """The start vector weighted by the diagonal moves G and E by at most
@@ -1012,6 +1107,16 @@ def test_second_derivative_sweep_grid_rules(make_params):
     assert all(np.isfinite(v) for _, v in pairs)
 
 
+def test_second_derivative_sweep_refuses_a_zero_or_non_finite_step(make_params):
+    """A grid of one repeated point, or with a non-finite point, has no step
+    to divide by: GridError, not rows of inf and nan."""
+    p = make_params(beta=3.3, eta=0.0, alpha=1.0)
+    cfg = HilbertConfig(1, 2, 20, representation=CollectiveSpin())
+    for grid in ([1.0, 1.0, 1.0], [1.0, float("nan"), 3.0], [float("inf")] * 3):
+        with pytest.raises(GridError, match="nonzero step"):
+            second_derivative_sweep(cfg, p, grid)
+
+
 def test_second_derivative_sweep_needs_two_levels(make_params):
     """The sweep solves the two-level model on the config it is given; a
     config of more levels is refused, not replaced."""
@@ -1052,11 +1157,6 @@ def test_collective_basis_fits_large_counts_in_budget():
         HilbertConfig(8, 8, 40)
 
 
-def _same_csr(a, b):
-    return (a.shape == b.shape and np.array_equal(a.indptr, b.indptr)
-            and np.array_equal(a.indices, b.indices) and np.array_equal(a.data, b.data))
-
-
 def test_sector_dimension_and_default_hilbert():
     """The sector holds C(N+L-1, N) dipole states per Fock state; it is the
     library default and the basis of the CLI's default cutoffs."""
@@ -1083,16 +1183,61 @@ def test_sector_states_follow_combinations_with_replacement():
 
 def test_sector_two_level_operators_are_the_dicke_matrices():
     """J^z and J^+ of the two-level sector equal the spin-N/2 matrices
-    element for element, m = -j..j, in canonical CSR without zeros."""
+    element for element, m = -j..j, J^+ +- J^- in canonical CSR, J^z, J_x^2
+    and the identity as dense arrays."""
     for n in (1, 2, 3, 4, 24):
-        jz, _, jpm, jx = exactn._two_level_ops(n)
+        jz, jx2, identity, jpm, jx = exactn._two_level_ops(n)
         jp = ((jx + jpm) / 2.0).toarray()
         j = 0.5 * n
         m_vals = np.arange(-j, j + 1)
         up = np.sqrt(j * (j + 1) - m_vals[:-1] * (m_vals[:-1] + 1))
-        assert _same_csr(jz, sp.csr_matrix(np.diag(m_vals)))
+        assert np.array_equal(jz, np.diag(m_vals))
         assert np.array_equal(jp, np.diag(up, -1))
-        assert jz.has_canonical_format and jx.has_canonical_format
+        assert np.array_equal(jx2, (jx @ jx).toarray())
+        assert np.array_equal(identity, np.identity(n + 1))
+        assert jx.has_canonical_format and jpm.has_canonical_format
+
+
+def test_two_level_factors_match_the_sparse_sums(p33, monkeypatch):
+    """dicke_two_level's dipole factor, summed densely, stores the entries
+    of the scipy.sparse sum it replaces, bit for bit, in canonical order
+    (the sparse sum left some rows unsorted), and its X and Y, scaled on the
+    cached CSR patterns, equal the scaled operators in every CSR array:
+    N = 1..4, four gauges, eta 0 to 2.8."""
+    factors = []
+    with_mode = exactn._with_mode
+
+    def seen(n_sites, levels, m, dipole, x, y, omega_field, c_w=0.0):
+        factors.append((n_sites, dipole, x, y))
+        return with_mode(n_sites, levels, m, dipole, x, y, omega_field, c_w)
+
+    monkeypatch.setattr(exactn, "_with_mode", seen)
+    points = []
+    for n in (1, 2, 3, 4):
+        for alpha in (0.0, jc_gauge(p33), 0.37, 1.0):
+            for eta in (0.0, 0.05, 1.3, 2.8):
+                p = p33.with_(n_dipoles=n, alpha=alpha, eta=eta)
+                dicke_two_level(HilbertConfig(n, 2, 6, representation=CollectiveSpin()),
+                                p, p33.spectrum)
+                points.append(p)
+
+    def arrays(op):
+        return None if op is None else (op.indptr.tobytes(), op.indices.tobytes(),
+                                         op.data.tobytes(), op.shape)
+
+    for p, (n, dipole, x, y) in zip(points, factors, strict=True):
+        _, _, _, jpm, jx = exactn._two_level_ops(n)
+        couplings = derive_couplings(p)
+        energies = p.spectrum.energies
+        const = n * 0.5 * (energies[0] + energies[1]) + 0.5 * couplings.rho_d2
+        want = (p.spectrum.omega_m * exactn._summed(np.diag([-0.5, 0.5]), n)
+                - (couplings.c_alpha / n) * (jx @ jx).tocsr()
+                + const * sp.identity(n + 1, format="csr"))
+        assert dipole.has_canonical_format and dipole.nnz == want.nnz
+        assert dipole.toarray().tobytes() == want.toarray().tobytes()
+        for op, coefficient, cached in ((x, couplings.g_prime_alpha / math.sqrt(n), jpm),
+                                        (y, -(couplings.g_alpha / math.sqrt(n)), jx)):
+            assert arrays(op) == (None if coefficient == 0.0 else arrays(coefficient * cached))
 
 
 def test_sector_is_the_product_basis_at_one_dipole(p33):
