@@ -73,11 +73,15 @@ LAPACK's dsyevr, which scipy.linalg.eigh's subset solve runs, through
 second level are each read from that reduction, bit for bit eigh's. So a
 dense point costs two reductions, one per block.
 
-A block above DENSE_THRESHOLD states is solved by ARPACK's Lanczos. It starts
-from a vector weighted towards the block's lowest diagonal entries
-(`_start_vector`, built from the diagonal alone), so each point's result
-depends on that point only, not on the grid around it, and it multiplies
-through `_CsrOperator`, a lean operator over the block's CSR storage.
+A block above DENSE_THRESHOLD states is solved by `_davidson`, Davidson's
+method preconditioned by the block's diagonal, which holds the dipole and
+photon energies and dominates the block; it needs only numpy and the CSR
+product. Each solve finds one level, deflated against the vectors of the
+levels below it: `ground_pair`'s ranking solve is one such solve, deflated
+against the ground vector. A solve starts from the block's diagonal alone
+(`_start_vector` and the unit vectors of its lowest entries) and has no
+random restart, so each point's result depends on that point only, not on
+the grid around it nor on the solves before it.
 """
 
 import copy
@@ -90,7 +94,6 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import lapack
-from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from .dipole import DipoleSpectrum, MainText, SelfEnergyInBare
 from .errors import (
@@ -103,41 +106,54 @@ from .errors import (
 from .gauge import ReducedParams, derive_couplings
 
 DEFAULT_BUDGET = 200_000
-# Dense subset solve up to this many states, Lanczos above. Per block, a k = 1
-# solve with its vector and the ranking solve, on both blocks of N = 2, L = 8
-# at 1 BLAS thread (one reduction dense, the weighted start for Lanczos): the
-# two cost the same near 360-470 states (dense 6.8-7.5 against Lanczos
-# 7.2-10.0 ms at 360, 13-15 against 10-13 ms at 468, eta 1); above, Lanczos
-# wins (17-19 against 7-12 ms at 576, 67-69 against 10-14 at 900 and 141-148
-# against 15-24 at 1080, eta 1 and 2.8). The value stays 600, since moving it
-# moves rows between the solvers. A dense solve is exact at any tol, so
-# ground_pair takes a dense block's second level from its one ranking solve.
+# Dense subset solve up to this many states, `_davidson` above. Per block, a
+# k = 1 solve with its vector and the ranking solve, on both blocks of N = 2,
+# L = 8 at 1 BLAS thread, eta 1 and 2.8 (one reduction dense): dense wins at
+# 144 states (0.8 against 1.1-2.4 ms), the two cost the same near 216 (1.7-2.3
+# against 1.4-2.0 ms), and above, Davidson wins (3.7-3.8 against 1.2-2.5 ms at
+# 288, 18-19 against 1.3-2.5 at 576, 114-123 against 1.6-3.3 at 1080). The
+# value stays 600, since moving it moves rows between the solvers. A dense
+# solve is exact, so ground_pair reads a dense block's second level from the
+# same reduction as its lowest.
 DENSE_THRESHOLD = 600
-# ARPACK restarts (maxiter) before a Lanczos solve gives up. The most any
-# converged solve took was 75, over the test suite and default fig3a,
-# s-figs-gauges and exact-sweep (1,349 matvecs, 2,560 states, k = 2, tol 0),
-# and 60 on those commands (1,027 matvecs, a 2,400-state ranking solve).
-# ARPACK's default, 10 x dimension, let a tolerance-0 solve for a level in a
-# near-degenerate multiplet run 15 s (720 states) or 230 s (2,400 states)
-# before it failed.
-LANCZOS_MAXITER = 1000
-# Energy scale (in units of omega) of the Lanczos start vector's weights,
-# exp(-(diagonal - its minimum) / START_SCALE) (`_start_vector`). Against the
-# uniform start it cut ground_pair's matvecs at L = 8, M = 40 in the Coulomb,
-# JC and multipolar gauges: over N = 2 and 3 at eta 1e-3, 1, 1.99 and 2.8,
-# k = 1 solves by 28 % and ranking solves by 47 % at 0.3 (0.1: 30 / 46 %,
-# 1.0: 21 / 42 %); over N = 2 at eta 0..2.6, by 33 / 62 % (0.1: 34 / 56 %,
-# 1.0: 26 / 40 %); at N = 5 (15,840-state blocks), eta 1 and 2.8, by
-# 20 / 37 %. At 0.3, G and E moved by at most 9.8e-15 relative.
+# Davidson steps before an iterative solve gives up with ConvergenceError.
+# The most matrix-vector products any converged solve took was 107 over the
+# test suite (k = 3 at tol 0, 720 states) and 68 over the default commands (a
+# 2,400-state block of s-figs-gauges). 1000 steps on a 720-state block take
+# about 0.2 s.
+DAVIDSON_MAXITER = 1000
+# Residual |H x - theta x| / max(1, |theta|) at which a tol = 0 iterative solve
+# stops. An eigenvalue lies within |r| of theta, and theta lies within about
+# |r|^2 / gap of it, gap being the distance to the rest of the spectrum.
+RESIDUAL_TOL = 1e-10
+# Largest Davidson basis; a full basis restarts from its Ritz vector.
+_BASIS = 24
+# Unit vectors of a block's lowest diagonal entries that seed each solve
+# beside `_start_vector`. Seeded with that vector alone, the solve for the
+# odd block's lowest level converged to the upper member of its resonant
+# doublet at eta = 1e-6 (N = 2, 3 and 5, every gauge; E 4.9e-7 too high) and
+# at N = 5, alpha = 1, eta = 1e-3 (4.9e-4 too high).
+_SEEDS = 4
+# Smallest d - theta of the diagonal correction r / (d - theta): entries with
+# |d - theta| below it are set to it.
+_SHIFT_FLOOR = 1e-2
+# Energy scale (in units of omega) of the start vector's weights,
+# exp(-(diagonal - its minimum) / START_SCALE) (`_start_vector`). Beside the
+# unit seeds the weighting matters little: over ground_pair's solves at
+# L = 8, M = 40 in the Coulomb, JC and multipolar gauges (N = 2 and 3 at eta
+# 1e-3, 1, 1.99 and 2.8), k = 1 and ranking solves took 1339 and 336 products
+# at 0.3, 1303 / 318 at 0.1, 1331 / 333 at 1.0 and 1353 / 338 from the
+# uniform start; at N = 5 (15,840-state blocks), eta 1 and 2.8, 94 / 21 at
+# 0.3 and 95 / 23 uniform. G and E moved by at most 2.2e-14 relative.
 START_SCALE = 0.3
 FOCK_TAIL_TOL = 1e-8
 SYMMETRY_TOL = 1e-12
-# Relative Lanczos tolerance of ground_pair's solve that ranks the ground
-# block's second level against the other block's lowest. Solved at
-# tolerance 0, that level stalls ARPACK where it sits in a near-degenerate
-# multiplet (at eta <= 1e-3 no convergence in 300 restarts at N = 2 and 3).
-# At 1e-4 the ranking solve took 15-60 ms at N = 3, L = 8, M = 40 for eta
-# from 1e-6 to 2.8, and the level cleared the other by 0.58 or more.
+# Relative tolerance of ground_pair's solve that ranks the ground block's
+# second level against the other block's lowest. At tolerance 0 that solve
+# also converged, so this only saves work: at N = 2 and 3, L = 8, M = 40,
+# alpha 0 and 1, eta 1e-6 to 2.8, it took 6-36 products against 7-89 at
+# tolerance 0 (at N = 3, 0.6-7.6 against 0.7-21.6 ms), and the level cleared
+# the other by 0.57 or more, so none was solved again.
 RANKING_TOL = 1e-4
 # Largest entry between the parity blocks, relative to max |H|, that
 # ground_pair may drop; the well solve leaves about 1e-13.
@@ -664,7 +680,7 @@ def assemble(config: HilbertConfig, params: ReducedParams,
     # dipole has no pairs, and Z Z - zeta zeta would leave rounding residue.
     # The on-site operator is summed over the dipoles per point, on the
     # dipole space only: adding cached sums instead regroups the diagonal,
-    # which moved N = 4 Lanczos gaps by 1.5e-12.
+    # which moved N = 4 gaps by 1.5e-12.
     sums = _dipole_sums(spectrum, n_sites, levels)
     if sums.zz is not None and c_dd != 0.0:
         dipole = (_summed(sums.bare + c_se * sums.zeta_sq - c_dd * sums.zeta_zeta, n_sites)
@@ -725,28 +741,86 @@ def dicke_two_level(config: HilbertConfig, params: ReducedParams,
                       omega_field=couplings.omega_alpha)
 
 
-class _CsrOperator(LinearOperator):
-    """A CSR matrix as the operator ARPACK iterates with: `matvec` is
-    csr @ x, the csr_matvec kernel eigsh's own wrapping of the matrix ends
-    in, without the layers of shape checks and reshapes around it."""
-
-    def __init__(self, matrix):
-        super().__init__(matrix.dtype, matrix.shape)
-        self.csr = matrix
-
-    def _matvec(self, x):
-        return self.csr @ x
-
-    matvec = _matvec
-
-
 def _start_vector(matrix) -> np.ndarray:
-    """Lanczos start vector of a real symmetric matrix, built from its
-    diagonal alone: unit-norm, proportional to exp(-(d - min d) /
-    START_SCALE) with the exponent clipped at 30, so no entry is zero."""
+    """First vector of `_davidson`'s basis for a real symmetric matrix, built
+    from its diagonal alone: unit-norm, proportional to
+    exp(-(d - min d) / START_SCALE) with the exponent clipped at 30, so no
+    entry is zero."""
     diag = matrix.diagonal()
     v0 = np.exp(-np.minimum((diag - diag.min()) / START_SCALE, 30.0))
     return v0 / np.linalg.norm(v0)
+
+
+def _davidson(matrix, tol, deflate=()):
+    """(theta, x, |r|): the lowest eigenpair of the real symmetric CSR matrix
+    on the orthogonal complement of the orthonormal vectors `deflate`, by
+    Davidson's method with the diagonal as preconditioner, and the norm of
+    its residual r = H x - theta x projected on that complement.
+
+    The basis starts from `_start_vector` and the unit vectors of the _SEEDS
+    lowest diagonal entries d. Each step adds the correction r / (d - theta),
+    each d - theta smaller than _SHIFT_FLOOR in magnitude set to it, or r
+    itself where nothing of the correction is left, orthogonalised twice
+    against `deflate` and the basis; a full basis of _BASIS vectors restarts
+    from the Ritz vector. It stops when |r|, recomputed from a fresh product
+    H x, is at most tol max(1, |theta|) (RESIDUAL_TOL for tol = 0), and
+    raises ConvergenceError after DAVIDSON_MAXITER steps.
+    """
+    n = matrix.shape[0]
+    diag = matrix.diagonal()
+    fixed = np.reshape(deflate, (-1, n))
+    size = min(_BASIS, n - len(fixed))
+    basis, product = np.empty((size, n)), np.empty((size, n))
+    projected = np.empty((size, size))
+    used = 0
+
+    def add(vector):
+        """Append vector, orthonormalised, with its product; False when
+        nothing of it is left outside `deflate` and the basis."""
+        nonlocal used
+        norm = np.linalg.norm(vector)
+        for _ in range(2):
+            for span in (fixed, basis[:used]):
+                vector = vector - (span @ vector) @ span
+        left = np.linalg.norm(vector)
+        if not left > 1e-8 * norm:
+            return False
+        basis[used] = vector / left
+        product[used] = matrix @ basis[used]
+        projected[used, :used + 1] = projected[:used + 1, used] = basis[:used + 1] @ product[used]
+        used += 1
+        return True
+
+    add(_start_vector(matrix))
+    for i in np.argsort(diag, kind="stable")[:_SEEDS]:
+        if used < size:
+            add(np.eye(1, n, i)[0])
+    for _ in range(DAVIDSON_MAXITER):
+        values, vectors, _, _, info = lapack.dsyevr(projected[:used, :used], range="I", iu=1)
+        if info:
+            raise ConvergenceError(f"LAPACK's dsyevr failed (info {info}) on a Davidson basis")
+        theta, y = values[0], vectors[:, 0]
+        bound = (tol or RESIDUAL_TOL) * max(1.0, abs(theta))
+        x = y @ basis[:used]
+        residual = y @ product[:used] - theta * x
+        residual -= (fixed @ residual) @ fixed
+        norm = np.linalg.norm(residual)
+        if norm <= bound:
+            residual = matrix @ x - theta * x
+            residual -= (fixed @ residual) @ fixed
+            norm = np.linalg.norm(residual)
+            if norm <= bound:
+                return theta, x, norm
+        if used == size:
+            used = 0
+            add(x)
+        shift = diag - theta
+        shift[np.abs(shift) < _SHIFT_FLOOR] = _SHIFT_FLOOR
+        if not add(residual / shift):
+            add(residual)
+    raise ConvergenceError(
+        f"iterative solve not converged in {DAVIDSON_MAXITER} steps at dimension {n}; "
+        "loosen tol, ask for fewer levels k, or use method='dense'")
 
 
 # The range of the largest |entry| that LAPACK's dsyevr reduces as it is,
@@ -841,14 +915,20 @@ def lowest_eigenvalues(h: AssembledHamiltonian, k: int, method: str | None = Non
     Each result equals scipy.linalg.eigh(subset_by_index=[0, k - 1]) bit
     for bit. The dense path ignores tol.
 
-    The sparse path is ARPACK's Lanczos, stopped when each residual is
-    below tol max(|eigenvalue|, eps^(2/3)); tol = 0 means machine
-    precision. It starts from `_start_vector`, which is built from the
-    matrix's diagonal alone, so a matrix's result depends on nothing else:
-    not on the solves before it, nor on its neighbours in a sweep. ARPACK
-    multiplies through `_CsrOperator`, the same kernel as eigsh on the CSR
-    matrix, bit for bit. It raises ConvergenceError after LANCZOS_MAXITER
-    restarts, and ValidationError for k of at least the dimension less one,
+    The sparse path finds the k levels one at a time, each by `_davidson`
+    deflated against the vectors found before it. At tol = 0 each level
+    lambda comes with a unit vector v, orthogonal to the vectors before it,
+    whose residual H v - lambda v, off those vectors and recomputed from a
+    fresh product H v, has norm at most RESIDUAL_TOL max(1, |lambda|); a
+    tol > 0 puts tol in its place. So for k = 1 an eigenvalue lies within
+    that norm of lambda, and lambda within about its square over the gap to
+    the rest of the spectrum. Like any iterative solve it cannot prove that
+    the level it found is the lowest; the unit vectors of the lowest diagonal
+    entries among its start make it reach the bottom of a near-degenerate
+    multiplet (`_SEEDS`). It starts from the matrix's diagonal alone, so a matrix's
+    result depends on nothing else: not on the solves before it, nor on its
+    neighbours in a sweep. It raises ConvergenceError after DAVIDSON_MAXITER
+    steps, and ValidationError for k of at least the dimension less one,
     which only the dense path solves.
     """
     if not 1 <= k <= h.dimension:
@@ -863,23 +943,15 @@ def lowest_eigenvalues(h: AssembledHamiltonian, k: int, method: str | None = Non
         raise ValidationError("method must be None, 'dense' or 'sparse'")
     if k >= h.dimension - 1:
         raise ValidationError(
-            f"Lanczos needs k below dimension - 1 = {h.dimension - 1}; use method='dense'")
+            f"the iterative solve needs k below dimension - 1 = {h.dimension - 1}; "
+            "use method='dense'")
     matrix = h.matrix
-    try:
-        # ARPACK's default basis, max(2k + 1, 20) vectors. 40 took 9.0 / 10.2
-        # against 8.1 / 9.9 s for default fig3a, 1.6 against 1.5 s at N = 5, and
-        # won only near the eta <= 0.1 multiplets (2.5 against 2.9 s, N = 2..4).
-        vals, vecs = eigsh(_CsrOperator(matrix), k=k, which="SA", v0=_start_vector(matrix),
-                           tol=tol, maxiter=LANCZOS_MAXITER)
-    except ArpackNoConvergence as err:
-        got = len(err.eigenvalues)
-        raise ConvergenceError(
-            f"Lanczos converged {got}/{k} eigenvalues at dimension {h.dimension}; "
-            "loosen tol, ask for fewer levels k, or use method='dense'"
-        ) from err
+    vals, vecs = np.empty(k), np.empty((k, h.dimension))
+    for i in range(k):
+        vals[i], vecs[i], _ = _davidson(matrix, tol, vecs[:i])
     order = np.argsort(vals)
     if return_vectors:
-        return vals[order], vecs[:, order]
+        return vals[order], vecs[order].T
     return vals[order]
 
 
@@ -894,9 +966,10 @@ def fock_tail_weight(h: AssembledHamiltonian, vector) -> float:
 
 
 def _block_grounds(h: AssembledHamiltonian, stacklevel=3):
-    """(G, the ground block, the other block's lowest level, Fock-tail
-    weight): each joint-parity block of h (`h.blocks`) solved for its lowest
-    level alone, with the warning and the checks of `ground_pair`.
+    """(G, the ground block, its ground vector, the other block's lowest
+    level, Fock-tail weight): each joint-parity block of h (`h.blocks`)
+    solved for its lowest level alone, with the warning and the checks of
+    `ground_pair`.
 
     The blocks leave out the entries between them, which are rounding from
     the well solve: a ValidationError is raised when the largest exceeds
@@ -914,11 +987,18 @@ def _block_grounds(h: AssembledHamiltonian, stacklevel=3):
     solved = []
     for matrix, index in zip(blocks.matrices, blocks.index):
         block = AssembledHamiltonian(matrix, (index.size,))
-        vals, vecs = lowest_eigenvalues(block, 1, return_vectors=True)
-        solved.append((vals[0], vecs[:, 0], index, block))
-    (ground, block_vec, index, block), (other, *_) = sorted(solved, key=lambda level: level[0])
+        # A dense vector costs a back-transformation and only the ground
+        # block's is read; an iterative solve has its vector anyway.
+        if block.dimension <= DENSE_THRESHOLD:
+            vals, vecs = lowest_eigenvalues(block, 1), None
+        else:
+            vals, vecs = lowest_eigenvalues(block, 1, return_vectors=True)
+        solved.append((vals[0], vecs, index, block))
+    (ground, vecs, index, block), (other, *_) = sorted(solved, key=lambda level: level[0])
+    if vecs is None:
+        vecs = lowest_eigenvalues(block, 1, return_vectors=True)[1]
     vector = np.zeros(h.dimension)
-    vector[index] = block_vec
+    vector[index] = vecs[:, 0]
     tail = fock_tail_weight(h, vector)
     if tail > FOCK_TAIL_TOL:
         warnings.warn(
@@ -926,7 +1006,7 @@ def _block_grounds(h: AssembledHamiltonian, stacklevel=3):
             "raise fock_cutoff",
             stacklevel=stacklevel,
         )
-    return ground, block, other, tail
+    return ground, block, vecs[:, 0], other, tail
 
 
 def ground_pair(h: AssembledHamiltonian):
@@ -939,18 +1019,21 @@ def ground_pair(h: AssembledHamiltonian):
     (`_block_grounds`, which also checks the entries the blocks leave out).
     The lower of the two is G. E is the second level over both blocks: the
     other block's lowest level, unless the ground block's second level lies
-    below it. A solve at tolerance RANKING_TOL ranks that second level; on a
-    block of at most DENSE_THRESHOLD states that solve is dense and exact,
-    and on a Lanczos block, where its error bound does not clear the other
-    block's level, the level is solved exactly. E is the lower of the two.
-    The budget bounds h, whose size is the sum of the two blocks'. A bare
-    matrix, without blocks, raises ValidationError.
+    below it. On a block of at most DENSE_THRESHOLD states that level is read
+    from the dense solve, exactly. On a larger block one `_davidson` solve,
+    deflated against the ground vector, ranks it at tolerance RANKING_TOL:
+    when its Ritz value theta less its residual norm does not clear the other
+    block's level, the level is solved again at tolerance 0. E is the lower
+    of the two. The budget bounds h, whose size is the sum of the two
+    blocks'. A bare matrix, without blocks, raises ValidationError.
     """
-    ground, block, excited, tail = _block_grounds(h, stacklevel=4)
-    second = lowest_eigenvalues(block, 2, tol=RANKING_TOL)[1]
-    if block.dimension > DENSE_THRESHOLD and \
-            second - RANKING_TOL * max(1.0, abs(second)) <= excited:
+    ground, block, vector, excited, tail = _block_grounds(h, stacklevel=4)
+    if block.dimension <= DENSE_THRESHOLD:
         second = lowest_eigenvalues(block, 2)[1]
+    else:
+        second, _, residual = _davidson(block.matrix, RANKING_TOL, vector)
+        if second - residual <= excited:
+            second = _davidson(block.matrix, 0.0, vector)[0]
     excited = min(excited, second)
     return float(ground), float(excited), tail
 

@@ -475,7 +475,7 @@ def _unsplit_pair(h):
 def test_ground_pair_blocks_match_unsplit_solve(p33):
     """ground_pair's parity-block solve gives the G and E of one solve of
     the whole matrix to 1e-12 max(1, |value|): in the sector at N = 2 (720
-    states per block, Lanczos; 210, dense) and N = 3 and the collective
+    states per block, iterative; 210, dense) and N = 3 and the collective
     two-level model at N = 1..4; in the Coulomb, JC and
     multipolar gauges, both conventions, and at eta 0 and 0.05, beside
     near-degenerate multiplets, within 0.04 of eta_c and at 2.8."""
@@ -510,9 +510,9 @@ def test_ground_pair_blocks_match_unsplit_solve(p33):
 
 def test_ground_pair_converges_beside_near_degenerate_multiplets(p33):
     """At eta = 1e-3 the ground block's second level sits in a two-excitation
-    multiplet split by about eta, where a tolerance-0 Lanczos solve for it
-    does not converge; ground_pair only ranks it, and still matches the
-    whole-matrix solve at 1e-12 in the sector at N = 2 and 3."""
+    multiplet split by about eta; ground_pair ranks it at RANKING_TOL, and
+    still matches the whole-matrix solve at 1e-12 in the sector at N = 2
+    and 3."""
     for n in (2, 3):
         for alpha in (0.0, 1.0):
             h = assemble(HilbertConfig(n, 8, 40),
@@ -525,7 +525,7 @@ def test_ground_pair_embeds_the_ground_vector(p33):
     """The Fock tail of the ground vector, put back from its parity block
     into the full index, equals the whole-matrix solve's, at cutoffs tight
     enough that the weight is far above rounding; the last two have blocks
-    of 720 and 756 states, solved by Lanczos."""
+    of 720 and 756 states, solved iteratively."""
     for n, levels, m, alpha, eta in ((2, 4, 8, 1.0, 2.8), (3, 4, 8, 0.0, 2.8),
                                      (3, 8, 12, 1.0, 2.8), (4, 6, 12, 0.0, 2.8)):
         h = assemble(HilbertConfig(n, levels, m),
@@ -583,6 +583,49 @@ def test_ground_pair_refuses_a_bare_matrix(p33):
     bare = exactn.AssembledHamiltonian(h.matrix, h.axis_dims, h.occupations)
     with pytest.raises(ValidationError, match="assemble or dicke_two_level"):
         exactn.ground_pair(bare)
+
+
+def _coupled_blocks_point(shift):
+    """A point on one two-level dipole x Fock(700) whose parity blocks, of
+    700 states each, are tridiagonal with diagonal 0, 1, 2.5, 3, 3.5, ...
+    and couplings 0.05, the odd block moved so that its lowest level lies
+    `shift` above the even block's second; and the even block's two lowest
+    levels."""
+    m = 700
+    diagonal = np.concatenate(([0.0, 1.0], 2.5 + 0.5 * np.arange(m - 2)))
+    even = sp.diags([np.full(m - 1, 0.05), diagonal, np.full(m - 1, 0.05)], [-1, 0, 1]).toarray()
+    levels = eigh(even, eigvals_only=True, subset_by_index=[0, 1])
+    odd = even + (levels[1] + shift - levels[0]) * np.eye(m)
+    parity = np.kron([1.0, -1.0], (-1.0) ** np.arange(m))
+    whole = np.zeros((2 * m, 2 * m))
+    for block, sign in ((even, 1.0), (odd, -1.0)):
+        states = np.flatnonzero(parity == sign)
+        whole[np.ix_(states, states)] = block
+    return sliced_hamiltonian(sp.csr_matrix(whole), (2, m), np.eye(2, dtype=int)), levels
+
+
+@pytest.mark.parametrize("shift", [1e-7, -0.5])
+def test_ranking_solve_is_repeated_only_where_it_does_not_clear(monkeypatch, shift):
+    """On blocks above DENSE_THRESHOLD, G and E are the two lowest levels
+    over both blocks to 1e-12. With the odd block's lowest level 1e-7 above
+    the even block's second, the ranking solve's theta - |r| does not clear
+    it, so that level is solved again at tolerance 0 and is E; with it 0.5
+    below, the ranking solve clears it and E is the odd block's level."""
+    h, levels = _coupled_blocks_point(shift)
+    assert min(index.size for index in h.blocks.index) > exactn.DENSE_THRESHOLD
+    solves = []
+    davidson = exactn._davidson
+
+    def spy(matrix, tol, deflate=()):
+        solves.append((tol, np.size(deflate) > 0))
+        return davidson(matrix, tol, deflate)
+
+    monkeypatch.setattr(exactn, "_davidson", spy)
+    g, e, _ = exactn.ground_pair(h)
+    assert g == pytest.approx(levels[0], rel=0, abs=1e-12)
+    assert e == pytest.approx(levels[1] + min(shift, 0.0), rel=0, abs=1e-12)
+    ranking = [(exactn.RANKING_TOL, True)]
+    assert solves == [(0.0, False)] * 2 + (ranking + [(0.0, True)] if shift > 0 else ranking)
 
 
 def kron_with_mode(m, dipole, x, y, omega_field, c_w=0.0):
@@ -763,18 +806,14 @@ def test_a_plan_is_built_once_per_sector_cutoff_and_pattern(p33, monkeypatch):
     assert len(built) == len(patterns)
 
 
-def test_lanczos_gives_up_after_bounded_restarts(p33):
-    """A tolerance-0 solve for the second level of the N = 2 even block at
-    eta = 1e-6, which sits in a near-degenerate multiplet, stops after
-    LANCZOS_MAXITER restarts with ConvergenceError (about 1 s here; ARPACK's
-    default of 10 x 720 restarts ran about 15 s)."""
-    h = assemble(HilbertConfig(2, 8, 40), p33.with_(n_dipoles=2, alpha=0.0, eta=1e-6),
+def test_iterative_solve_gives_up_after_bounded_steps(p33):
+    """A solve whose tolerance lies below rounding cannot converge; it stops
+    after DAVIDSON_MAXITER steps with ConvergenceError, in bounded time."""
+    h = assemble(HilbertConfig(2, 8, 40), p33.with_(n_dipoles=2, alpha=0.0, eta=1.0),
                  p33.spectrum)
-    even = exactn.AssembledHamiltonian(h.blocks.matrices[0], (h.blocks.index[0].size,))
-    assert even.dimension == 720
     start = time.perf_counter()
-    with pytest.raises(ConvergenceError, match="1/2 eigenvalues") as err:
-        lowest_eigenvalues(even, 2)
+    with pytest.raises(ConvergenceError, match=f"{exactn.DAVIDSON_MAXITER} steps") as err:
+        lowest_eigenvalues(_block(h, 0), 1, tol=1e-20)
     assert time.perf_counter() - start < 8.0
     assert all(word in str(err.value) for word in ("tol", "k", "method='dense'"))
 
@@ -822,11 +861,17 @@ def test_assemble_input_validation(p33):
 
 
 def test_dense_and_iterative_solvers_agree(p33):
+    """The two paths agree to rel 1e-12: on a 320-state matrix (k = 4) and
+    on the even block of N = 2 at eta = 1e-6 (720 states), whose second
+    level sits in a near-degenerate multiplet (k = 2)."""
     cfg = HilbertConfig(1, 8, 40)
     h = assemble(cfg, p33.with_(eta=1.0), p33.spectrum)
-    dense = lowest_eigenvalues(h, 4, method="dense")
-    sparse = lowest_eigenvalues(h, 4, method="sparse")
-    assert np.allclose(dense, sparse, rtol=0, atol=1e-10)
+    pair = assemble(HilbertConfig(2, 8, 40), p33.with_(n_dipoles=2, alpha=0.0, eta=1e-6),
+                    p33.spectrum)
+    for matrix, k in ((h, 4), (_block(pair, 0), 2)):
+        dense = lowest_eigenvalues(matrix, k, method="dense")
+        sparse = lowest_eigenvalues(matrix, k, method="sparse")
+        assert np.allclose(dense, sparse, rtol=1e-12, atol=0)
     with pytest.raises(ValidationError):
         lowest_eigenvalues(h, 4, method="lobpcg")
     with pytest.raises(ValidationError):
@@ -863,8 +908,8 @@ def test_subset_solve_matches_full_eigh(p33):
 
 
 def test_default_method_just_above_the_dense_threshold(p33):
-    """Just above DENSE_THRESHOLD the default switches to Lanczos, which
-    must agree with the dense solve to rel 1e-12."""
+    """Just above DENSE_THRESHOLD the default switches to the iterative
+    solve, which must agree with the dense solve to rel 1e-12."""
     levels = 8
     cfg = HilbertConfig(1, levels, exactn.DENSE_THRESHOLD // levels + 1)
     assert exactn.DENSE_THRESHOLD < cfg.dimension <= exactn.DENSE_THRESHOLD + levels
@@ -874,20 +919,43 @@ def test_default_method_just_above_the_dense_threshold(p33):
                            rtol=1e-12, atol=0)
 
 
-def test_lanczos_failure_names_what_the_caller_can_change(p33, monkeypatch):
-    """A Lanczos solve that does not converge raises ConvergenceError naming
-    the arguments lowest_eigenvalues takes: tol, k and the dense method."""
+def test_iterative_failure_names_what_the_caller_can_change(p33, monkeypatch):
+    """An iterative solve that hits its step cap raises ConvergenceError
+    naming the arguments lowest_eigenvalues takes: tol, k and the dense
+    method."""
     h = assemble(HilbertConfig(1, 8, 80), p33.with_(eta=0.5), p33.spectrum)
-
-    def stalled(matrix, k, **_):
-        raise exactn.ArpackNoConvergence("stalled", np.zeros(1), np.zeros((h.dimension, 1)))
-
-    monkeypatch.setattr(exactn, "eigsh", stalled)
-    with pytest.raises(ConvergenceError, match="1/2 eigenvalues") as err:
+    assert h.dimension > exactn.DENSE_THRESHOLD
+    monkeypatch.setattr(exactn, "DAVIDSON_MAXITER", 2)
+    with pytest.raises(ConvergenceError, match="not converged in 2 steps") as err:
         lowest_eigenvalues(h, 2)
     message = str(err.value)
     assert all(word in message for word in ("tol", "k", "method='dense'"))
     assert "maxiter" not in message
+
+
+def test_iterative_levels_meet_their_residual_bound(p33):
+    """Each level of an iterative solve comes with a unit vector orthogonal
+    to the levels before it, whose residual H v - lambda v, off those
+    levels, is at most tol max(1, |lambda|) (RESIDUAL_TOL at tol = 0);
+    `_davidson` reports the norm of that residual recomputed from a fresh
+    product."""
+    for eta in (1e-6, 1.0, 2.8):
+        h = assemble(HilbertConfig(2, 8, 40), p33.with_(n_dipoles=2, alpha=0.0, eta=eta),
+                     p33.spectrum)
+        block = _block(h, 0)
+        for tol in (0.0, 1e-6):
+            vals, vecs = lowest_eigenvalues(block, 3, return_vectors=True, tol=tol)
+            assert np.abs(vecs.T @ vecs - np.eye(3)).max() <= 1e-12
+            for i, value in enumerate(vals):
+                earlier = vecs[:, :i]
+                residual = block.matrix @ vecs[:, i] - value * vecs[:, i]
+                residual -= earlier @ (earlier.T @ residual)
+                bound = (tol or exactn.RESIDUAL_TOL) * max(1.0, abs(value))
+                assert np.linalg.norm(residual) <= bound
+            theta, x, norm = exactn._davidson(block.matrix, tol, vecs[:, :1].T)
+            residual = block.matrix @ x - theta * x
+            residual -= (vecs[:, :1].T @ residual) @ vecs[:, :1].T
+            assert norm == np.linalg.norm(residual)
 
 
 def test_lowest_eigenvalues_returns_vectors(p33):
@@ -900,9 +968,9 @@ def test_lowest_eigenvalues_returns_vectors(p33):
 
 
 def test_sparse_solve_refuses_k_near_the_dimension(p33):
-    """Lanczos needs k below the dimension less one; at k = dimension - 1
-    and k = dimension a forced sparse solve names the dense method, which
-    solves both."""
+    """The iterative solve needs k below the dimension less one; at
+    k = dimension - 1 and k = dimension a forced sparse solve names the
+    dense method, which solves both."""
     h = assemble(HilbertConfig(1, 4, 10), p33.with_(eta=0.5), p33.spectrum)
     full = np.linalg.eigvalsh(h.matrix.toarray())
     for k in (h.dimension - 1, h.dimension):
@@ -911,16 +979,17 @@ def test_sparse_solve_refuses_k_near_the_dimension(p33):
         assert np.allclose(lowest_eigenvalues(h, k), full[:k], rtol=1e-13, atol=1e-13)
 
 
-def _lanczos_blocks(p33):
-    """Parity blocks solved by Lanczos: N = 2 (720 states), N = 3 (840) and
-    N = 5 (756), at both gauge ends and the JC gauge, from an exactly
-    diagonal block with degenerate entries (eta = 0, alpha = 1) through
-    near-degenerate multiplets (eta = 1e-3) and eta_c - 0.04 to 2.8."""
+def _lanczos_blocks(p33, extra_etas=()):
+    """Points whose parity blocks the iterative solver solves: N = 2 (720
+    states), N = 3 (840) and N = 5 (756), at both gauge ends and the JC
+    gauge, from an exactly diagonal block with degenerate entries (eta = 0,
+    alpha = 1) through near-degenerate multiplets (eta = 1e-3) and
+    eta_c - 0.04 to 2.8, and at `extra_etas`."""
     eta_c = eta_critical(p33)
     points = []
     for n, levels, m in ((2, 8, 40), (3, 6, 30), (5, 5, 12)):
         for alpha in (0.0, jc_gauge(p33), 1.0):
-            for eta in (0.0, 1e-3, eta_c - 0.04, 2.8):
+            for eta in (0.0, 1e-3, eta_c - 0.04, 2.8, *extra_etas):
                 points.append(assemble(HilbertConfig(n, levels, m),
                                        p33.with_(n_dipoles=n, alpha=alpha, eta=eta),
                                        p33.spectrum))
@@ -933,24 +1002,19 @@ def _block(h, which):
     return exactn.AssembledHamiltonian(h.blocks.matrices[which], (h.blocks.index[which].size,))
 
 
-def test_lean_operator_matches_eigsh_on_the_csr(p33):
-    """lowest_eigenvalues hands ARPACK a lean operator over the CSR matrix;
-    its levels and vectors equal eigsh's on the CSR itself, at the same
-    start vector, bit for bit: k = 1 at tolerance 0 and the ranking solve."""
-    eta_c = eta_critical(p33)
-    for alpha, eta in ((0.0, 2.8), (1.0, eta_c - 0.04), (jc_gauge(p33), 1e-3)):
-        h = assemble(HilbertConfig(2, 8, 40), p33.with_(n_dipoles=2, alpha=alpha, eta=eta),
-                     p33.spectrum)
-        for which in (0, 1):
-            block = _block(h, which)
-            for k, tol in ((1, 0.0), (2, exactn.RANKING_TOL)):
-                vals, vecs = lowest_eigenvalues(block, k, return_vectors=True, tol=tol)
-                want_vals, want_vecs = exactn.eigsh(
-                    block.matrix, k=k, which="SA", v0=exactn._start_vector(block.matrix),
-                    tol=tol, maxiter=exactn.LANCZOS_MAXITER)
-                order = np.argsort(want_vals)
-                assert np.array_equal(vals, want_vals[order])
-                assert np.array_equal(vecs, want_vecs[:, order])
+@pytest.mark.filterwarnings("ignore:Fock tail")
+def test_ground_pair_equals_a_dense_solve_of_each_block(p33):
+    """G and E equal the two lowest levels of scipy.linalg.eigh over both
+    parity blocks to 1e-12 relative on every point of _lanczos_blocks and at
+    eta = 1e-6, where the ground block's second level and the other block's
+    lowest lie in near-degenerate multiplets: at N = 5, alpha = 1 a solve
+    that ends on the upper member of a doublet puts E 4.9e-7 (3e-9
+    relative) too high."""
+    for h in _lanczos_blocks(p33, extra_etas=(1e-6,)):
+        want = np.sort(np.concatenate([eigh(block.toarray(), eigvals_only=True,
+                                            subset_by_index=[0, 1])
+                                       for block in h.blocks.matrices]))[:2]
+        assert np.allclose(exactn.ground_pair(h)[:2], want, rtol=1e-12, atol=0)
 
 
 def test_dense_solves_equal_eigh_bit_for_bit(p33):
@@ -1015,6 +1079,25 @@ def test_a_dense_block_is_reduced_once(p33, monkeypatch):
     again = lowest_eigenvalues(h, 2, return_vectors=True)
     assert sizes[8:] == [40]
     assert all(a.tobytes() == b.tobytes() for a, b in zip(first, again))
+
+
+def test_only_the_ground_block_vector_is_formed(p33, monkeypatch):
+    """A dense point solves both blocks for their lowest level alone and
+    back-transforms (dormqr) the ground block's vector only: one per
+    ground_pair and one per second_derivative_sweep point."""
+    calls = []
+    dormqr = exactn.lapack.dormqr
+
+    def counted(*args, **kwargs):
+        calls.append(args[4].shape)
+        return dormqr(*args, **kwargs)
+
+    monkeypatch.setattr(exactn.lapack, "dormqr", counted)
+    exactn.ground_pair(assemble(HilbertConfig(1, 8, 40), p33.with_(eta=1.2), p33.spectrum))
+    assert calls == [(159, 1)]
+    second_derivative_sweep(HilbertConfig(2, 2, 40, representation=CollectiveSpin()),
+                            p33.with_(n_dipoles=2), [1.6, 1.7, 1.8])
+    assert calls[1:] == [(59, 1)] * 3
 
 
 @pytest.mark.filterwarnings("ignore:Fock tail")
