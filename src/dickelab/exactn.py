@@ -58,20 +58,18 @@ Kronecker contribution straight into the CSR storage of the even and odd
 blocks, and no solve reads anything else; `ground_pair` solves each block
 for its lowest level, and E is the other block's lowest level unless the
 ground block's second level lies below it; `second_derivative_sweep` reads
-only G, and solves each block for its lowest level alone. The entries
-between the blocks, which no block stores, are rounding from the well solve.
-Each point reads the largest of them, and H - H^T, off the dipole factors,
-and checks them against PARITY_TOL and SYMMETRY_TOL.
+only G, from the same block solves. The entries between the blocks, which no
+block stores, are rounding from the well solve. Each point reads the largest
+of them, and H - H^T, off the dipole factors, and checks them against
+PARITY_TOL and SYMMETRY_TOL.
 The budget and the basis order still cover the whole matrix, both blocks
 together, and `AssembledHamiltonian.matrix`, the whole matrix, is formed
 when it is read, as the sparse Kronecker sum of the point's factors.
 
-A block of at most DENSE_THRESHOLD states is solved densely by the steps of
-LAPACK's dsyevr, which scipy.linalg.eigh's subset solve runs, through
-`scipy.linalg.lapack`: the block is reduced to tridiagonal form once
-(`_Tridiagonal`, kept on the block), and its lowest level, ground vector and
-second level are each read from that reduction, bit for bit eigh's. So a
-dense point costs two reductions, one per block.
+A block of at most DENSE_THRESHOLD states is solved densely by one dsyevr
+call (`_dsyevr`) for its two lowest levels and their vectors, which give G,
+the ground vector and the ground block's second level. So a dense point
+costs one factorisation per block.
 
 A block above DENSE_THRESHOLD states is solved by `_davidson`, Davidson's
 method preconditioned by the block's diagonal, which holds the dipole and
@@ -79,9 +77,9 @@ photon energies and dominates the block; it needs only numpy and the CSR
 product. Each solve finds one level, deflated against the vectors of the
 levels below it: `ground_pair`'s ranking solve is one such solve, deflated
 against the ground vector. A solve starts from the block's diagonal alone
-(`_start_vector` and the unit vectors of its lowest entries) and has no
-random restart, so each point's result depends on that point only, not on
-the grid around it nor on the solves before it.
+(the unit vectors of its lowest entries) and has no random restart, so each
+point's result depends on that point only, not on the grid around it nor on
+the solves before it.
 """
 
 import copy
@@ -106,21 +104,21 @@ from .errors import (
 from .gauge import ReducedParams, derive_couplings
 
 DEFAULT_BUDGET = 200_000
-# Dense subset solve up to this many states, `_davidson` above. Per block, a
-# k = 1 solve with its vector and the ranking solve, on both blocks of N = 2,
-# L = 8 at 1 BLAS thread, eta 1 and 2.8 (one reduction dense): dense wins at
-# 144 states (0.8 against 1.1-2.4 ms), the two cost the same near 216 (1.7-2.3
-# against 1.4-2.0 ms), and above, Davidson wins (3.7-3.8 against 1.2-2.5 ms at
-# 288, 18-19 against 1.3-2.5 at 576, 114-123 against 1.6-3.3 at 1080). The
-# value stays 600, since moving it moves rows between the solvers. A dense
-# solve is exact, so ground_pair reads a dense block's second level from the
-# same reduction as its lowest.
+# Dense subset solve up to this many states, `_davidson` above. Per block, at
+# 1 BLAS thread on both blocks of N = 2, L = 8, eta 1 and 2.8, one dsyevr
+# call for the two lowest pairs against a k = 1 solve with its vector and the
+# ranking solve: dense wins at 144 states (0.6 against 0.7-1.0 ms), and from
+# 216 on Davidson wins (1.4-1.5 against 0.9-1.3 ms at 216, 3.3 against
+# 0.8-1.5 at 288, 17-18 against 1.0-1.9 at 576, 111-122 against 1.2-2.6 at
+# 1080). The value stays 600, since moving it moves rows between the solvers.
+# A dense solve is exact, so ground_pair reads a dense block's second level
+# from the same call as its lowest.
 DENSE_THRESHOLD = 600
 # Davidson steps before an iterative solve gives up with ConvergenceError.
-# The most matrix-vector products any converged solve took was 107 over the
-# test suite (k = 3 at tol 0, 720 states) and 68 over the default commands (a
-# 2,400-state block of s-figs-gauges). 1000 steps on a 720-state block take
-# about 0.2 s.
+# The most matrix-vector products any converged solve took was 105 over the
+# test suite (k = 3 at tol 0, 720 states), 68 over the default commands (a
+# 2,400-state block of s-figs-gauges) and 84 over CI's replay lines (720
+# states). 1000 steps at tol 1e-20 on a 720-state block take about 0.05 s.
 DAVIDSON_MAXITER = 1000
 # Residual |H x - theta x| / max(1, |theta|) at which a tol = 0 iterative solve
 # stops. An eigenvalue lies within |r| of theta, and theta lies within about
@@ -128,24 +126,17 @@ DAVIDSON_MAXITER = 1000
 RESIDUAL_TOL = 1e-10
 # Largest Davidson basis; a full basis restarts from its Ritz vector.
 _BASIS = 24
-# Unit vectors of a block's lowest diagonal entries that seed each solve
-# beside `_start_vector`. Seeded with that vector alone, the solve for the
-# odd block's lowest level converged to the upper member of its resonant
-# doublet at eta = 1e-6 (N = 2, 3 and 5, every gauge; E 4.9e-7 too high) and
-# at N = 5, alpha = 1, eta = 1e-3 (4.9e-4 too high).
+# Unit vectors of a block's lowest diagonal entries that seed each solve. A
+# start built from the whole diagonal, without them, converged to the upper
+# member of the odd block's resonant doublet at eta = 1e-6 (N = 2, 3 and 5,
+# every gauge; E 4.9e-7 too high). 1 to 4 seeds all reach the dense levels
+# within 1e-12 on the test suite's iterative points; over ground_pair at
+# N = 2, 3 and 5, L = 8, M = 40, alpha 0, 0.5 and 1, eta 1e-6 to 2.8, 1, 2, 3,
+# 4 and 6 seeds took 2599, 2407, 2483, 2586 and 2796 products.
 _SEEDS = 4
 # Smallest d - theta of the diagonal correction r / (d - theta): entries with
 # |d - theta| below it are set to it.
 _SHIFT_FLOOR = 1e-2
-# Energy scale (in units of omega) of the start vector's weights,
-# exp(-(diagonal - its minimum) / START_SCALE) (`_start_vector`). Beside the
-# unit seeds the weighting matters little: over ground_pair's solves at
-# L = 8, M = 40 in the Coulomb, JC and multipolar gauges (N = 2 and 3 at eta
-# 1e-3, 1, 1.99 and 2.8), k = 1 and ranking solves took 1339 and 336 products
-# at 0.3, 1303 / 318 at 0.1, 1331 / 333 at 1.0 and 1353 / 338 from the
-# uniform start; at N = 5 (15,840-state blocks), eta 1 and 2.8, 94 / 21 at
-# 0.3 and 95 / 23 uniform. G and E moved by at most 2.2e-14 relative.
-START_SCALE = 0.3
 FOCK_TAIL_TOL = 1e-8
 SYMMETRY_TOL = 1e-12
 # Relative tolerance of ground_pair's solve that ranks the ground block's
@@ -215,8 +206,8 @@ class AssembledHamiltonian:
     - a bare `matrix` for `lowest_eigenvalues`, e.g. one parity block
       (`axis_dims` of one entry); its `blocks` are None.
 
-    The matrix is never modified: the first dense solve keeps its
-    tridiagonal reduction (`_Tridiagonal`) for the next.
+    The matrix is never modified: each dense solve is one dsyevr call on a
+    dense copy of it.
     """
 
     def __init__(self, matrix, axis_dims, occupations=None, *, blocks=None, whole=None):
@@ -224,7 +215,6 @@ class AssembledHamiltonian:
         self.blocks = blocks                  # the _ParityBlocks of parity_diagonal, or None
         self.axis_dims = tuple(axis_dims)     # (sector states, Fock cutoff)
         self.occupations = occupations        # the sector's (states, L) occupations; None on a block
-        self.tridiagonal = None               # the _Tridiagonal of the first dense solve
 
     @property
     def matrix(self) -> sp.csr_matrix:
@@ -741,14 +731,16 @@ def dicke_two_level(config: HilbertConfig, params: ReducedParams,
                       omega_field=couplings.omega_alpha)
 
 
-def _start_vector(matrix) -> np.ndarray:
-    """First vector of `_davidson`'s basis for a real symmetric matrix, built
-    from its diagonal alone: unit-norm, proportional to
-    exp(-(d - min d) / START_SCALE) with the exponent clipped at 30, so no
-    entry is zero."""
-    diag = matrix.diagonal()
-    v0 = np.exp(-np.minimum((diag - diag.min()) / START_SCALE, 30.0))
-    return v0 / np.linalg.norm(v0)
+def _dsyevr(a, k, vectors):
+    """The k lowest eigenvalues of the dense real symmetric array a,
+    ascending, and with `vectors` their unit vectors as columns: one call of
+    LAPACK's dsyevr on the lower triangle, which scales a matrix whose
+    largest |entry| lies out of range, solves a 1 x 1 matrix at once and
+    sorts the levels. Raises ConvergenceError when dsyevr reports a failure."""
+    values, z, _, _, info = lapack.dsyevr(a, compute_v=vectors, range="I", lower=1, iu=k)
+    if info:
+        raise ConvergenceError(f"LAPACK's dsyevr failed (info {info}) at dimension {a.shape[0]}")
+    return (values[:k], z) if vectors else values[:k]
 
 
 def _davidson(matrix, tol, deflate=()):
@@ -757,14 +749,15 @@ def _davidson(matrix, tol, deflate=()):
     Davidson's method with the diagonal as preconditioner, and the norm of
     its residual r = H x - theta x projected on that complement.
 
-    The basis starts from `_start_vector` and the unit vectors of the _SEEDS
-    lowest diagonal entries d. Each step adds the correction r / (d - theta),
-    each d - theta smaller than _SHIFT_FLOOR in magnitude set to it, or r
-    itself where nothing of the correction is left, orthogonalised twice
-    against `deflate` and the basis; a full basis of _BASIS vectors restarts
-    from the Ritz vector. It stops when |r|, recomputed from a fresh product
-    H x, is at most tol max(1, |theta|) (RESIDUAL_TOL for tol = 0), and
-    raises ConvergenceError after DAVIDSON_MAXITER steps.
+    The basis starts from the unit vectors of the _SEEDS lowest diagonal
+    entries d that leave something outside `deflate`. Each step adds the
+    correction r / (d - theta), each d - theta smaller than _SHIFT_FLOOR in
+    magnitude set to it, or r itself where nothing of the correction is
+    left, orthogonalised twice against `deflate` and the basis; a full basis
+    of _BASIS vectors restarts from the Ritz vector. It stops when |r|,
+    recomputed from a fresh product H x, is at most tol max(1, |theta|)
+    (RESIDUAL_TOL for tol = 0), and raises ConvergenceError after
+    DAVIDSON_MAXITER steps.
     """
     n = matrix.shape[0]
     diag = matrix.diagonal()
@@ -791,14 +784,15 @@ def _davidson(matrix, tol, deflate=()):
         used += 1
         return True
 
-    add(_start_vector(matrix))
-    for i in np.argsort(diag, kind="stable")[:_SEEDS]:
-        if used < size:
-            add(np.eye(1, n, i)[0])
+    # A deflated unit vector (e.g. the ground vector of a diagonal block)
+    # adds nothing; the next lowest entry takes its place.
+    seeds = min(size, _SEEDS)
+    for i in np.argsort(diag, kind="stable"):
+        if used == seeds:
+            break
+        add(np.eye(1, n, i)[0])
     for _ in range(DAVIDSON_MAXITER):
-        values, vectors, _, _, info = lapack.dsyevr(projected[:used, :used], range="I", iu=1)
-        if info:
-            raise ConvergenceError(f"LAPACK's dsyevr failed (info {info}) on a Davidson basis")
+        values, vectors = _dsyevr(projected[:used, :used], 1, True)
         theta, y = values[0], vectors[:, 0]
         bound = (tol or RESIDUAL_TOL) * max(1.0, abs(theta))
         x = y @ basis[:used]
@@ -823,97 +817,15 @@ def _davidson(matrix, tol, deflate=()):
         "loosen tol, ask for fewer levels k, or use method='dense'")
 
 
-# The range of the largest |entry| that LAPACK's dsyevr reduces as it is,
-# from its safe minimum and precision; it scales a matrix outside the range
-# into it and scales the eigenvalues back.
-_SMLNUM = np.finfo(float).tiny / np.finfo(float).eps
-_RMIN = math.sqrt(_SMLNUM)
-_RMAX = min(math.sqrt(1.0 / _SMLNUM), 1.0 / math.sqrt(math.sqrt(np.finfo(float).tiny)))
-
-
-@dataclass(frozen=True, eq=False)
-class _Tridiagonal:
-    """A dense real symmetric matrix A reduced to tridiagonal form
-    T = Q^T A Q as LAPACK's dsyevr reduces it: dsytrd on the lower triangle
-    at dsyevr's workspace size, which sets the block size and so the bits.
-    `lowest` repeats dsyevr's steps after the reduction, so every subset
-    solve of A reads this one reduction and equals
-    scipy.linalg.eigh(subset_by_index=[0, k - 1]) bit for bit."""
-
-    reflectors: np.ndarray    # dsytrd's output: Q's Householder vectors below the subdiagonal
-    tau: np.ndarray           # their scalar factors
-    d: np.ndarray             # T's diagonal
-    e: np.ndarray             # T's subdiagonal
-    lwork: int                # dsyevr's workspace size
-    sigma: float              # the factor A was scaled by, 1.0 within range
-
-    @classmethod
-    def of(cls, matrix):
-        """The reduction of a sparse symmetric matrix, whose largest |entry|
-        is dsyevr's norm of its lower triangle; dsyevr solves a 1 x 1 matrix
-        before it scales."""
-        n = matrix.shape[0]
-        a = matrix.toarray()      # dsytrd's wrapper copies it to Fortran order
-        top = np.abs(matrix.data).max(initial=0.0)
-        sigma = 1.0
-        if n > 1 and (0.0 < top < _RMIN or top > _RMAX):
-            sigma = (_RMIN if top < _RMIN else _RMAX) / top
-            a *= sigma
-        lwork = int(lapack.dsyevr_lwork(n, lower=1)[0])
-        reflectors, d, e, tau, _ = lapack.dsytrd(a, lower=1, lwork=lwork - 5 * n)
-        return cls(reflectors, tau, d, e, lwork, sigma)
-
-    def lowest(self, k, vectors):
-        """The k lowest eigenvalues, ascending, and their vectors as columns
-        when asked for. As in dsyevr: for k = n the whole spectrum by dsterf
-        (values) or dstemr (vectors), else, or where those fail, bisection
-        (dstebz) and inverse iteration (dstein); the vectors taken back
-        through Q (dormqr on the reflectors, dormtr's work on a lower
-        triangle) and put in order by dsyevr's selection sort."""
-        d, e, n = self.d, self.e, self.d.size
-        if n == 1:
-            return (d.copy(), np.ones((1, 1))) if vectors else d.copy()
-        info = 1
-        if k == n:
-            if vectors:
-                _, w, z, info = lapack.dstemr(d, np.append(e, 0.0), 0, 0.0, 0.0, 1, n)
-            else:
-                w, info = lapack.dsterf(d, e)
-        if info:
-            m, w, iblock, isplit, info = lapack.dstebz(d, e, 2, 0.0, 0.0, 1, k, 0.0,
-                                                       "B" if vectors else "E")
-            w = w[:m]
-            if vectors and not info:
-                z, info = lapack.dstein(d, e, w, iblock, isplit)
-            if info:
-                raise ConvergenceError(
-                    f"LAPACK's tridiagonal solve failed (info {info}) at dimension {n}")
-        if self.sigma != 1.0:
-            w = w * (1.0 / self.sigma)
-        if not vectors:
-            return w
-        z[1:] = lapack.dormqr("L", "N", self.reflectors[1:, :-1], self.tau, z[1:],
-                              self.lwork - 2 * n)[0]
-        for j in range(w.size - 1):
-            i = j + 1 + np.argmin(w[j + 1:])
-            if w[i] < w[j]:
-                w[[i, j]] = w[[j, i]]
-                z[:, [i, j]] = z[:, [j, i]]
-        return w, z
-
-
 def lowest_eigenvalues(h: AssembledHamiltonian, k: int, method: str | None = None,
                        return_vectors: bool = False, tol: float = 0.0):
     """k smallest eigenvalues (ascending), and their vectors on request.
 
     method forces "dense" or "sparse"; the default is dense up to
     DENSE_THRESHOLD states (or when k is at least the dimension less one)
-    and sparse above. The dense path runs LAPACK's dsyevr step by step: the
-    first dense solve of h reduces its matrix to tridiagonal form and keeps
-    the reduction on h (`_Tridiagonal`), and every dense solve of h reads
-    it, computing only the k lowest pairs, and no vectors unless asked for.
-    Each result equals scipy.linalg.eigh(subset_by_index=[0, k - 1]) bit
-    for bit. The dense path ignores tol.
+    and sparse above. The dense path is one dsyevr call (`_dsyevr`) on the
+    dense matrix, which computes only the k lowest pairs, and no vectors
+    unless asked for. The dense path ignores tol.
 
     The sparse path finds the k levels one at a time, each by `_davidson`
     deflated against the vectors found before it. At tol = 0 each level
@@ -923,22 +835,20 @@ def lowest_eigenvalues(h: AssembledHamiltonian, k: int, method: str | None = Non
     tol > 0 puts tol in its place. So for k = 1 an eigenvalue lies within
     that norm of lambda, and lambda within about its square over the gap to
     the rest of the spectrum. Like any iterative solve it cannot prove that
-    the level it found is the lowest; the unit vectors of the lowest diagonal
-    entries among its start make it reach the bottom of a near-degenerate
-    multiplet (`_SEEDS`). It starts from the matrix's diagonal alone, so a matrix's
-    result depends on nothing else: not on the solves before it, nor on its
-    neighbours in a sweep. It raises ConvergenceError after DAVIDSON_MAXITER
-    steps, and ValidationError for k of at least the dimension less one,
-    which only the dense path solves.
+    the level it found is the lowest; it starts from the unit vectors of the
+    lowest diagonal entries, which make it reach the bottom of a
+    near-degenerate multiplet (`_SEEDS`). Those depend on the matrix alone,
+    so a matrix's result depends on nothing else: not on the solves before
+    it, nor on its neighbours in a sweep. It raises ConvergenceError after
+    DAVIDSON_MAXITER steps, and ValidationError for k of at least the
+    dimension less one, which only the dense path solves.
     """
     if not 1 <= k <= h.dimension:
         raise ValidationError(f"k = {k} outside 1..{h.dimension}")
     if method is None:
         method = "dense" if (h.dimension <= DENSE_THRESHOLD or k >= h.dimension - 1) else "sparse"
     if method == "dense":
-        if h.tridiagonal is None:
-            h.tridiagonal = _Tridiagonal.of(h.matrix)
-        return h.tridiagonal.lowest(k, return_vectors)
+        return _dsyevr(h.matrix.toarray(), k, return_vectors)
     if method != "sparse":
         raise ValidationError("method must be None, 'dense' or 'sparse'")
     if k >= h.dimension - 1:
@@ -966,9 +876,11 @@ def fock_tail_weight(h: AssembledHamiltonian, vector) -> float:
 
 
 def _block_grounds(h: AssembledHamiltonian, stacklevel=3):
-    """(G, the ground block, its ground vector, the other block's lowest
-    level, Fock-tail weight): each joint-parity block of h (`h.blocks`)
-    solved for its lowest level alone, with the warning and the checks of
+    """(G, the ground block's second level or None, the ground block, its
+    ground vector, the other block's lowest level, Fock-tail weight): each
+    joint-parity block of h (`h.blocks`) solved with its vectors, a dense
+    block (at most DENSE_THRESHOLD states) for its two lowest levels, a
+    larger one for its lowest alone, with the warning and the checks of
     `ground_pair`.
 
     The blocks leave out the entries between them, which are rounding from
@@ -987,18 +899,14 @@ def _block_grounds(h: AssembledHamiltonian, stacklevel=3):
     solved = []
     for matrix, index in zip(blocks.matrices, blocks.index):
         block = AssembledHamiltonian(matrix, (index.size,))
-        # A dense vector costs a back-transformation and only the ground
-        # block's is read; an iterative solve has its vector anyway.
-        if block.dimension <= DENSE_THRESHOLD:
-            vals, vecs = lowest_eigenvalues(block, 1), None
-        else:
-            vals, vecs = lowest_eigenvalues(block, 1, return_vectors=True)
-        solved.append((vals[0], vecs, index, block))
-    (ground, vecs, index, block), (other, *_) = sorted(solved, key=lambda level: level[0])
-    if vecs is None:
-        vecs = lowest_eigenvalues(block, 1, return_vectors=True)[1]
+        # k = 2 fits every block: each of the 2 or more sector states puts
+        # one of its photon numbers 0 and 1 in each block.
+        k = 2 if block.dimension <= DENSE_THRESHOLD else 1
+        vals, vecs = lowest_eigenvalues(block, k, return_vectors=True)
+        solved.append((vals, vecs[:, 0], index, block))
+    (vals, ground_vector, index, block), (other, *_) = sorted(solved, key=lambda s: s[0][0])
     vector = np.zeros(h.dimension)
-    vector[index] = vecs[:, 0]
+    vector[index] = ground_vector
     tail = fock_tail_weight(h, vector)
     if tail > FOCK_TAIL_TOL:
         warnings.warn(
@@ -1006,7 +914,7 @@ def _block_grounds(h: AssembledHamiltonian, stacklevel=3):
             "raise fock_cutoff",
             stacklevel=stacklevel,
         )
-    return ground, block, vecs[:, 0], other, tail
+    return vals[0], (vals[1] if vals.size > 1 else None), block, ground_vector, other[0], tail
 
 
 def ground_pair(h: AssembledHamiltonian):
@@ -1019,18 +927,17 @@ def ground_pair(h: AssembledHamiltonian):
     (`_block_grounds`, which also checks the entries the blocks leave out).
     The lower of the two is G. E is the second level over both blocks: the
     other block's lowest level, unless the ground block's second level lies
-    below it. On a block of at most DENSE_THRESHOLD states that level is read
-    from the dense solve, exactly. On a larger block one `_davidson` solve,
-    deflated against the ground vector, ranks it at tolerance RANKING_TOL:
-    when its Ritz value theta less its residual norm does not clear the other
-    block's level, the level is solved again at tolerance 0. E is the lower
-    of the two. The budget bounds h, whose size is the sum of the two
-    blocks'. A bare matrix, without blocks, raises ValidationError.
+    below it. On a block of at most DENSE_THRESHOLD states that level comes
+    from the same dense solve as G, exactly. On a larger block one
+    `_davidson` solve, deflated against the ground vector, ranks it at
+    tolerance RANKING_TOL: when its Ritz value theta less its residual norm
+    does not clear the other block's level, the level is solved again at
+    tolerance 0. E is the lower of the two. The budget bounds h, whose size
+    is the sum of the two blocks'. A bare matrix, without blocks, raises
+    ValidationError.
     """
-    ground, block, vector, excited, tail = _block_grounds(h, stacklevel=4)
-    if block.dimension <= DENSE_THRESHOLD:
-        second = lowest_eigenvalues(block, 2)[1]
-    else:
+    ground, second, block, vector, excited, tail = _block_grounds(h, stacklevel=4)
+    if second is None:
         second, _, residual = _davidson(block.matrix, RANKING_TOL, vector)
         if second - residual <= excited:
             second = _davidson(block.matrix, 0.0, vector)[0]
@@ -1074,8 +981,9 @@ def second_derivative_sweep(config: HilbertConfig, params_template: ReducedParam
 
     G_s = G - rho d^2 / 2; returns rows (eta, (N omega)^-1 d^2 G_s / d eta^2)
     for the interior grid points. The grid must be uniform. Each point
-    solves each parity block for its lowest level only (`_block_grounds`),
-    since E is not read; G is the same, bit for bit, as `ground_pair`'s.
+    reads G from `ground_pair`'s block solves (`_block_grounds`) without the
+    ranking solve, since E is not read; G is the same, bit for bit, as
+    `ground_pair`'s.
 
     d^2 is the central second difference at the grid step h. Its truncation
     error, (h^2/12) d^4 G_s / d eta^4, is far larger than rounding: at

@@ -979,7 +979,7 @@ def test_sparse_solve_refuses_k_near_the_dimension(p33):
         assert np.allclose(lowest_eigenvalues(h, k), full[:k], rtol=1e-13, atol=1e-13)
 
 
-def _lanczos_blocks(p33, extra_etas=()):
+def _iterative_blocks(p33, extra_etas=()):
     """Points whose parity blocks the iterative solver solves: N = 2 (720
     states), N = 3 (840) and N = 5 (756), at both gauge ends and the JC
     gauge, from an exactly diagonal block with degenerate entries (eta = 0,
@@ -1005,27 +1005,29 @@ def _block(h, which):
 @pytest.mark.filterwarnings("ignore:Fock tail")
 def test_ground_pair_equals_a_dense_solve_of_each_block(p33):
     """G and E equal the two lowest levels of scipy.linalg.eigh over both
-    parity blocks to 1e-12 relative on every point of _lanczos_blocks and at
+    parity blocks to 1e-12 relative on every point of _iterative_blocks and at
     eta = 1e-6, where the ground block's second level and the other block's
     lowest lie in near-degenerate multiplets: at N = 5, alpha = 1 a solve
     that ends on the upper member of a doublet puts E 4.9e-7 (3e-9
     relative) too high."""
-    for h in _lanczos_blocks(p33, extra_etas=(1e-6,)):
+    for h in _iterative_blocks(p33, extra_etas=(1e-6,)):
         want = np.sort(np.concatenate([eigh(block.toarray(), eigvals_only=True,
                                             subset_by_index=[0, 1])
                                        for block in h.blocks.matrices]))[:2]
         assert np.allclose(exactn.ground_pair(h)[:2], want, rtol=1e-12, atol=0)
 
 
-def test_dense_solves_equal_eigh_bit_for_bit(p33):
-    """A dense solve repeats LAPACK's dsyevr on the matrix's one kept
-    reduction: its levels and vectors equal scipy.linalg.eigh's subset
-    solve byte for byte, for k = 1, 2, 3 and the dimension, asked in any
-    order, on the parity blocks of the sector and the two-level model at
-    eta = 0 and 1.8, among them blocks of 600 states and of 2 and 3 states,
-    on a block scaled by 1e-150 and 1e80, which dsyevr scales back into
-    range, on a 1 x 1 matrix, and on a diagonal matrix, whose tridiagonal
-    form splits, so bisection returns its levels out of order."""
+def test_dense_solves_agree_with_eigh(p33):
+    """A dense solve is one dsyevr call: its levels agree with
+    scipy.linalg.eigh's subset solve to 1e-13 of the largest |level|, and its
+    vectors are orthonormal to 1e-12 with residuals within 1e-13 of that
+    level, for k = 1, 2, 3 and the dimension, on the parity blocks of the
+    sector and the two-level model at eta = 0 and 1.8, among them blocks of
+    600 states and of 2 and 3 states, on a block scaled by 1e-150 and 1e80,
+    which dsyevr scales back into range, on a 1 x 1 matrix, and on a
+    diagonal matrix, whose tridiagonal form splits. The eta = 0 blocks hold
+    degenerate levels, so a vector is checked by what it does, not by its
+    sign."""
     blocks = []
     for eta in (0.0, 1.8):
         for n, cfg, build in ((1, HilbertConfig(1, 12, 100), assemble),
@@ -1043,87 +1045,74 @@ def test_dense_solves_equal_eigh_bit_for_bit(p33):
     assert {600, 3, 2, 1} <= {block.shape[0] for block in blocks}
     for matrix in blocks:
         n = matrix.shape[0]
+        dense = matrix.toarray()
+        scale = np.abs(eigh(dense, eigvals_only=True)).max()
         block = exactn.AssembledHamiltonian(matrix, (n,))
-        for k in sorted({1, 2, 3, n} & set(range(1, n + 1)), key=lambda k: (k % 2, -k)):
-            for vectors in (True, False):
-                want = eigh(matrix.toarray(), eigvals_only=not vectors,
-                            subset_by_index=[0, k - 1])
-                got = lowest_eigenvalues(block, k, method="dense", return_vectors=vectors)
-                for have, expect in zip(*((got, want) if vectors else ((got,), (want,)))):
-                    assert have.dtype == expect.dtype and have.shape == expect.shape
-                    assert have.tobytes() == expect.tobytes()
+        for k in sorted({1, 2, 3, n} & set(range(1, n + 1))):
+            want = eigh(dense, eigvals_only=True, subset_by_index=[0, k - 1])
+            values = lowest_eigenvalues(block, k, method="dense")
+            assert values.shape == (k,)
+            assert np.abs(values - want).max() <= 1e-13 * scale
+            values, vectors = lowest_eigenvalues(block, k, method="dense", return_vectors=True)
+            assert np.abs(values - want).max() <= 1e-13 * scale
+            assert vectors.shape == (n, k)
+            assert np.abs(vectors.T @ vectors - np.eye(k)).max() <= 1e-12
+            assert np.abs(dense @ vectors - vectors * values).max() <= 1e-13 * scale
 
 
-def test_a_dense_block_is_reduced_once(p33, monkeypatch):
-    """Each dense parity block is reduced to tridiagonal form once (dsytrd):
-    ground_pair reads G, the ground vector and the ranking level from two
-    reductions, one per block, and second_derivative_sweep's G from two per
-    point; a matrix asked again for any k or vectors is not reduced again."""
+def test_a_dense_block_is_factorised_once(p33, monkeypatch):
+    """Each dense parity block is solved by one dsyevr call: ground_pair reads
+    G, the ground vector and the ranking level from two calls, one per
+    block, and second_derivative_sweep's G from two per point."""
     sizes = []
-    dsytrd = exactn.lapack.dsytrd
+    dsyevr = exactn.lapack.dsyevr
 
     def counted(a, *args, **kwargs):
         sizes.append(a.shape[0])
-        return dsytrd(a, *args, **kwargs)
+        return dsyevr(a, *args, **kwargs)
 
-    monkeypatch.setattr(exactn.lapack, "dsytrd", counted)
+    monkeypatch.setattr(exactn.lapack, "dsyevr", counted)
     exactn.ground_pair(assemble(HilbertConfig(1, 8, 40), p33.with_(eta=1.2), p33.spectrum))
     assert sizes == [160, 160]
     second_derivative_sweep(HilbertConfig(2, 2, 40, representation=CollectiveSpin()),
                             p33.with_(n_dipoles=2), [1.6, 1.7, 1.8])
     assert sizes[2:] == [60] * 6
-    h = assemble(HilbertConfig(1, 4, 10), p33.with_(eta=0.7), p33.spectrum)
-    first = lowest_eigenvalues(h, 2, return_vectors=True)
-    for k, vectors in ((1, False), (3, True), (40, False), (2, True)):
-        lowest_eigenvalues(h, k, return_vectors=vectors)
-    again = lowest_eigenvalues(h, 2, return_vectors=True)
-    assert sizes[8:] == [40]
-    assert all(a.tobytes() == b.tobytes() for a, b in zip(first, again))
 
 
-def test_only_the_ground_block_vector_is_formed(p33, monkeypatch):
-    """A dense point solves both blocks for their lowest level alone and
-    back-transforms (dormqr) the ground block's vector only: one per
-    ground_pair and one per second_derivative_sweep point."""
-    calls = []
-    dormqr = exactn.lapack.dormqr
+def test_a_failed_dsyevr_raises_convergence_error(p33, monkeypatch):
+    """A failure dsyevr reports (info > 0) raises ConvergenceError from a
+    dense solve and from an iterative one, whose Ritz step calls it."""
+    dsyevr = exactn.lapack.dsyevr
 
-    def counted(*args, **kwargs):
-        calls.append(args[4].shape)
-        return dormqr(*args, **kwargs)
+    def failing(*args, **kwargs):
+        *result, _ = dsyevr(*args, **kwargs)
+        return *result, 1
 
-    monkeypatch.setattr(exactn.lapack, "dormqr", counted)
-    exactn.ground_pair(assemble(HilbertConfig(1, 8, 40), p33.with_(eta=1.2), p33.spectrum))
-    assert calls == [(159, 1)]
-    second_derivative_sweep(HilbertConfig(2, 2, 40, representation=CollectiveSpin()),
-                            p33.with_(n_dipoles=2), [1.6, 1.7, 1.8])
-    assert calls[1:] == [(59, 1)] * 3
+    monkeypatch.setattr(exactn.lapack, "dsyevr", failing)
+    h = assemble(HilbertConfig(1, 8, 80), p33.with_(eta=0.5), p33.spectrum)
+    assert h.dimension > exactn.DENSE_THRESHOLD
+    for method in ("dense", "sparse"):
+        with pytest.raises(ConvergenceError, match="dsyevr failed"):
+            lowest_eigenvalues(h, 1, method=method)
 
 
-@pytest.mark.filterwarnings("ignore:Fock tail")
-def test_weighted_start_agrees_with_the_uniform_start(p33, monkeypatch):
-    """The start vector weighted by the diagonal moves G and E by at most
-    5e-14 relative against the uniform start it replaced."""
-    points = _lanczos_blocks(p33)
-    weighted = [exactn.ground_pair(h)[:2] for h in points]
-
-    def uniform(matrix):
-        return np.full(matrix.shape[0], 1.0 / math.sqrt(matrix.shape[0]))
-
-    monkeypatch.setattr(exactn, "_start_vector", uniform)
-    for h, got in zip(points, weighted):
-        want = exactn.ground_pair(h)[:2]
-        assert np.allclose(got, want, rtol=5e-14, atol=0)
+def test_iterative_solve_seeds_past_deflated_unit_vectors():
+    """On a diagonal matrix each level's vector is a unit vector, so once
+    _SEEDS levels are found, the next solve is deflated against the unit
+    vectors of the _SEEDS lowest entries; it seeds from the next lowest
+    entries instead and still finds its level."""
+    block = exactn.AssembledHamiltonian(sp.diags(np.arange(700.0)[::-1], format="csr"), (700,))
+    k = exactn._SEEDS + 2
+    assert np.array_equal(lowest_eigenvalues(block, k, method="sparse"), np.arange(k))
 
 
 @pytest.mark.filterwarnings("ignore:Fock tail")
 def test_block_solve_does_not_depend_on_earlier_solves(p33):
-    """After a breakdown ARPACK restarts from a random vector, drawn from a
-    seed it keeps between calls or, in newer scipy, from fresh entropy. A
-    block solved again after unrelated solves, the exactly diagonal
-    degenerate blocks among them, gives the same levels and vectors bit for
-    bit."""
-    points = _lanczos_blocks(p33)
+    """An iterative solve starts from the block's diagonal alone and keeps
+    nothing between calls. A block solved again after unrelated solves, the
+    exactly diagonal degenerate blocks among them, gives the same levels and
+    vectors bit for bit."""
+    points = _iterative_blocks(p33)
     block = _block(points[2], 0)
     first = [lowest_eigenvalues(block, k, return_vectors=True, tol=tol)
              for k, tol in ((1, 0.0), (2, exactn.RANKING_TOL))]
