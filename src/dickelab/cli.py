@@ -84,6 +84,13 @@ class RunConfig:
             raise ValidationError("alpha_point must lie in [0, 1]")
         if not 0.0 <= self.eta_point < math.inf:
             raise ValidationError("eta_point must be finite and at least 0")
+        if self.energy_scale != "resonance":
+            try:
+                value = float(self.energy_scale)
+            except ValueError:
+                raise ValidationError("energy_scale must be 'resonance' or a number") from None
+            if not 0.0 < value < math.inf:
+                raise ValidationError("energy_scale must be finite and positive")
 
     def eta_values(self):
         start, stop, steps = self.eta_grid
@@ -213,13 +220,7 @@ def _energy_scale(cfg):
     if cfg.energy_scale == "resonance":
         return dipole.resonance_energy_scale(
             cfg.beta, 1.0, GridSpec(points=cfg.grid_points), gap_tol=cfg.gap_tol)
-    try:
-        value = float(cfg.energy_scale)
-    except ValueError:
-        raise ValidationError("energy_scale must be 'resonance' or a number") from None
-    if value <= 0:
-        raise ValidationError("energy_scale must be positive")
-    return value
+    return float(cfg.energy_scale)      # checked by RunConfig
 
 
 def _base_params(cfg, levels=BASE_LEVELS):
@@ -318,7 +319,7 @@ def _seib_rows(cfg, hil, template, etas):
         spec_pt = dipole.solve_double_well(shape, grid, max(BASE_LEVELS, hil.dipole_levels),
                                            gap_tol=cfg.gap_tol)
         ground, excited, _ = exactn.ground_pair(
-            exactn.assemble(hil, params, spec_pt, SelfEnergyInBare))
+            exactn.assemble(hil, params, spec_pt))
         rows.append({"eta": float(eta), "alpha": params.alpha, "model": "exact",
                      "G": ground, "E": excited, "gap_over_omega": excited - ground})
     return rows

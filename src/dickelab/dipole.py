@@ -60,8 +60,8 @@ class WellShape:
     renorm: object = field(default_factory=MainText)
 
     def __post_init__(self):
-        if not self.energy_scale > 0:
-            raise ValueError("energy_scale must be positive")
+        if not 0 < self.energy_scale < np.inf:
+            raise ValueError("energy_scale must be finite and positive")
 
     def quadratic_coefficient(self):
         """Coefficient q of zeta^2 in the dimensionless well."""

@@ -28,7 +28,9 @@ forms products with the mode. Pair sums use sum_{mu != nu}
 zeta_mu zeta_nu = Z^2 - sum_mu (zeta^2)_mu with Z = sum_mu zeta_mu. The
 two-level collective-spin Dicke Hamiltonian comes from its replacement form;
 it differs from the L=2 projection in the self-energy term, which is the
-point of keeping both.
+point of keeping both. `assemble` reads the self-energy convention off the
+spectrum (`spectrum.shape.renorm`): a well that absorbed the self-energy
+gets no self-energy term.
 
 H(eta, alpha) is a fixed linear combination of eta- and alpha-independent
 operators, so those are built once and each point only combines them:
@@ -55,13 +57,13 @@ without it has its own plan.
 Every Hamiltonian conserves the joint parity of `parity_diagonal`,
 (-1)^(sum of the dipole levels + photon number). The plan maps each
 Kronecker contribution straight into the CSR storage of the even and odd
-blocks, and no solve reads anything else; `ground_pair` solves each block
-for its lowest level, and E is the other block's lowest level unless the
-ground block's second level lies below it; `second_derivative_sweep` reads
-only G, from the same block solves. The entries between the blocks, which no
-block stores, are rounding from the well solve. Each point reads the largest
-of them, and H - H^T, off the dipole factors, and checks them against
-PARITY_TOL and SYMMETRY_TOL.
+blocks, and no solve reads anything else. `ground_pair` is the one reader
+of a point's blocks: it solves each block for its lowest level, and E is
+the other block's lowest level unless the ground block's second level lies
+below it; `second_derivative_sweep` reads G as `ground_pair(h)[0]`. The
+entries between the blocks, which no block stores, are rounding from the
+well solve. Each point reads the largest of them, and H - H^T, off the
+dipole factors, and checks them against PARITY_TOL and SYMMETRY_TOL.
 The budget and the basis order still cover the whole matrix, both blocks
 together, and `AssembledHamiltonian.matrix`, the whole matrix, is formed
 when it is read, as the sparse Kronecker sum of the point's factors.
@@ -334,8 +336,10 @@ _CHUNK = 1 << 16
 # Plans kept per (N, L, M) scope, oldest dropped first. A command keeps at
 # most three patterns of one scope in use: s-figs-gauges cycles through one
 # per gauge at each eta (2 kept: 369 builds, 3 or more: 18). A
-# self-energy-in-bare sweep's new well per point repeats a pattern only at the
-# next point: 13 builds at N = 3 over 3 gauges and 6 etas, whether 2 or 100 are kept.
+# self-energy-in-bare sweep solves a new well per point, whose pattern mostly
+# repeats the one before: `exact-sweep convention=self-energy-in-bare
+# n_dipoles=3 eta_grid=0,2,6` (3 gauges, 6 etas) builds 4 plans whether 3 or
+# 100 are kept, and 5 with 2 kept.
 _PLANS_KEPT = 3
 
 
@@ -600,33 +604,8 @@ def _dipole_sums(spectrum, n_sites, levels):
         zz=None if n_sites == 1 else zeta @ zeta)
 
 
-def _check_convention(config, params, spectrum, convention):
-    renorm = spectrum.shape.renorm
-    if convention is MainText:
-        if not isinstance(renorm, MainText):
-            raise ConventionMismatch("spectrum was not solved in the plain well")
-        return
-    if convention is SelfEnergyInBare:
-        if not isinstance(renorm, SelfEnergyInBare):
-            raise ConventionMismatch("spectrum lacks the absorbed self-energy")
-        # The absorbed quadratic term must equal the actual per-dipole
-        # self-energy coefficient, which carries a 1/N: the well has to be
-        # solved at eta/sqrt(N).
-        want_eta = params.eta / math.sqrt(config.n_dipoles)
-        if (
-            abs(renorm.alpha - params.alpha) > 1e-12
-            or abs(renorm.omega - params.omega) > 1e-12
-            or abs(renorm.eta - want_eta) > 1e-12 * max(1.0, want_eta)
-        ):
-            raise ConventionMismatch(
-                "absorbed self-energy does not match (alpha, omega, eta/sqrt(N))"
-            )
-        return
-    raise ValidationError("convention must be MainText or SelfEnergyInBare")
-
-
 def assemble(config: HilbertConfig, params: ReducedParams,
-             spectrum: DipoleSpectrum, convention=MainText) -> AssembledHamiltonian:
+             spectrum: DipoleSpectrum) -> AssembledHamiltonian:
     """Projected full Hamiltonian on the symmetric sector of the dipole
     eigenbases x Fock space.
 
@@ -634,9 +613,14 @@ def assemble(config: HilbertConfig, params: ReducedParams,
     the kinetic square per dipole is (E/2)[p~ + (1-alpha) lam (a^dag+a)]^2,
     whose p~^2 part is already inside the bare energies; the momentum
     coupling is -alpha eta omega^(3/2)/sqrt(2 N E) zeta i(a^dag - a); the
-    self-energy (MainText only) alpha^2 eta^2 omega^2/(2 N E) zeta^2; the
-    dipole-dipole term -(1-alpha^2) eta^2 omega^2/(2 N E) sum_{mu != nu}
-    zeta_mu zeta_nu. Everything is built in the rotated real basis.
+    self-energy alpha^2 eta^2 omega^2/(2 N E) zeta^2; the dipole-dipole term
+    -(1-alpha^2) eta^2 omega^2/(2 N E) sum_{mu != nu} zeta_mu zeta_nu.
+    Everything is built in the rotated real basis.
+
+    The convention comes from the spectrum: a well solved with the
+    self-energy absorbed (`SelfEnergyInBare`) already holds it, so it is not
+    added again, and that well must have been solved at this point's
+    (alpha, omega, eta/sqrt(N)).
 
     Raises
     ------
@@ -649,7 +633,6 @@ def assemble(config: HilbertConfig, params: ReducedParams,
         raise ValidationError("config and params disagree on the dipole count")
     if spectrum.level_count < levels:
         raise ValidationError("spectrum holds fewer levels than requested")
-    _check_convention(config, params, spectrum, convention)
 
     alpha, eta = params.alpha, params.eta
     omega, e_scale = params.omega, params.energy_scale
@@ -658,9 +641,16 @@ def assemble(config: HilbertConfig, params: ReducedParams,
     c_cross = e_scale * (1.0 - alpha) * lam
     c_a2 = n_sites * 0.5 * e_scale * (1.0 - alpha) ** 2 * lam**2
     c_pi = alpha * eta * omega**1.5 / math.sqrt(2.0 * n_sites * e_scale)
-    # With the self-energy absorbed into the well, the bare energies already
-    # contain the alpha^2 zeta^2 piece; adding it again would double count.
-    if convention is SelfEnergyInBare:
+    renorm = spectrum.shape.renorm
+    if isinstance(renorm, SelfEnergyInBare):
+        # The absorbed quadratic term is the per-dipole self-energy
+        # coefficient, which carries a 1/N: the well is solved at
+        # eta/sqrt(N). The bare energies hold it; adding it would count it twice.
+        want_eta = eta / math.sqrt(n_sites)
+        if (abs(renorm.alpha - alpha) > 1e-12 or abs(renorm.omega - omega) > 1e-12
+                or abs(renorm.eta - want_eta) > 1e-12 * max(1.0, want_eta)):
+            raise ConventionMismatch(
+                "absorbed self-energy does not match (alpha, omega, eta/sqrt(N))")
         c_se = 0.0
     else:
         c_se = alpha**2 * eta**2 * omega**2 / (2.0 * n_sites * e_scale)
@@ -670,11 +660,16 @@ def assemble(config: HilbertConfig, params: ReducedParams,
     # dipole has no pairs, and Z Z - zeta zeta would leave rounding residue.
     # The on-site operator is summed over the dipoles per point, on the
     # dipole space only: adding cached sums instead regroups the diagonal,
-    # which moved N = 4 gaps by 1.5e-12.
+    # which moved N = 4 gaps by 1.5e-12. The two terms are summed as one COO
+    # list, which keeps the entries where they cancel: a sparse + would drop
+    # them, and D's pattern, and with it its plan, would change with eta.
     sums = _dipole_sums(spectrum, n_sites, levels)
     if sums.zz is not None and c_dd != 0.0:
-        dipole = (_summed(sums.bare + c_se * sums.zeta_sq - c_dd * sums.zeta_zeta, n_sites)
-                  + c_dd * sums.zz)
+        terms = (_summed(sums.bare + c_se * sums.zeta_sq - c_dd * sums.zeta_zeta, n_sites),
+                 c_dd * sums.zz)
+        dipole = sp.csr_matrix((np.concatenate([op.data for op in terms]),
+                                np.concatenate([_coordinates(op) for op in terms], axis=1)),
+                               shape=sums.zz.shape)
     else:
         dipole = _summed(sums.bare + c_se * sums.zeta_sq, n_sites)
     return _with_mode(n_sites, levels, m, dipole,
@@ -875,20 +870,29 @@ def fock_tail_weight(h: AssembledHamiltonian, vector) -> float:
     return tail if tail > np.finfo(float).eps ** 2 * top.size else 0.0
 
 
-def _block_grounds(h: AssembledHamiltonian, stacklevel=3):
-    """(G, the ground block's second level or None, the ground block, its
-    ground vector, the other block's lowest level, Fock-tail weight): each
-    joint-parity block of h (`h.blocks`) solved with its vectors, a dense
-    block (at most DENSE_THRESHOLD states) for its two lowest levels, a
-    larger one for its lowest alone, with the warning and the checks of
-    `ground_pair`.
+def ground_pair(h: AssembledHamiltonian):
+    """(G, E, Fock-tail weight): the two lowest energies and the weight of
+    the highest Fock state in the ground vector, with a warning when that
+    weight exceeds FOCK_TAIL_TOL. It is the one reader of a point's blocks:
+    every sweep and report reads G here.
+
+    H conserves the joint parity of `parity_diagonal`, so its even and odd
+    blocks (`h.blocks`) are solved apart, each for its lowest level. The
+    lower of the two is G. E is the second level over both
+    blocks: the other block's lowest level, unless the ground block's second
+    level lies below it. A block of at most DENSE_THRESHOLD states is solved
+    densely for its two lowest levels, so that level comes from the same
+    solve as G, exactly. On a larger block one `_davidson` solve, deflated
+    against the ground vector, ranks it at tolerance RANKING_TOL: when its
+    Ritz value theta less its residual norm does not clear the other block's
+    level, the level is solved again at tolerance 0. E is the lower of the
+    two. The budget bounds h, whose size is the sum of the two blocks'.
 
     The blocks leave out the entries between them, which are rounding from
     the well solve: a ValidationError is raised when the largest exceeds
-    PARITY_TOL max|H|. The ground vector is put back into the full index for
-    the Fock tail, and a weight above FOCK_TAIL_TOL warns at `stacklevel`
-    above this function. A bare matrix, without blocks, raises
-    ValidationError.
+    PARITY_TOL max|H|, and a bare matrix, without blocks, raises it too.
+    The Fock-tail warning points at the line that ran the sweep or report
+    that called this function.
     """
     blocks = h.blocks
     if blocks is None:
@@ -912,37 +916,15 @@ def _block_grounds(h: AssembledHamiltonian, stacklevel=3):
         warnings.warn(
             f"Fock tail occupation {tail:.2e} exceeds {FOCK_TAIL_TOL:.0e}; "
             "raise fock_cutoff",
-            stacklevel=stacklevel,
+            stacklevel=3,
         )
-    return vals[0], (vals[1] if vals.size > 1 else None), block, ground_vector, other[0], tail
-
-
-def ground_pair(h: AssembledHamiltonian):
-    """(G, E, Fock-tail weight): the two lowest energies and the weight of
-    the highest Fock state in the ground vector, with a warning when that
-    weight exceeds FOCK_TAIL_TOL.
-
-    H conserves the joint parity of `parity_diagonal`, so its even and odd
-    blocks (`h.blocks`) are solved apart, each for its lowest level
-    (`_block_grounds`, which also checks the entries the blocks leave out).
-    The lower of the two is G. E is the second level over both blocks: the
-    other block's lowest level, unless the ground block's second level lies
-    below it. On a block of at most DENSE_THRESHOLD states that level comes
-    from the same dense solve as G, exactly. On a larger block one
-    `_davidson` solve, deflated against the ground vector, ranks it at
-    tolerance RANKING_TOL: when its Ritz value theta less its residual norm
-    does not clear the other block's level, the level is solved again at
-    tolerance 0. E is the lower of the two. The budget bounds h, whose size
-    is the sum of the two blocks'. A bare matrix, without blocks, raises
-    ValidationError.
-    """
-    ground, second, block, vector, excited, tail = _block_grounds(h, stacklevel=4)
-    if second is None:
-        second, _, residual = _davidson(block.matrix, RANKING_TOL, vector)
-        if second - residual <= excited:
-            second = _davidson(block.matrix, 0.0, vector)[0]
-    excited = min(excited, second)
-    return float(ground), float(excited), tail
+    if vals.size > 1:
+        second = vals[1]
+    else:
+        second, _, residual = _davidson(block.matrix, RANKING_TOL, ground_vector)
+        if second - residual <= other[0]:
+            second = _davidson(block.matrix, 0.0, ground_vector)[0]
+    return float(vals[0]), float(min(other[0], second)), tail
 
 
 def transition_sweep(config: HilbertConfig, params_template: ReducedParams,
@@ -981,9 +963,7 @@ def second_derivative_sweep(config: HilbertConfig, params_template: ReducedParam
 
     G_s = G - rho d^2 / 2; returns rows (eta, (N omega)^-1 d^2 G_s / d eta^2)
     for the interior grid points. The grid must be uniform. Each point
-    reads G from `ground_pair`'s block solves (`_block_grounds`) without the
-    ranking solve, since E is not read; G is the same, bit for bit, as
-    `ground_pair`'s.
+    reads G as `ground_pair(h)[0]`, the one reader of a point's blocks.
 
     d^2 is the central second difference at the grid step h. Its truncation
     error, (h^2/12) d^4 G_s / d eta^4, is far larger than rounding: at
@@ -1005,7 +985,7 @@ def second_derivative_sweep(config: HilbertConfig, params_template: ReducedParam
     g_s = []
     for eta in grid:
         params = params_template.with_(eta=float(eta))
-        ground = _block_grounds(dicke_two_level(config, params, spectrum))[0]
+        ground = ground_pair(dicke_two_level(config, params, spectrum))[0]
         g_s.append(ground - 0.5 * params.rho_d2)
     g_s = np.asarray(g_s)
     scale = 1.0 / (config.n_dipoles * params_template.omega * h_step**2)

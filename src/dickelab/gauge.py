@@ -36,10 +36,10 @@ class ReducedParams:
     spectrum: DipoleSpectrum | None = None
 
     def __post_init__(self):
-        if self.eta < 0:
-            raise ValueError("eta must be nonnegative")
-        if not (self.omega > 0 and self.energy_scale > 0):
-            raise ValueError("omega and energy_scale must be positive")
+        if not 0 <= self.eta < math.inf:
+            raise ValueError("eta must be finite and nonnegative")
+        if not (0 < self.omega < math.inf and 0 < self.energy_scale < math.inf):
+            raise ValueError("omega and energy_scale must be finite and positive")
         if self.n_dipoles < 1:
             raise ValueError("n_dipoles must be at least 1")
 

@@ -4,6 +4,7 @@ import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from dataclasses import fields
@@ -473,6 +474,30 @@ def test_bad_eta_point_or_grid_end_exits_validation_before_the_file_opens(tmp_pa
         assert record["error"] == "ValidationError"
         assert override.split("=")[0] in record["message"]
         assert not out.exists()
+
+
+def test_ci_replays_every_command():
+    """The workflow's console-script loop runs every command at least once
+    and names no other."""
+    workflow = (Path(__file__).resolve().parents[1] / ".github" / "workflows"
+                / "tests.yml").read_text()
+    start = workflow.index("for args in")
+    loop = workflow[start:workflow.index("; do", start)]
+    assert set(re.findall(r'"--command ([^\s"]+)', loop)) == set(COMMANDS)
+
+
+def test_bad_energy_scale_exits_validation_before_the_file_opens(tmp_path, capsys):
+    """A numeric energy_scale that is not finite and positive is refused
+    before the file opens: an infinite one printed G = E = 0 and NaN levels."""
+    out = tmp_path / "x.csv"
+    for command in ("convergence", "spectrum"):
+        for value in ("inf", "nan", "-1", "0", "big"):
+            assert main(["--command", command, "--out", str(out),
+                         f"energy_scale={value}"] + FAST) == EXIT_VALIDATION
+            record = json.loads(capsys.readouterr().err)
+            assert record["error"] == "ValidationError"
+            assert "energy_scale" in record["message"]
+            assert not out.exists()
 
 
 def test_non_positive_gap_tol_exits_validation(tmp_path, capsys):

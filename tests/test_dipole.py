@@ -271,6 +271,12 @@ def test_grid_and_shape_validation():
         WellShape(beta=2.4, energy_scale=0.0)
 
 
+def test_well_shape_refuses_a_non_finite_energy_scale():
+    for scale in (np.inf, np.nan):
+        with pytest.raises(ValueError):
+            WellShape(beta=2.4, energy_scale=scale)
+
+
 def test_main_text_is_default_convention():
     shape = WellShape(beta=1.0, energy_scale=1.0)
     assert isinstance(shape.renorm, MainText)

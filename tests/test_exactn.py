@@ -204,7 +204,7 @@ def test_assemble_matches_per_site_pair_reference(p33):
                     grid, levels=6, gap_tol=1e-5)
                 for spec, convention in ((p.spectrum, MainText),
                                          (absorbed, SelfEnergyInBare)):
-                    ours = assemble(cfg, p, spec, convention).matrix
+                    ours = assemble(cfg, p, spec).matrix
                     ref = projected_reference(cfg, p, spec, convention)
                     assert abs(ours - ref).max() <= 1e-13 * abs(ref).max()
                     assert ours.nnz <= ref.nnz
@@ -238,7 +238,7 @@ def test_cached_operators_stay_fresh_along_a_sweep(p33, make_params):
         for run in runs:
             held = None
             for cfg_i, p, spec, convention in run:
-                ours = assemble(cfg_i, p, spec, convention).matrix
+                ours = assemble(cfg_i, p, spec).matrix
                 misses = exactn._dipole_sums.cache_info().misses
                 sums = exactn._dipole_sums(spec, n, cfg_i.dipole_levels)
                 if held is None:
@@ -494,7 +494,7 @@ def test_ground_pair_blocks_match_unsplit_solve(p33):
                               renorm=SelfEnergyInBare(alpha, eta / math.sqrt(n), 1.0)),
                     grid, levels=cfg.dipole_levels, gap_tol=1e-5)
                 hams += [assemble(cfg, p, p.spectrum),
-                         assemble(cfg, p, absorbed, SelfEnergyInBare)]
+                         assemble(cfg, p, absorbed)]
             for n in (1, 2, 3, 4):
                 hams.append(dicke_two_level(
                     HilbertConfig(n, 2, 40, representation=CollectiveSpin()),
@@ -689,7 +689,7 @@ def test_plan_blocks_match_the_kronecker_build(p33, monkeypatch):
                               renorm=SelfEnergyInBare(alpha, eta / math.sqrt(n), 1.0)),
                     grid, levels=cfg.dipole_levels, gap_tol=1e-5)
                 assemble(cfg, p, p.spectrum)
-                assemble(cfg, p, absorbed, SelfEnergyInBare)
+                assemble(cfg, p, absorbed)
             for n in (1, 2, 3, 4):
                 dicke_two_level(HilbertConfig(n, 2, 12, representation=CollectiveSpin()),
                                 p33.with_(n_dipoles=n, alpha=alpha, eta=eta), p33.spectrum)
@@ -801,9 +801,29 @@ def test_a_plan_is_built_once_per_sector_cutoff_and_pattern(p33, monkeypatch):
                     WellShape(beta=3.3, energy_scale=p.energy_scale,
                               renorm=SelfEnergyInBare(alpha, eta / math.sqrt(n), 1.0)),
                     grid, levels=cfg.dipole_levels, gap_tol=1e-5)
-                assemble(cfg, p, absorbed, SelfEnergyInBare)
+                assemble(cfg, p, absorbed)
     assert len(patterns) < 2 * 3 * 4
     assert len(built) == len(patterns)
+
+
+@pytest.mark.filterwarnings("ignore:Fock tail")
+def test_a_coulomb_sweep_builds_one_plan(p33, monkeypatch):
+    """D sums the one-body part and the pair term entry by entry and keeps
+    the entries where they cancel, so its sparsity pattern, and with it the
+    plan, does not change with eta: a Coulomb-gauge sweep over 14 couplings
+    builds one plan."""
+    built = []
+    plan = exactn._mode_plan
+
+    def counted(*args):
+        built.append(args)
+        return plan(*args)
+
+    monkeypatch.setattr(exactn, "_mode_plan", counted)
+    exactn._scope_plans.cache_clear()
+    transition_sweep(HilbertConfig(3, 4, 10), p33.with_(n_dipoles=3, alpha=0.0),
+                     np.linspace(0.2, 2.8, 14), include_two_level=False)
+    assert len(built) == 1
 
 
 def test_iterative_solve_gives_up_after_bounded_steps(p33):
@@ -828,15 +848,12 @@ def test_self_energy_conventions_agree_on_low_levels(make_params, grid):
     spec_abs = solve_double_well(shape, grid, levels=8)
     cfg = HilbertConfig(n, 8, 40)
     g_main = ground(assemble(cfg, p, p.spectrum))
-    g_abs = ground(assemble(cfg, p, spec_abs, convention=SelfEnergyInBare))
+    g_abs = ground(assemble(cfg, p, spec_abs))
     assert abs(g_main - g_abs) <= 1e-6
 
 
 def test_convention_gates(make_params, grid):
     p = make_params(beta=3.3, eta=0.6, alpha=1.0)
-    cfg = HilbertConfig(1, 4, 10)
-    with pytest.raises(ConventionMismatch):
-        assemble(cfg, p, p.spectrum, convention=SelfEnergyInBare)
     # Solved at the wrong absorbed coupling: eta instead of eta / sqrt(N).
     wrong = solve_double_well(
         WellShape(beta=3.3, energy_scale=SCALE_BETA_33,
@@ -844,8 +861,7 @@ def test_convention_gates(make_params, grid):
         GridSpec(points=64), levels=4, gap_tol=1e-6)
     cfg2 = HilbertConfig(2, 4, 10)
     with pytest.raises(ConventionMismatch):
-        assemble(cfg2, p.with_(n_dipoles=2), wrong,
-                 convention=SelfEnergyInBare)
+        assemble(cfg2, p.with_(n_dipoles=2), wrong)
     with pytest.raises(ConventionMismatch):
         dicke_two_level(HilbertConfig(1, 2, 10), p, wrong)
 
@@ -1127,18 +1143,12 @@ def test_block_solve_does_not_depend_on_earlier_solves(p33):
 
 def test_a_point_does_not_depend_on_its_grid(p33):
     """A sweep's row at one eta is the same bit for bit whatever grid holds
-    it (N = 3, Lanczos blocks of 2,400 states), and the G-only path of
-    second_derivative_sweep gives ground_pair's G bit for bit."""
+    it (N = 3, Lanczos blocks of 2,400 states)."""
     cfg = HilbertConfig(3, 8, 40)
     template = p33.with_(n_dipoles=3)
     alone = transition_sweep(cfg, template, [2.8])
     in_grid = [row for row in transition_sweep(cfg, template, [1.0, 2.8]) if row["eta"] == 2.8]
     assert alone == in_grid
-    two = HilbertConfig(3, 2, 40, representation=CollectiveSpin())
-    for h in (assemble(cfg, template.with_(eta=2.8), p33.spectrum),
-              assemble(HilbertConfig(2, 8, 40), p33.with_(n_dipoles=2, eta=1.0), p33.spectrum),
-              dicke_two_level(two, template.with_(eta=2.2), p33.spectrum)):
-        assert exactn._block_grounds(h)[0] == exactn.ground_pair(h)[0]
 
 
 def test_fock_tail_flags_tight_cutoff(p33):
@@ -1146,6 +1156,19 @@ def test_fock_tail_flags_tight_cutoff(p33):
     h = assemble(cfg, p33.with_(eta=1.5), p33.spectrum)
     _, vecs = lowest_eigenvalues(h, 1, return_vectors=True)
     assert fock_tail_weight(h, vecs[:, 0]) > 1e-8
+
+
+def test_fock_tail_warning_points_at_the_sweeps_caller(p33):
+    """Both sweeps warn of a heavy Fock tail at the line that called them,
+    in the caller's file."""
+    two = HilbertConfig(1, 2, 6, representation=CollectiveSpin())
+    for sweep in (lambda: transition_sweep(HilbertConfig(1, 4, 6), p33, [1.5]),
+                  lambda: second_derivative_sweep(two, p33, [1.4, 1.5, 1.6])):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            sweep()
+        tails = [w for w in caught if "Fock tail" in str(w.message)]
+        assert tails and all(w.filename == __file__ for w in tails)
 
 
 def test_transition_sweep_rows(p33):
@@ -1327,7 +1350,7 @@ def test_sector_is_the_product_basis_at_one_dipole(p33):
                 grid, levels=6, gap_tol=1e-5)
             for spec, convention in ((p.spectrum, MainText), (absorbed, SelfEnergyInBare)):
                 cfg = HilbertConfig(1, 6, 12)
-                h = assemble(cfg, p, spec, convention)
+                h = assemble(cfg, p, spec)
                 ref = reference_assemble(cfg, p, spec, convention)
                 assert abs(h.matrix - ref).max() <= 1e-13 * abs(ref).max()
                 assert np.array_equal(h.occupations, np.eye(6, dtype=int))
@@ -1356,7 +1379,7 @@ def test_sector_matches_product_basis(p33):
                 for spec, convention in ((p.spectrum, MainText), (absorbed, SelfEnergyInBare)):
                     prod = lowest_eigenvalues(product_hamiltonian(
                         cfg, reference_assemble(cfg, p, spec, convention)), 2)
-                    sect = lowest_eigenvalues(assemble(cfg, p, spec, convention), 2)
+                    sect = lowest_eigenvalues(assemble(cfg, p, spec), 2)
                     assert np.allclose(sect, prod, rtol=1e-12, atol=0)
 
 

@@ -181,6 +181,16 @@ def test_params_validation(make_params):
         p.with_(omega=0.0)
 
 
+def test_params_refuse_non_finite_inputs(make_params):
+    """An infinite omega or energy_scale, or a NaN or infinite eta, would
+    fill every derived coupling with inf and NaN."""
+    p = make_params(eta=1.0)
+    for bad in ({"eta": math.nan}, {"eta": math.inf}, {"omega": math.inf},
+                {"energy_scale": math.inf}, {"energy_scale": math.nan}):
+        with pytest.raises(ValueError):
+            p.with_(**bad)
+
+
 def test_missing_spectrum_blocks_derived_quantities(make_params):
     p = make_params(eta=1.0).with_(spectrum=None)
     with pytest.raises(AttributeError):
