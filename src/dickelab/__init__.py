@@ -39,7 +39,6 @@ from .exactn import (
     dicke_two_level,
     fock_tail_weight,
     lowest_eigenvalues,
-    parity_diagonal,
     second_derivative_sweep,
     transition_sweep,
 )
@@ -117,7 +116,6 @@ __all__ = [
     "lowest_eigenvalues",
     "mode_frequency",
     "normal_phase",
-    "parity_diagonal",
     "polariton_closed_form",
     "resonance_energy_scale",
     "second_derivative_sweep",

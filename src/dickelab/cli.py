@@ -69,8 +69,16 @@ class RunConfig:
     def __post_init__(self):
         if self.command not in COMMANDS:
             raise ValidationError(f"unknown command {self.command!r}")
+        if not math.isfinite(self.beta):
+            raise ValidationError("beta must be finite")
         if not self.alpha_list:
             raise ValidationError("alpha_list needs at least one gauge value")
+        for tok in self.alpha_list:
+            try:
+                if tok != "jc" and not 0.0 <= float(tok) <= 1.0:
+                    raise ValueError
+            except ValueError:
+                raise ValidationError("alpha_list values must be 'jc' or lie in [0, 1]") from None
         start, stop, steps = self.eta_grid
         if steps < 2:
             raise ValidationError("eta_grid needs at least 2 steps")
@@ -240,16 +248,8 @@ def _alpha_tokens(cfg, params_eta0):
     it is resolved once at eta = 0 (the figure's three gauges are fixed
     numbers, not eta-dependent curves).
     """
-    out = []
-    for tok in cfg.alpha_list:
-        if tok == "jc":
-            out.append(gauge.jc_gauge(params_eta0))
-        else:
-            value = float(tok)
-            if not 0.0 <= value <= 1.0:
-                raise ValidationError("alpha values must lie in [0, 1]")
-            out.append(value)
-    return out
+    return [gauge.jc_gauge(params_eta0) if tok == "jc" else float(tok)
+            for tok in cfg.alpha_list]   # checked by RunConfig
 
 
 THERMO_HEADER = ("alpha", "eta", "tau", "phase", "E_plus", "E_minus",

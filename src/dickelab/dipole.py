@@ -60,6 +60,8 @@ class WellShape:
     renorm: object = field(default_factory=MainText)
 
     def __post_init__(self):
+        if not np.isfinite(self.beta):
+            raise ValueError("beta must be finite")
         if not 0 < self.energy_scale < np.inf:
             raise ValueError("energy_scale must be finite and positive")
 

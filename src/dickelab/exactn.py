@@ -54,13 +54,15 @@ operators, so those are built once and each point only combines them:
 An X or Y term whose coefficient is zero is left out, and a sparsity pattern
 without it has its own plan.
 
-Every Hamiltonian conserves the joint parity of `parity_diagonal`,
-(-1)^(sum of the dipole levels + photon number). The plan maps each
-Kronecker contribution straight into the CSR storage of the even and odd
-blocks, and no solve reads anything else. `ground_pair` is the one reader
-of a point's blocks: it solves each block for its lowest level, and E is
-the other block's lowest level unless the ground block's second level lies
-below it; `second_derivative_sweep` reads G as `ground_pair(h)[0]`. The
+Every Hamiltonian conserves the joint parity (-1)^(sum of the dipole
+levels + photon number), which `_mode_plan` forms once per plan from the
+sector's occupations; a point's partition is `h.blocks.index`, each block's
+states in the whole basis. The plan maps each Kronecker contribution
+straight into the CSR storage of the even and odd blocks, and no solve
+reads anything else. `ground_pair` is the one reader of a point's blocks:
+it solves each block for its lowest level, and E is the other block's
+lowest level unless the ground block's second level lies below it;
+`second_derivative_sweep` reads G as `ground_pair(h)[0]`. The
 entries between the blocks, which no block stores, are rounding from the
 well solve. Each point reads the largest of them, and H - H^T, off the
 dipole factors, and checks them against PARITY_TOL and SYMMETRY_TOL.
@@ -203,8 +205,9 @@ class AssembledHamiltonian:
 
     - an assembled point, from `assemble` or `dicke_two_level`, on (sector
       states, Fock cutoff): its `blocks`, built from an index plan, which
-      every solve reads, and `whole`, which forms `matrix` on first read as
-      the Kronecker sum D x 1 + 1 x F + X x t + Y x q of its factors;
+      every solve reads and whose `index` is the point's joint-parity
+      partition, and `whole`, which forms `matrix` on first read as the
+      Kronecker sum D x 1 + 1 x F + X x t + Y x q of its factors;
     - a bare `matrix` for `lowest_eigenvalues`, e.g. one parity block
       (`axis_dims` of one entry); its `blocks` are None.
 
@@ -212,11 +215,10 @@ class AssembledHamiltonian:
     dense copy of it.
     """
 
-    def __init__(self, matrix, axis_dims, occupations=None, *, blocks=None, whole=None):
+    def __init__(self, matrix, axis_dims, *, blocks=None, whole=None):
         self._matrix, self._whole = matrix, whole
-        self.blocks = blocks                  # the _ParityBlocks of parity_diagonal, or None
+        self.blocks = blocks                  # the joint-parity _ParityBlocks, or None
         self.axis_dims = tuple(axis_dims)     # (sector states, Fock cutoff)
-        self.occupations = occupations        # the sector's (states, L) occupations; None on a block
 
     @property
     def matrix(self) -> sp.csr_matrix:
@@ -270,7 +272,9 @@ def _sector_pattern(n_sites, levels):
     (N, L) as read-only arrays.
 
     `occupations` holds one state per row, in the order of
-    itertools.combinations_with_replacement. The other four list the
+    itertools.combinations_with_replacement; `_mode_plan` reads each state's
+    dipole parity (-1)^(sum of its levels) off it, and with the photon
+    parity the blocks' partition `h.blocks.index`. The other four list the
     entries of sum_ij op_ji b_j^dag b_i: the entry moving a dipole from
     level i to level j carries op_ji (level pair j * levels + i) times
     sqrt(n_i (n_j + 1)), or n_i on the diagonal (j = i).
@@ -298,7 +302,7 @@ def _sector_pattern(n_sites, levels):
             factors.append(factor)
     pattern = (occupations, *map(np.concatenate, (rows, cols, pairs, factors)))
     for array in pattern:
-        array.setflags(write=False)   # shared by every caller, e.g. as h.occupations
+        array.setflags(write=False)   # shared by every caller
     return pattern
 
 
@@ -398,7 +402,7 @@ class _ModePlan:
 def _mode_plan(occupations, m, dipole, x, y, f):
     """The `_ModePlan` of D x 1 + 1 x F + X x t + Y x q (X or Y None when
     absent) on the sector states `occupations` x Fock(m), for the blocks of
-    the joint parity.
+    the joint parity, which is formed here and nowhere else.
 
     The entries of row (i, n) are, for each entry (i, j) of U in order, the
     photon offsets n' - n its terms put there; they are laid out a chunk of
@@ -439,7 +443,7 @@ def _mode_plan(occupations, m, dipole, x, y, f):
     carries[:, [1, 3]] = (in_x | in_y)[:, None]
     carries &= (same[:, None] == (_OFFSETS % 2 == 0))
     # Each block's states, the even block first, and each state's place in its block.
-    parity = _joint_parity(occupations, m)
+    parity = np.kron(dipole_parity, (-1) ** np.arange(m))
     index = (np.flatnonzero(parity > 0), np.flatnonzero(parity < 0))
     rank = np.empty(parity.size, dtype=np.intp)
     for states in index:
@@ -572,7 +576,7 @@ def _with_mode(n_sites, levels, m, dipole, x, y, omega_field, c_w=0.0):
         return total
 
     return AssembledHamiltonian(
-        None, (dipole.shape[0], m), _sector_pattern(n_sites, levels)[0],
+        None, (dipole.shape[0], m),
         blocks=_ParityBlocks(tuple(matrices), plan.index, leak, scale), whole=whole)
 
 
@@ -809,34 +813,34 @@ def _davidson(matrix, tol, deflate=()):
             add(residual)
     raise ConvergenceError(
         f"iterative solve not converged in {DAVIDSON_MAXITER} steps at dimension {n}; "
-        "loosen tol, ask for fewer levels k, or use method='dense'")
+        "ask for fewer levels k, or use method='dense'")
 
 
 def lowest_eigenvalues(h: AssembledHamiltonian, k: int, method: str | None = None,
-                       return_vectors: bool = False, tol: float = 0.0):
+                       return_vectors: bool = False):
     """k smallest eigenvalues (ascending), and their vectors on request.
 
     method forces "dense" or "sparse"; the default is dense up to
     DENSE_THRESHOLD states (or when k is at least the dimension less one)
     and sparse above. The dense path is one dsyevr call (`_dsyevr`) on the
     dense matrix, which computes only the k lowest pairs, and no vectors
-    unless asked for. The dense path ignores tol.
+    unless asked for.
 
     The sparse path finds the k levels one at a time, each by `_davidson`
-    deflated against the vectors found before it. At tol = 0 each level
-    lambda comes with a unit vector v, orthogonal to the vectors before it,
-    whose residual H v - lambda v, off those vectors and recomputed from a
-    fresh product H v, has norm at most RESIDUAL_TOL max(1, |lambda|); a
-    tol > 0 puts tol in its place. So for k = 1 an eigenvalue lies within
-    that norm of lambda, and lambda within about its square over the gap to
-    the rest of the spectrum. Like any iterative solve it cannot prove that
-    the level it found is the lowest; it starts from the unit vectors of the
-    lowest diagonal entries, which make it reach the bottom of a
-    near-degenerate multiplet (`_SEEDS`). Those depend on the matrix alone,
-    so a matrix's result depends on nothing else: not on the solves before
-    it, nor on its neighbours in a sweep. It raises ConvergenceError after
-    DAVIDSON_MAXITER steps, and ValidationError for k of at least the
-    dimension less one, which only the dense path solves.
+    deflated against the vectors found before it. Each level lambda comes
+    with a unit vector v, orthogonal to the vectors before it, whose
+    residual H v - lambda v, off those vectors and recomputed from a fresh
+    product H v, has norm at most RESIDUAL_TOL max(1, |lambda|). So for
+    k = 1 an eigenvalue lies within that norm of lambda, and lambda within
+    about its square over the gap to the rest of the spectrum. Like any
+    iterative solve it cannot prove that the level it found is the lowest;
+    it starts from the unit vectors of the lowest diagonal entries, which
+    make it reach the bottom of a near-degenerate multiplet (`_SEEDS`).
+    Those depend on the matrix alone, so a matrix's result depends on
+    nothing else: not on the solves before it, nor on its neighbours in a
+    sweep. It raises ConvergenceError after DAVIDSON_MAXITER steps, and
+    ValidationError for k of at least the dimension less one, which only
+    the dense path solves.
     """
     if not 1 <= k <= h.dimension:
         raise ValidationError(f"k = {k} outside 1..{h.dimension}")
@@ -853,7 +857,7 @@ def lowest_eigenvalues(h: AssembledHamiltonian, k: int, method: str | None = Non
     matrix = h.matrix
     vals, vecs = np.empty(k), np.empty((k, h.dimension))
     for i in range(k):
-        vals[i], vecs[i], _ = _davidson(matrix, tol, vecs[:i])
+        vals[i], vecs[i], _ = _davidson(matrix, 0.0, vecs[:i])
     order = np.argsort(vals)
     if return_vectors:
         return vals[order], vecs[order].T
@@ -876,9 +880,10 @@ def ground_pair(h: AssembledHamiltonian):
     weight exceeds FOCK_TAIL_TOL. It is the one reader of a point's blocks:
     every sweep and report reads G here.
 
-    H conserves the joint parity of `parity_diagonal`, so its even and odd
-    blocks (`h.blocks`) are solved apart, each for its lowest level. The
-    lower of the two is G. E is the second level over both
+    H conserves the joint parity (-1)^(sum of the dipole levels + photon
+    number), so its even and odd blocks (`h.blocks`, each block's states in
+    the whole basis at `h.blocks.index`) are solved apart, each for its
+    lowest level. The lower of the two is G. E is the second level over both
     blocks: the other block's lowest level, unless the ground block's second
     level lies below it. A block of at most DENSE_THRESHOLD states is solved
     densely for its two lowest levels, so that level comes from the same
@@ -1031,18 +1036,3 @@ def convergence_report(config_ladder, params: ReducedParams, spectrum: DipoleSpe
             prev_dg = delta_g
     return rows
 
-
-def parity_diagonal(h: AssembledHamiltonian) -> np.ndarray:
-    """Diagonal of the joint parity operator in the assembled basis.
-
-    Dipole level n carries parity (-1)^n (even potential), so an occupation
-    state carries (-1)^(sum_i i n_i), the sum of its dipoles' levels; the
-    mode carries (-1)^(photon number). The product commutes with every
-    assembled term.
-    """
-    return _joint_parity(h.occupations, h.axis_dims[-1])
-
-
-def _joint_parity(occupations, m):
-    diag = (-1.0) ** (occupations @ np.arange(occupations.shape[1]))
-    return np.kron(diag, (-1.0) ** np.arange(m))

@@ -73,6 +73,7 @@ class ReducedParams:
 
 @dataclass(frozen=True)
 class CouplingSet:
+    alpha: float          # the gauge the couplings were derived at
     omega_alpha: float
     c_alpha: float
     g_alpha: float
@@ -103,6 +104,7 @@ def derive_couplings(params: ReducedParams) -> CouplingSet:
     g_prime = (1.0 - a) * params.omega_m * params.d_sqrt_rho / math.sqrt(2.0 * omega_alpha)
     tau = float(params.omega_m) / (2.0 * rho_d2) if rho_d2 > 0 else math.inf
     return CouplingSet(
+        alpha=a,
         omega_alpha=omega_alpha,
         c_alpha=c_alpha,
         g_alpha=g_alpha,

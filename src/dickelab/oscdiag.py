@@ -125,10 +125,10 @@ def _symplectic_form():
     return omega
 
 
-def is_positive_definite(form: BilinearForm, tol: float = PD_TOL) -> bool:
-    """True iff all eigenvalues of the quadrature matrix M exceed tol*max(w, w')."""
+def is_positive_definite(form: BilinearForm) -> bool:
+    """True iff all eigenvalues of the quadrature matrix M exceed PD_TOL*max(w, w')."""
     eigenvalues = np.linalg.eigvalsh(_quadrature_matrix(form))
-    return bool(np.all(eigenvalues > tol * max(form.w, form.w_prime)))
+    return bool(np.all(eigenvalues > PD_TOL * max(form.w, form.w_prime)))
 
 
 def williamson_frequencies(form: BilinearForm) -> PolaritonPair:

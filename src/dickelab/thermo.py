@@ -47,13 +47,13 @@ class PhasePoint:
     renormalized_material_frequency: float
 
 
-def classify(couplings: CouplingSet, omega_m: float,
-             tol: float = CRITICAL_TAU_TOL) -> Phase:
-    """Phase label from the sign of omega_m - 2 rho d^2 at relative tolerance tol."""
+def classify(couplings: CouplingSet, omega_m: float) -> Phase:
+    """Phase label from the sign of omega_m - 2 rho d^2 at relative
+    tolerance CRITICAL_TAU_TOL, which the branch guards also read."""
     margin = omega_m - 2.0 * couplings.rho_d2
-    if margin > tol * omega_m:
+    if margin > CRITICAL_TAU_TOL * omega_m:
         return Phase.NORMAL
-    if margin < -tol * omega_m:
+    if margin < -CRITICAL_TAU_TOL * omega_m:
         return Phase.ABNORMAL
     return Phase.CRITICAL
 
@@ -100,12 +100,6 @@ def normal_phase(couplings: CouplingSet, omega_m: float,
     )
 
 
-def _alpha_from(couplings):
-    # 1 - alpha^2 = 2 C_alpha / rho d^2; alpha recovered for the observable.
-    one_minus_a2 = 2.0 * couplings.c_alpha / couplings.rho_d2
-    return math.sqrt(max(1.0 - one_minus_a2, 0.0)), one_minus_a2
-
-
 def abnormal_phase(couplings: CouplingSet, omega_m: float,
                    n_dipoles: int | None = None) -> PhasePoint:
     """Polariton spectrum and observables on the abnormal side (tau <= 1).
@@ -122,7 +116,7 @@ def abnormal_phase(couplings: CouplingSet, omega_m: float,
         # Displacement formulas are singular in sqrt(1 - tau); evaluate the
         # critical strip at its tau = 1 limit so both branches coincide there.
         tau = 1.0
-    alpha, one_minus_a2 = _alpha_from(couplings)
+    one_minus_a2 = 2.0 * couplings.c_alpha / couplings.rho_d2
     wu_sq = (omega_m / tau) ** 2 * (1.0 - one_minus_a2 * tau**2)
     omega_under = math.sqrt(max(wu_sq, 0.0))
     g_under = _scaled_coupling(tau * omega_m, omega_under, couplings.g_alpha)
@@ -131,7 +125,7 @@ def abnormal_phase(couplings: CouplingSet, omega_m: float,
         BilinearForm(w=omega_under, w_prime=couplings.omega_alpha,
                      g=g_under, g_prime=gp_under)
     )
-    pi_avg = alpha * couplings.rho_d2 * math.sqrt(max(1.0 - tau**2, 0.0))
+    pi_avg = couplings.alpha * couplings.rho_d2 * math.sqrt(max(1.0 - tau**2, 0.0))
     density = -(omega_m / (4.0 * tau)) * (1.0 - tau) ** 2
     if n_dipoles is not None:
         density += (0.5 * (pair.e_plus + pair.e_minus) - couplings.rho_d2) / n_dipoles
@@ -183,17 +177,15 @@ def analytic_second_derivative(params: ReducedParams, eta: float) -> float:
     return -params.omega_m * (0.5 / eta_c**2 + 1.5 * eta_c**2 / eta**4)
 
 
-def ground_density_second_derivative(params: ReducedParams, eta_grid,
-                                     step: float = DEFAULT_FD_STEP):
+def ground_density_second_derivative(params: ReducedParams, eta_grid):
     """Finite-difference (1/N) d^2 G_s / d eta^2 along eta_grid.
 
-    Central second differences with one Richardson refinement, applied to the
-    closed-form extensive density. Grid points whose stencil straddles the
-    transition (within one step of eta_c) are tagged with NaN rather than
-    differentiated across the discontinuity.
+    Central second differences at step DEFAULT_FD_STEP with one Richardson
+    refinement, applied to the closed-form extensive density. Grid points
+    whose stencil straddles the transition (within one step of eta_c) are
+    tagged with NaN rather than differentiated across the discontinuity.
     """
-    if step <= 0:
-        raise ValueError("step must be positive")
+    step = DEFAULT_FD_STEP
     eta_c = eta_critical(params)
     out = []
     for eta in eta_grid:

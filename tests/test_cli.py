@@ -79,7 +79,6 @@ def test_unknown_key_and_bad_values_exit_validation(tmp_path, capsys):
 
     assert main(["--command", "jc-curve", "--out", str(out),
                  "eta_grid=2,1,5"]) == EXIT_VALIDATION
-    # Alpha tokens are resolved by the commands that consume them.
     assert main(["--command", "thermo-sweep", "--out", str(out),
                  "alpha_list=1.5", "eta_grid=0,1,3"] + FAST) == EXIT_VALIDATION
     assert main(["not-key-value"]) == EXIT_VALIDATION
@@ -88,10 +87,11 @@ def test_unknown_key_and_bad_values_exit_validation(tmp_path, capsys):
 
 def test_empty_alpha_list_exits_validation_before_the_file_opens(tmp_path, capsys):
     """An alpha_list without a value would leave the tables that read it with
-    a header and no rows."""
+    a header and no rows; a token that is neither jc nor a number in [0, 1]
+    is refused before the file opens too."""
     out = tmp_path / "x.csv"
     for command in ("thermo-sweep", "fig1", "exact-sweep", "s-figs-absorbed"):
-        for text in ("", ","):
+        for text in ("", ",", "2", "abc"):
             assert main(["--command", command, "--out", str(out),
                          f"alpha_list={text}"] + FAST) == EXIT_VALIDATION
             assert json.loads(capsys.readouterr().err)["error"] == "ValidationError"
@@ -462,13 +462,14 @@ def test_alpha_point_outside_gauge_family_exits_validation(tmp_path, capsys):
 
 
 def test_bad_eta_point_or_grid_end_exits_validation_before_the_file_opens(tmp_path, capsys):
-    """A non-finite or negative eta_point and a non-finite eta_grid end are
-    refused with ValidationError before the file opens, as a table that read
-    them would fail mid-sweep or fill with inf and nan."""
+    """A non-finite or negative eta_point, a non-finite eta_grid end and a
+    non-finite beta are refused with ValidationError before the file opens,
+    as a table that read them would fail mid-sweep or fill with inf and nan."""
     out = tmp_path / "x.csv"
     for command, override in (("convergence", "eta_point=nan"), ("convergence", "eta_point=-1"),
                               ("convergence", "eta_point=inf"), ("exact-sweep", "eta_grid=0,inf,3"),
-                              ("thermo-sweep", "eta_grid=0,nan,3"), ("fig2", "eta_grid=-inf,1,3")):
+                              ("thermo-sweep", "eta_grid=0,nan,3"), ("fig2", "eta_grid=-inf,1,3"),
+                              ("thermo-sweep", "beta=inf"), ("thermo-sweep", "beta=nan")):
         assert main(["--command", command, "--out", str(out), override] + FAST) == EXIT_VALIDATION
         record = json.loads(capsys.readouterr().err)
         assert record["error"] == "ValidationError"

@@ -277,6 +277,14 @@ def test_well_shape_refuses_a_non_finite_energy_scale():
             WellShape(beta=2.4, energy_scale=scale)
 
 
+def test_well_shape_refuses_a_non_finite_beta():
+    """A non-finite beta is refused before any solve, by a message naming
+    it, where the DVR eigensolve would fail on the infs or NaNs."""
+    for beta in (np.inf, -np.inf, np.nan):
+        with pytest.raises(ValueError, match="beta"):
+            WellShape(beta=beta, energy_scale=1.0)
+
+
 def test_main_text_is_default_convention():
     shape = WellShape(beta=1.0, energy_scale=1.0)
     assert isinstance(shape.renorm, MainText)

@@ -33,7 +33,6 @@ from dickelab import (
     fock_tail_weight,
     jc_gauge,
     lowest_eigenvalues,
-    parity_diagonal,
     second_derivative_sweep,
     solve_double_well,
     transition_sweep,
@@ -139,11 +138,25 @@ def reference_assemble(cfg, params, spectrum, convention=MainText):
     return sum(terms).tocsr()
 
 
+def joint_parity(occupations, m):
+    """The joint parity on the states `occupations` x Fock(m), computed here
+    apart from the plan: an occupation state carries (-1)^(sum_i i n_i),
+    the sum of its dipoles' levels, and a photon number n carries (-1)^n."""
+    dipole = (-1.0) ** (occupations @ np.arange(occupations.shape[1]))
+    return np.kron(dipole, (-1.0) ** np.arange(m))
+
+
+def sector_parity(cfg):
+    """joint_parity on cfg's symmetric sector x Fock(M)."""
+    return joint_parity(exactn._sector_pattern(cfg.n_dipoles, cfg.dipole_levels)[0],
+                        cfg.fock_cutoff)
+
+
 def sliced_hamiltonian(matrix, axis_dims, occupations):
     """An AssembledHamiltonian of a hand-built whole CSR matrix, with the
     parity blocks ground_pair reads cut out of it by fancy-index slices."""
-    h = exactn.AssembledHamiltonian(matrix, axis_dims, occupations)
-    parity = parity_diagonal(h)
+    h = exactn.AssembledHamiltonian(matrix, axis_dims)
+    parity = joint_parity(occupations, axis_dims[-1])
     index = (np.flatnonzero(parity > 0), np.flatnonzero(parity < 0))
     coo = matrix.tocoo()
     between = np.abs(coo.data[parity[coo.row] != parity[coo.col]])
@@ -156,7 +169,7 @@ def sliced_hamiltonian(matrix, axis_dims, occupations):
 def product_hamiltonian(cfg, matrix):
     """An AssembledHamiltonian on cfg's L^N product states x Fock(M); each
     product state's level counts stand in for its occupations, which give
-    parity_diagonal its parity (-1)^(sum of the levels)."""
+    joint_parity its dipole parity (-1)^(sum of the levels)."""
     levels, n_sites = cfg.dipole_levels, cfg.n_dipoles
     counts = np.array([np.bincount(state, minlength=levels)
                        for state in itertools.product(range(levels), repeat=n_sites)])
@@ -440,7 +453,7 @@ def test_parity_is_conserved(p33):
     cfg = HilbertConfig(2, 4, 10)
     p = p33.with_(eta=0.8, alpha=0.6, n_dipoles=2)
     h = assemble(cfg, p, p33.spectrum)
-    par = parity_diagonal(h)
+    par = sector_parity(cfg)
     m = h.matrix.toarray()
     mixing = np.abs(m[np.not_equal.outer(par, par)]).max()
     # The well eigenstates carry ~1e-10 parity leakage from the grid, so the
@@ -455,7 +468,7 @@ def test_sectored_eigenvalues_match_unsectored(p33):
     cfg = HilbertConfig(2, 4, 10)
     p = p33.with_(eta=0.9, alpha=0.7, n_dipoles=2)
     h = assemble(cfg, p, p33.spectrum)
-    par = parity_diagonal(h)
+    par = sector_parity(cfg)
     m = h.matrix.toarray()
     merged = []
     for sector in (1.0, -1.0):
@@ -552,7 +565,7 @@ def test_ground_pair_merges_the_two_blocks():
     """G and E are the two lowest levels over both parity blocks, whichever
     blocks hold them: E is the other block's lowest level, or the ground
     block's second level where that lies lower."""
-    par = parity_diagonal(_diagonal_hamiltonian(np.ones(8)))
+    par = joint_parity(np.eye(2, dtype=int), 4)
     assert np.array_equal(par, [1, -1, 1, -1, -1, 1, -1, 1])
     # Both lowest levels odd; the ground state is index 3, the top Fock
     # state, so its embedded vector carries the whole tail.
@@ -580,7 +593,7 @@ def test_ground_pair_refuses_a_bare_matrix(p33):
     """A bare matrix carries no parity blocks; ground_pair names the two
     builders that make them."""
     h = assemble(HilbertConfig(1, 4, 10), p33.with_(eta=0.5), p33.spectrum)
-    bare = exactn.AssembledHamiltonian(h.matrix, h.axis_dims, h.occupations)
+    bare = exactn.AssembledHamiltonian(h.matrix, h.axis_dims)
     with pytest.raises(ValidationError, match="assemble or dicke_two_level"):
         exactn.ground_pair(bare)
 
@@ -673,7 +686,8 @@ def test_plan_blocks_match_the_kronecker_build(p33, monkeypatch):
 
     def spy(n_sites, levels, m, dipole, x, y, omega_field, c_w=0.0):
         h = built(n_sites, levels, m, dipole, x, y, omega_field, c_w)
-        points.append((h, kron_with_mode(m, dipole, x, y, omega_field, c_w)))
+        points.append((h, kron_with_mode(m, dipole, x, y, omega_field, c_w),
+                       joint_parity(exactn._sector_pattern(n_sites, levels)[0], m)))
         return h
 
     monkeypatch.setattr(exactn, "_with_mode", spy)
@@ -694,8 +708,7 @@ def test_plan_blocks_match_the_kronecker_build(p33, monkeypatch):
                 dicke_two_level(HilbertConfig(n, 2, 12, representation=CollectiveSpin()),
                                 p33.with_(n_dipoles=n, alpha=alpha, eta=eta), p33.spectrum)
     assert len(points) == 3 * 4 * 10
-    for h, ref in points:
-        parity = parity_diagonal(h)
+    for h, ref, parity in points:
         scale = abs(ref).max()
         blocks = h.blocks
         for matrix, index, sign in zip(blocks.matrices, blocks.index, (1, -1)):
@@ -723,7 +736,8 @@ def test_two_fock_states_match_the_kronecker_build(p33, monkeypatch):
 
     def spy(n_sites, levels, m, dipole, x, y, omega_field, c_w=0.0):
         h = built(n_sites, levels, m, dipole, x, y, omega_field, c_w)
-        points.append((h, kron_with_mode(m, dipole, x, y, omega_field, c_w)))
+        points.append((h, kron_with_mode(m, dipole, x, y, omega_field, c_w),
+                       joint_parity(exactn._sector_pattern(n_sites, levels)[0], m)))
         return h
 
     monkeypatch.setattr(exactn, "_with_mode", spy)
@@ -736,8 +750,7 @@ def test_two_fock_states_match_the_kronecker_build(p33, monkeypatch):
                 exactn.ground_pair(dicke_two_level(
                     HilbertConfig(2, 2, 2, representation=CollectiveSpin()), p, p33.spectrum))
     assert len(points) == 8
-    for h, ref in points:
-        parity = parity_diagonal(h)
+    for h, ref, parity in points:
         for matrix, sign in zip(h.blocks.matrices, (1, -1)):
             index = np.flatnonzero(parity == sign)
             assert np.array_equal(matrix.toarray(), ref[index][:, index].toarray())
@@ -833,9 +846,9 @@ def test_iterative_solve_gives_up_after_bounded_steps(p33):
                  p33.spectrum)
     start = time.perf_counter()
     with pytest.raises(ConvergenceError, match=f"{exactn.DAVIDSON_MAXITER} steps") as err:
-        lowest_eigenvalues(_block(h, 0), 1, tol=1e-20)
+        exactn._davidson(_block(h, 0).matrix, 1e-20)
     assert time.perf_counter() - start < 8.0
-    assert all(word in str(err.value) for word in ("tol", "k", "method='dense'"))
+    assert all(word in str(err.value) for word in ("k", "method='dense'"))
 
 
 def test_self_energy_conventions_agree_on_low_levels(make_params, grid):
@@ -937,30 +950,38 @@ def test_default_method_just_above_the_dense_threshold(p33):
 
 def test_iterative_failure_names_what_the_caller_can_change(p33, monkeypatch):
     """An iterative solve that hits its step cap raises ConvergenceError
-    naming the arguments lowest_eigenvalues takes: tol, k and the dense
-    method."""
+    naming the arguments lowest_eigenvalues takes: k and the dense method,
+    and no tolerance, which it does not take."""
     h = assemble(HilbertConfig(1, 8, 80), p33.with_(eta=0.5), p33.spectrum)
     assert h.dimension > exactn.DENSE_THRESHOLD
     monkeypatch.setattr(exactn, "DAVIDSON_MAXITER", 2)
     with pytest.raises(ConvergenceError, match="not converged in 2 steps") as err:
         lowest_eigenvalues(h, 2)
     message = str(err.value)
-    assert all(word in message for word in ("tol", "k", "method='dense'"))
-    assert "maxiter" not in message
+    assert all(word in message for word in ("k", "method='dense'"))
+    assert "maxiter" not in message and "tol" not in message
 
 
 def test_iterative_levels_meet_their_residual_bound(p33):
     """Each level of an iterative solve comes with a unit vector orthogonal
     to the levels before it, whose residual H v - lambda v, off those
-    levels, is at most tol max(1, |lambda|) (RESIDUAL_TOL at tol = 0);
-    `_davidson` reports the norm of that residual recomputed from a fresh
-    product."""
+    levels, is at most tol max(1, |lambda|) (RESIDUAL_TOL at tol = 0):
+    lowest_eigenvalues at tol 0, and the same deflated `_davidson` solves
+    at tol 1e-6. `_davidson` reports the norm of that residual recomputed
+    from a fresh product."""
     for eta in (1e-6, 1.0, 2.8):
         h = assemble(HilbertConfig(2, 8, 40), p33.with_(n_dipoles=2, alpha=0.0, eta=eta),
                      p33.spectrum)
         block = _block(h, 0)
         for tol in (0.0, 1e-6):
-            vals, vecs = lowest_eigenvalues(block, 3, return_vectors=True, tol=tol)
+            if tol:
+                vals, vecs = np.empty(3), np.empty((3, block.dimension))
+                for i in range(3):
+                    vals[i], vecs[i], _ = exactn._davidson(block.matrix, tol, vecs[:i])
+                order = np.argsort(vals)
+                vals, vecs = vals[order], vecs[order].T
+            else:
+                vals, vecs = lowest_eigenvalues(block, 3, return_vectors=True)
             assert np.abs(vecs.T @ vecs - np.eye(3)).max() <= 1e-12
             for i, value in enumerate(vals):
                 earlier = vecs[:, :i]
@@ -1130,20 +1151,22 @@ def test_block_solve_does_not_depend_on_earlier_solves(p33):
     vectors bit for bit."""
     points = _iterative_blocks(p33)
     block = _block(points[2], 0)
-    first = [lowest_eigenvalues(block, k, return_vectors=True, tol=tol)
-             for k, tol in ((1, 0.0), (2, exactn.RANKING_TOL))]
+
+    def solves():
+        """The ground solve, and the ranking solve deflated against it."""
+        vals, vecs = lowest_eigenvalues(block, 1, return_vectors=True)
+        return vals, vecs, *exactn._davidson(block.matrix, exactn.RANKING_TOL, vecs[:, 0])
+
+    first = solves()
     for h in points:
         exactn.ground_pair(h)
-    again = [lowest_eigenvalues(block, k, return_vectors=True, tol=tol)
-             for k, tol in ((1, 0.0), (2, exactn.RANKING_TOL))]
-    for (vals, vecs), (want_vals, want_vecs) in zip(again, first):
-        assert np.array_equal(vals, want_vals)
-        assert np.array_equal(vecs, want_vecs)
+    for got, want in zip(solves(), first):
+        assert np.array_equal(got, want)
 
 
 def test_a_point_does_not_depend_on_its_grid(p33):
     """A sweep's row at one eta is the same bit for bit whatever grid holds
-    it (N = 3, Lanczos blocks of 2,400 states)."""
+    it (N = 3, iterative (Davidson) blocks of 2,400 states)."""
     cfg = HilbertConfig(3, 8, 40)
     template = p33.with_(n_dipoles=3)
     alone = transition_sweep(cfg, template, [2.8])
@@ -1353,10 +1376,11 @@ def test_sector_is_the_product_basis_at_one_dipole(p33):
                 h = assemble(cfg, p, spec)
                 ref = reference_assemble(cfg, p, spec, convention)
                 assert abs(h.matrix - ref).max() <= 1e-13 * abs(ref).max()
-                assert np.array_equal(h.occupations, np.eye(6, dtype=int))
+                assert np.array_equal(exactn._sector_pattern(1, 6)[0], np.eye(6, dtype=int))
                 assert h.axis_dims == (6, 12)
-                assert np.array_equal(parity_diagonal(h), (-1.0) ** np.add.outer(
-                    np.arange(6), np.arange(12)).ravel())
+                parity = (-1.0) ** np.add.outer(np.arange(6), np.arange(12)).ravel()
+                for index, sign in zip(h.blocks.index, (1, -1)):
+                    assert np.array_equal(index, np.flatnonzero(parity == sign))
 
 
 def test_sector_matches_product_basis(p33):
@@ -1406,17 +1430,17 @@ def test_sector_parity_is_conserved(p33):
     cfg = HilbertConfig(3, 4, 10)
     p = p33.with_(eta=0.8, alpha=0.6, n_dipoles=3)
     h = assemble(cfg, p, p33.spectrum)
-    par = parity_diagonal(h)
     occupations = exactn._sector_pattern(3, 4)[0]
-    dipole = (-1.0) ** (occupations @ np.arange(4))
-    assert np.array_equal(par, np.kron(dipole, (-1.0) ** np.arange(10)))
+    par = joint_parity(occupations, 10)
+    for index, sign in zip(h.blocks.index, (1, -1)):
+        assert np.array_equal(index, np.flatnonzero(par == sign))
     m = h.matrix.toarray()
     mixing = np.abs(m[np.not_equal.outer(par, par)]).max()
     assert mixing <= 1e-8 * np.abs(m).max()
     assert set(np.unique(par)) == {-1.0, 1.0}
-    # h.occupations is the cached pattern every later (3, 4) sector reads.
+    # The occupations are the cached pattern every later (3, 4) sector reads.
     with pytest.raises(ValueError):
-        h.occupations[0, 0] = 1
+        occupations[0, 0] = 1
 
 
 def test_gauge_unitary_works_in_the_sector(p33):

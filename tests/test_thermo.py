@@ -20,6 +20,7 @@ from dickelab import (
     limit_ground_density,
     normal_phase,
 )
+from dickelab.thermo import DEFAULT_FD_STEP
 
 ALPHAS = (0.0, 0.25, 0.5, 0.75, 1.0)
 
@@ -100,6 +101,19 @@ def test_abnormal_observables_closed_form(make_params):
     # The Coulomb-gauge point has no transverse displacement at all.
     _, coulomb = evaluate(p0.with_(eta=eta, alpha=0.0))
     assert coulomb.pi_average == 0.0
+
+
+def test_macroscopic_field_at_small_gauges(make_params):
+    """d<Pi> = alpha rho d^2 sqrt(1 - tau^2) holds to rel 1e-12 at small
+    gauges too: alpha is the couplings' own, not recovered from C_alpha,
+    which loses every digit as alpha -> 0."""
+    p0 = make_params(beta=2.4, eta=0.0)
+    eta = 1.5 * eta_critical(p0)
+    for alpha in (1e-9, 1e-6, 1e-4):
+        p = p0.with_(eta=eta, alpha=alpha)
+        c, point = evaluate(p)
+        expected = alpha * p.rho_d2 * math.sqrt(1.0 - c.tau**2)
+        assert point.pi_average == pytest.approx(expected, rel=1e-12, abs=0)
 
 
 def test_macroscopic_field_ratio_between_gauges(make_params):
@@ -194,10 +208,10 @@ def test_second_derivative_jump_size(make_params):
 def test_second_derivative_tags_transition_strip(make_params):
     p = make_params(beta=2.4, eta=0.0)
     eta_c = eta_critical(p)
-    step = 1e-3
+    step = DEFAULT_FD_STEP
     grid = np.array([eta_c - 5 * step, eta_c - 0.4 * step, eta_c + 0.4 * step,
                      eta_c + 5 * step])
-    values = dict(ground_density_second_derivative(p, grid, step=step))
+    values = dict(ground_density_second_derivative(p, grid))
     assert math.isnan(values[grid[1]])
     assert math.isnan(values[grid[2]])
     assert not math.isnan(values[grid[0]])
