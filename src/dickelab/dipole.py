@@ -130,20 +130,25 @@ class DipoleSpectrum:
         return self.zeta_elements[0, 1]
 
 
-def _solve_potential(v_dimless, h, levels):
-    """Lowest eigenpairs of the sinc-DVR kinetic matrix plus diag(v).
-
-    v_dimless already includes the 1/2 potential prefactor. Returns
-    eigenvalues ascending and l2-normalized eigenvectors as columns.
-    """
+def _dvr_matrix(v_dimless, h):
+    """The sinc-DVR kinetic matrix plus diag(v); v_dimless already includes
+    the 1/2 potential prefactor."""
     n = v_dimless.size
     d = np.subtract.outer(np.arange(n), np.arange(n))
     t = np.divide(2.0, d * d, out=np.full((n, n), np.pi**2 / 3.0), where=d != 0)
     t *= np.where(d % 2 == 0, 0.5, -0.5) / h**2
     t[np.diag_indices(n)] += v_dimless
+    return t
+
+
+def _solve_potential(v_dimless, h, levels):
+    """Lowest eigenpairs of the sinc-DVR kinetic matrix plus diag(v).
+
+    Returns eigenvalues ascending and l2-normalized eigenvectors as columns.
+    """
     # A full solve, not a subset: a subset solve's lowest levels move in the
     # last digits with the subset size, and omega_m must not.
-    vals, vecs = scipy.linalg.eigh(t)
+    vals, vecs = scipy.linalg.eigh(_dvr_matrix(v_dimless, h))
     return vals[:levels], vecs[:, :levels]
 
 
@@ -200,8 +205,11 @@ def solve_double_well(shape: WellShape, grid: GridSpec, levels: int,
             "of its maximum; enlarge zeta_max"
         )
 
+    # The doubled grid gives only e1 - e0 for the drift, which is not
+    # printed, so its two lowest values are solved alone, without vectors.
     z2, h2 = grid.axis(points=2 * grid.points)
-    fine = _solve_potential(_well_values(shape, z2), h2, 2)[0]
+    fine = scipy.linalg.eigh(_dvr_matrix(_well_values(shape, z2), h2), eigvals_only=True,
+                             subset_by_index=[0, 1])
     gap, fine_gap = vals[1] - vals[0], fine[1] - fine[0]
     drift = abs(fine_gap - gap) / abs(fine_gap)
     if drift > gap_tol:

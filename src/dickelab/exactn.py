@@ -23,8 +23,10 @@ ever built:
 
 Every finite-N Hamiltonian has the form
 D x 1 + 1 x F + X x (a^dag - a) + Y x (a^dag + a) with D, X, Y on the dipoles
-and F on the mode, formed by one builder, `_with_mode`, the only place that
-forms products with the mode. Pair sums use sum_{mu != nu}
+and F on the mode, formed by one of two builders, the only places that form
+products with the mode: `_banded` for a point whose two parity blocks each
+hold at most DENSE_THRESHOLD states, from dense D, X and Y, and `_with_mode`
+above that, from CSR ones. Pair sums use sum_{mu != nu}
 zeta_mu zeta_nu = Z^2 - sum_mu (zeta^2)_mu with Z = sum_mu zeta_mu. The
 two-level collective-spin Dicke Hamiltonian comes from its replacement form;
 it differs from the L=2 projection in the self-energy term, which is the
@@ -37,43 +39,51 @@ operators, so those are built once and each point only combines them:
 
 - the Fock operators and the identity, per cutoff (`_photon_ops`);
 - the symmetric sector's states and one-body pattern, per (N, L)
-  (`_sector_pattern`), so a sector sum is one gather and one COO -> CSR;
+  (`_sector_pattern`), so a sector sum is one gather and one COO -> CSR, or
+  one bincount for a dense one;
 - J^z, J_x^2 and the identity of the two-level model, dense, which each
   point sums into its dipole factor, and J^+ - J^- and J_x, per dipole count
-  (`_two_level_ops`); X and Y are their cached CSR patterns with scaled
-  values (`_scaled`);
+  (`_two_level_ops`, and dense in `_two_level_dense`); X and Y are those
+  scaled;
 - the dipole operators of `assemble` (Z, the summed momentum factor S, Z Z
-  and the one-dipole blocks), per (spectrum, N, L) (`_dipole_sums`), for
-  the last key only; a spectrum hashes by identity;
-- the index plan of each sparsity pattern of (D, X, Y, F) (`_ModePlan`),
-  per (N, L, M) (`_scope_plans`), for the last two keys: a sweep alternates
-  the exact model and the two-level one (L = 2). A plan holds integer arrays
-  only, whatever spectrum the values come from; each point's values are
-  gathered through it.
-
-An X or Y term whose coefficient is zero is left out, and a sparsity pattern
-without it has its own plan.
+  and the one-dipole blocks), per (spectrum, N, L) (`_dipole_sums`, with
+  their dense copies), for the last key only; a spectrum hashes by identity;
+- for banded points, the gather map of the two blocks' bands (`_BandMap`),
+  per (N, L, M) and the presence of the A^2 term (`_band_map`), whatever
+  spectrum the values come from;
+- for larger points, the index plan of each sparsity pattern of (D, X, Y,
+  F) (`_ModePlan`), per (N, L, M) (`_scope_plans`), for the last two keys: a
+  sweep alternates the exact model and the two-level one (L = 2). A plan
+  holds integer arrays only, whatever spectrum the values come from; each
+  point's values are gathered through it. An X or Y term whose coefficient
+  is zero is left out, and a sparsity pattern without it has its own plan.
 
 Every Hamiltonian conserves the joint parity (-1)^(sum of the dipole
-levels + photon number), which `_mode_plan` forms once per plan from the
-sector's occupations; a point's partition is `h.blocks.index`, each block's
-states in the whole basis. The plan maps each Kronecker contribution
-straight into the CSR storage of the even and odd blocks, and no solve
-reads anything else. `ground_pair` is the one reader of a point's blocks:
-it solves each block for its lowest level, and E is the other block's
-lowest level unless the ground block's second level lies below it;
-`second_derivative_sweep` reads G as `ground_pair(h)[0]`. The
-entries between the blocks, which no block stores, are rounding from the
-well solve. Each point reads the largest of them, and H - H^T, off the
-dipole factors, and checks them against PARITY_TOL and SYMMETRY_TOL.
-The budget and the basis order still cover the whole matrix, both blocks
-together, and `AssembledHamiltonian.matrix`, the whole matrix, is formed
-when it is read, as the sparse Kronecker sum of the point's factors.
+levels + photon number); a point's partition is `h.blocks.index`, each
+block's states in the whole basis. Both builders map each Kronecker
+contribution straight into the storage of the even and odd blocks, and no
+solve reads anything else. `ground_pair` is the one reader of a point's
+blocks: it solves each block for its lowest level, and E is the other
+block's lowest level unless the ground block's second level lies below it;
+`second_derivative_sweep` reads G as `ground_pair(h)[0]`. The entries
+between the blocks, which no block stores, are rounding from the well
+solve. Each point reads the largest of them, and H - H^T, off the dipole
+factors, and checks them against PARITY_TOL and SYMMETRY_TOL. The budget and
+the basis order still cover the whole matrix, both blocks together, and
+`AssembledHamiltonian.matrix`, the whole matrix, is formed when it is read,
+as the sparse Kronecker sum of the point's factors.
 
-A block of at most DENSE_THRESHOLD states is solved densely by one dsyevr
-call (`_dsyevr`) for its two lowest levels and their vectors, which give G,
-the ground vector and the ground block's second level. So a dense point
-costs one factorisation per block.
+A banded block lists its states photon-major, so its couplings join photon
+numbers at most 2 apart and it is held as a lower band about one sector
+wide, in LAPACK's band storage, filled by one gather per point through the
+`_BandMap`. Where the band is narrow enough (BAND_CROSSOVER), one
+values-only dsbevx call gives the block's two lowest levels, and one step of
+inverse iteration (dgbsv on the band shifted to G) gives the ground vector
+when the block holds G; the vector is accepted when its residual is at most
+RESIDUAL_TOL max(1, |G|). A wider band, and a ground block whose vector
+fails that bound, is solved by one dsyevr call (`_dsyevr`) for its two
+lowest levels and their vectors. Either way the ground block's second level
+comes from the same solve as G.
 
 A block above DENSE_THRESHOLD states is solved by `_davidson`, Davidson's
 method preconditioned by the block's diagonal, which holds the dipole and
@@ -83,7 +93,8 @@ levels below it: `ground_pair`'s ranking solve is one such solve, deflated
 against the ground vector. A solve starts from the block's diagonal alone
 (the unit vectors of its lowest entries) and has no random restart, so each
 point's result depends on that point only, not on the grid around it nor on
-the solves before it.
+the solves before it. The banded solves start from the band alone (inverse
+iteration from the all-ones vector), so the same holds for them.
 """
 
 import copy
@@ -95,7 +106,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import lapack
+from scipy.linalg import blas, lapack
 
 from .dipole import DipoleSpectrum, MainText, SelfEnergyInBare
 from .errors import (
@@ -108,16 +119,30 @@ from .errors import (
 from .gauge import ReducedParams, derive_couplings
 
 DEFAULT_BUDGET = 200_000
-# Dense subset solve up to this many states, `_davidson` above. Per block, at
-# 1 BLAS thread on both blocks of N = 2, L = 8, eta 1 and 2.8, one dsyevr
-# call for the two lowest pairs against a k = 1 solve with its vector and the
-# ranking solve: dense wins at 144 states (0.6 against 0.7-1.0 ms), and from
-# 216 on Davidson wins (1.4-1.5 against 0.9-1.3 ms at 216, 3.3 against
-# 0.8-1.5 at 288, 17-18 against 1.0-1.9 at 576, 111-122 against 1.2-2.6 at
-# 1080). The value stays 600, since moving it moves rows between the solvers.
-# A dense solve is exact, so ground_pair reads a dense block's second level
-# from the same call as its lowest.
+# Points whose two parity blocks hold at most this many states each are built
+# as banded blocks and solved densely, larger ones by `_davidson`. Per block,
+# at 1 BLAS thread on both blocks of N = 2, L = 8, alpha = 1 (bandwidth 32),
+# eta 1 and 2.8, the dense solve of the two lowest levels and the ground
+# vector (dsbevx and inverse iteration where BAND_CROSSOVER allows, dsyevr
+# otherwise) against a k = 1 solve with its vector and the ranking solve:
+# dense wins at 144 states (0.6 against 0.8-1.4 ms), the two about tie at 216
+# (1.5-1.6 against 1.1-1.5 ms), and from 288 on Davidson wins (2.7-3.5
+# against 1.1-1.8 at 288, 12-17 against 2.0-2.1 at 576, 48-59 against 1.4-4.5
+# at 1080, forced dense). The value stays 600, since moving it moves rows
+# between the solvers. A dense solve is exact, so ground_pair reads a dense
+# block's second level from the same call as its lowest.
 DENSE_THRESHOLD = 600
+# A banded block of n states and bandwidth b is solved by dsbevx and inverse
+# iteration when BAND_CROSSOVER b <= n, and by dsyevr above that. Per block,
+# at 1 BLAS thread, beta 3.3, eta 1.5, alpha 0.5, dsbevx for two levels plus
+# one inverse-iteration step against dsyevr for two levels and vectors:
+# n = 160, b = 8 (N = 1, L = 8, M = 40): 0.84 against 1.08 ms; n = 180,
+# b = 15: 1.28 against 1.47; n = 595, b = 35: 18.0 against 22.2; at about
+# n = 12 b they tie (n = 420-432, b = 35-36: 9.0-9.6 against 9.1-9.6 ms);
+# above that dsyevr wins (n = 80, b = 8: 0.28 against 0.26; n = 120, b = 15:
+# 0.68 against 0.58; n = 288, b = 36: 4.8 against 4.1; n = 180, b = 36: 2.1
+# against 1.4).
+BAND_CROSSOVER = 12
 # Davidson steps before an iterative solve gives up with ConvergenceError.
 # The most matrix-vector products any converged solve took was 105 over the
 # test suite (k = 3 at tol 0, 720 states), 68 over the default commands (a
@@ -204,10 +229,10 @@ class AssembledHamiltonian:
     """A real symmetric Hamiltonian, of one of two kinds:
 
     - an assembled point, from `assemble` or `dicke_two_level`, on (sector
-      states, Fock cutoff): its `blocks`, built from an index plan, which
-      every solve reads and whose `index` is the point's joint-parity
-      partition, and `whole`, which forms `matrix` on first read as the
-      Kronecker sum D x 1 + 1 x F + X x t + Y x q of its factors;
+      states, Fock cutoff): its `blocks`, which every solve reads and whose
+      `index` is the point's joint-parity partition, and `whole`, which
+      forms `matrix` on first read as the Kronecker sum
+      D x 1 + 1 x F + X x t + Y x q of its factors;
     - a bare `matrix` for `lowest_eigenvalues`, e.g. one parity block
       (`axis_dims` of one entry); its `blocks` are None.
 
@@ -231,16 +256,31 @@ class AssembledHamiltonian:
         return math.prod(self.axis_dims)
 
 
-@dataclass(frozen=True, eq=False)
 class _ParityBlocks:
-    """The even and odd blocks of a Hamiltonian, each as CSR over its states
-    in index order; each block's state indices in the whole basis; the
-    largest |entry| between the blocks, which no block stores; and max |H|."""
+    """The even and odd blocks of a Hamiltonian; each block's state indices
+    in the whole basis, ascending (`index`); the largest |entry| between the
+    blocks, which no block stores; and max |H|.
 
-    matrices: tuple
-    index: tuple
-    leak: float
-    scale: float
+    A point of `_with_mode` holds its blocks as CSR `matrices` over their
+    states in index order. A point of `_banded` holds per block
+    (`bands`) its lower band in LAPACK storage, band[d, j] = H[j + d, j],
+    over its states in band order, and those states in the whole basis; its
+    `matrices` are formed from the bands when they are read.
+    """
+
+    def __init__(self, matrices, index, leak, scale, bands=None):
+        self._matrices, self.index, self.leak, self.scale = matrices, index, leak, scale
+        self.bands = bands
+
+    @property
+    def matrices(self):
+        if self._matrices is None:
+            matrices = []
+            for band, states in self.bands:
+                order = np.argsort(states)            # the band's rows in index order
+                matrices.append(sp.csr_matrix(_band_dense(band)[np.ix_(order, order)]))
+            self._matrices = tuple(matrices)
+        return self._matrices
 
 
 @functools.lru_cache(maxsize=8)
@@ -314,6 +354,15 @@ def _summed(op, n_sites):
                           shape=(len(occupations),) * 2)
     total.eliminate_zeros()
     return total
+
+
+def _summed_dense(op, n_sites):
+    """`_summed` as a dense array; an entry that sums several pattern
+    entries (a diagonal one) may differ from `_summed`'s in the last bit."""
+    occupations, rows, cols, pairs, factors = _sector_pattern(n_sites, op.shape[0])
+    size = len(occupations)
+    return np.bincount(rows * size + cols, weights=op.ravel()[pairs] * factors,
+                       minlength=size * size).reshape(size, size)
 
 
 def _scaled(coefficient, op):
@@ -562,22 +611,179 @@ def _with_mode(n_sites, levels, m, dipole, x, y, omega_field, c_w=0.0):
     scale = max([leak] + [np.abs(block.data).max() for block in matrices if block.nnz])
     if asymmetry > SYMMETRY_TOL * max(scale, 1.0):
         raise ValidationError(f"assembled matrix asymmetric by {asymmetry:.2e}")
-
-    def whole():
-        # No entry has more than two terms, so each sum is the plan's sum;
-        # sparse sums store no zeros.
-        half, _, q, t, w, identity = _photon_ops(m)
-        mode = omega_field * sp.diags(half) + c_w * w
-        total = (sp.kron(dipole, identity, format="csr")
-                 + sp.kron(sp.identity(dipole.shape[0]), mode, format="csr"))
-        for op, photon in ((x, t), (y, q)):
-            if op is not None:
-                total = total + sp.kron(op, photon, format="csr")
-        return total
-
     return AssembledHamiltonian(
         None, (dipole.shape[0], m),
-        blocks=_ParityBlocks(tuple(matrices), plan.index, leak, scale), whole=whole)
+        blocks=_ParityBlocks(tuple(matrices), plan.index, leak, scale),
+        whole=functools.partial(_kronecker_sum, m, dipole, x, y, omega_field, c_w))
+
+
+def _kronecker_sum(m, dipole, x, y, omega_field, c_w):
+    """The whole matrix D x 1 + 1 x F + X x t + Y x q as CSR, from sparse or
+    dense factors (X or Y None when absent). No entry has more than two
+    terms, so each sum is the blocks' sum; sparse sums store no zeros."""
+    half, _, q, t, w, identity = _photon_ops(m)
+    mode = omega_field * sp.diags(half) + c_w * w
+    total = (sp.kron(sp.csr_matrix(dipole), identity, format="csr")
+             + sp.kron(sp.identity(dipole.shape[0]), mode, format="csr"))
+    for op, photon in ((x, t), (y, q)):
+        if op is not None:
+            total = total + sp.kron(sp.csr_matrix(op), photon, format="csr")
+    return total
+
+
+@functools.lru_cache(maxsize=64)
+def _is_banded(n_sites, levels, m):
+    """Whether both joint-parity blocks of the sector of n_sites dipoles with
+    `levels` levels x Fock(m) hold at most DENSE_THRESHOLD states, so that
+    `assemble` and `dicke_two_level` build the point with `_banded`."""
+    occupations = _sector_pattern(n_sites, levels)[0]
+    odd = int(np.sum(occupations @ np.arange(levels) % 2))
+    even = len(occupations) - odd
+    even_photons, odd_photons = (m + 1) // 2, m // 2
+    return max(even * even_photons + odd * odd_photons,
+               even * odd_photons + odd * even_photons) <= DENSE_THRESHOLD
+
+
+@dataclass(frozen=True, eq=False)
+class _BandMap:
+    """Where every entry of the lower bands of a dense point's two
+    joint-parity blocks comes from, for one sector x Fock(m), with or
+    without the A^2 term.
+
+    A block's states are ordered photon-major: photon number n = 0, 1, ...,
+    and within it the sector states of the dipole parity that makes the
+    joint parity the block's, in sector order. Its couplings then join
+    photon numbers at most 2 apart, so its band is about one sector wide.
+
+    A point's values are its table (`_banded`): D's entries in row-major
+    order, F's data on the pattern of the rotated (a^dag + a)^2, X_ji
+    sqrt(n + 1) and Y_ji sqrt(n + 1) in (j, i, n) order, then a 0. Band
+    entry k of both blocks, the even block's lower band then the odd one's,
+    each stored column by column, is table[take[0, k]] + table[take[1, k]]:
+    D_ii + F_nn on the diagonal, X t + Y q on a photon hop, one term or 0
+    elsewhere. Every array is read-only.
+    """
+
+    take: np.ndarray      # (2, entries): table positions of each band entry's two terms
+    shapes: tuple         # per block: (bandwidth + 1, states)
+    states: tuple         # per block: its states in band order, in the whole basis
+    index: tuple          # per block: its states in the whole basis, ascending
+    same: np.ndarray      # (sector, sector): whether two sector states share their parity
+
+
+@functools.lru_cache(maxsize=8)
+def _band_map(n_sites, levels, m, a2):
+    """The `_BandMap` of the sector of n_sites dipoles with `levels` levels
+    x Fock(m), with the A^2 term's photon offsets +-2 when `a2`. D is taken
+    as full within each dipole parity, X and Y on the pairs of sector states
+    one dipole move apart, of opposite parity; the entries they put between
+    the blocks are only checked (`_banded`)."""
+    occupations, rows, cols, _, _ = _sector_pattern(n_sites, levels)
+    size = len(occupations)
+    parity = occupations @ np.arange(levels) % 2
+    classes = [np.flatnonzero(parity == c) for c in (0, 1)]
+    rank = np.empty(size, dtype=np.intp)
+    for members in classes:
+        rank[members] = np.arange(members.size)
+    w = _photon_ops(m)[4]
+    w_at = np.full((m, m), -1)
+    w_at[_coordinates(w)] = np.arange(w.nnz)
+    # Table layout: D, F, X sqrt(n + 1), Y sqrt(n + 1), 0.
+    f_base = size * size
+    x_base = f_base + w.nnz
+    y_base = x_base + size * size * (m - 1)
+    zero = y_base + size * size * (m - 1)
+    hop = parity[rows] != parity[cols]
+    hop_rows, hop_cols = rows[hop], cols[hop]
+    photons = np.arange(m)
+
+    takes, shapes, states = [], [], []
+    for block in (0, 1):
+        kind = (block + photons) % 2          # the dipole parity at each photon number
+        start = np.concatenate(([0], np.cumsum([classes[c].size for c in kind])))
+        entries = []                          # (row, column, first, second) arrays
+        for c in (0, 1):
+            # D within one photon number: the pairs of class c, row rank >= column rank.
+            low, high = np.tril_indices(classes[c].size)
+            j, i = classes[c][low], classes[c][high]
+            n = np.flatnonzero(kind == c)[:, None]
+            entries.append(np.broadcast_arrays(
+                start[n] + rank[j], start[n] + rank[i], j * size + i,
+                np.where(j == i, f_base + w_at[n, n], zero)))
+        # X t + Y q from photon number n to n + 1, the column state in class kind[n].
+        n, pick = np.nonzero(parity[hop_cols] == kind[:-1, None])
+        j, i = hop_rows[pick], hop_cols[pick]
+        pair = (j * size + i) * (m - 1) + n
+        entries.append((start[n + 1] + rank[j], start[n] + rank[i], x_base + pair, y_base + pair))
+        if a2:
+            # F's a^dag^2 + a^2 from photon number n to n + 2, on one sector state.
+            n = np.repeat(photons[:-2], [classes[c].size for c in kind[:-2]])
+            i = np.concatenate([classes[c] for c in kind[:-2]] + [np.empty(0, dtype=np.intp)])
+            entries.append((start[n + 2] + rank[i], start[n] + rank[i],
+                            f_base + w_at[n + 2, n], np.full(n.size, zero)))
+        row, col, first, second = (np.concatenate([np.ravel(entry[k]) for entry in entries])
+                                   for k in range(4))
+        width = int((row - col).max()) + 1
+        take = np.full((2, start[-1] * width), zero)
+        take[:, col * width + row - col] = first, second
+        takes.append(take)
+        shapes.append((width, int(start[-1])))
+        states.append(np.concatenate([classes[c] * m + n for n, c in enumerate(kind)]))
+    band_map = _BandMap(np.concatenate(takes, axis=1), tuple(shapes), tuple(states),
+                        tuple(np.sort(order) for order in states),
+                        parity[:, None] == parity[None, :])
+    for array in (band_map.take, *band_map.states, *band_map.index, band_map.same):
+        array.setflags(write=False)
+    return band_map
+
+
+def _banded(n_sites, levels, m, dipole, x, y, omega_field, c_w=0.0):
+    """The Hamiltonian D x 1 + 1 x F + X x (a^dag - a) + Y x (a^dag + a), as
+    `_with_mode`, from dense factors D, X and Y (each sector x sector), built
+    as the lower bands of its two joint-parity blocks by one gather through
+    the point's `_BandMap`.
+
+    Raises ValidationError when H - H^T exceeds SYMMETRY_TOL max|H|.
+    """
+    band_map = _band_map(n_sites, levels, m, c_w != 0.0)
+    half, half_on_w, _, _, w, _ = _photon_ops(m)
+    root = np.sqrt(np.arange(1.0, m))           # <n+1|a^dag|n>
+    table = np.concatenate((dipole.ravel(), omega_field * half_on_w + c_w * w.data,
+                            np.multiply.outer(x, root).ravel(),
+                            np.multiply.outer(y, root).ravel(), [0.0]))
+    first, second = table[band_map.take]
+    values = first + second
+    bands, start = [], 0
+    for (width, size), states in zip(band_map.shapes, band_map.states):
+        bands.append((values[start:start + width * size].reshape(size, width).T, states))
+        start += width * size
+
+    # The entries between the blocks and H - H^T, read on the factors at the
+    # largest photon matrix element of t and q, as `_ModePlan.checks` reads them.
+    photon_max = np.sqrt(m - 1.0)
+    x_max, y_max = x * photon_max, y * photon_max
+    up, down = x_max + y_max, y_max - x_max
+    same = band_map.same
+    leak = max(np.abs(dipole[~same]).max(initial=0.0), np.abs(up[same]).max(initial=0.0),
+               np.abs(down[same]).max(initial=0.0))
+    asymmetry = max(np.abs(dipole - dipole.T).max(), np.abs(up - down.T).max())
+    scale = max(leak, np.abs(values).max())
+    if asymmetry > SYMMETRY_TOL * max(scale, 1.0):
+        raise ValidationError(f"assembled matrix asymmetric by {asymmetry:.2e}")
+    return AssembledHamiltonian(
+        None, (dipole.shape[0], m),
+        blocks=_ParityBlocks(None, band_map.index, leak, scale, bands=tuple(bands)),
+        whole=functools.partial(_kronecker_sum, m, dipole, x, y, omega_field, c_w))
+
+
+def _band_dense(band):
+    """The dense symmetric block of a lower band, band[d, j] = H[j + d, j]."""
+    size = band.shape[1]
+    d, j = np.indices(band.shape)
+    inside = j + d < size
+    dense = np.zeros((size, size))
+    dense[(j + d)[inside], j[inside]] = dense[j[inside], (j + d)[inside]] = band[inside]
+    return dense
 
 
 @dataclass(frozen=True, eq=False)
@@ -591,6 +797,12 @@ class _DipoleSums:
     zeta: sp.csr_matrix           # Z = sum_mu zeta_mu
     s: sp.csr_matrix              # sum_mu S_mu, S_mn = (e_m - e_n) zeta_mn
     zz: object                    # Z Z, or None for a single dipole
+
+    @functools.cached_property
+    def dense(self):
+        """(Z, S, Z Z or None) as dense arrays, for `_banded`, formed on
+        first read: the same entries as the CSR operators."""
+        return tuple(None if op is None else op.toarray() for op in (self.zeta, self.s, self.zz))
 
 
 @functools.lru_cache(maxsize=1)
@@ -668,14 +880,24 @@ def assemble(config: HilbertConfig, params: ReducedParams,
     # list, which keeps the entries where they cancel: a sparse + would drop
     # them, and D's pattern, and with it its plan, would change with eta.
     sums = _dipole_sums(spectrum, n_sites, levels)
-    if sums.zz is not None and c_dd != 0.0:
-        terms = (_summed(sums.bare + c_se * sums.zeta_sq - c_dd * sums.zeta_zeta, n_sites),
-                 c_dd * sums.zz)
+    pair = sums.zz is not None and c_dd != 0.0
+    one_body = sums.bare + c_se * sums.zeta_sq
+    if pair:
+        one_body = one_body - c_dd * sums.zeta_zeta
+    if _is_banded(n_sites, levels, m):
+        zeta, s, zz = sums.dense
+        dipole = _summed_dense(one_body, n_sites)
+        if pair:
+            dipole += c_dd * zz
+        return _banded(n_sites, levels, m, dipole, -c_cross * s, c_pi * zeta,
+                       omega_field=omega, c_w=c_a2)
+    if pair:
+        terms = (_summed(one_body, n_sites), c_dd * sums.zz)
         dipole = sp.csr_matrix((np.concatenate([op.data for op in terms]),
                                 np.concatenate([_coordinates(op) for op in terms], axis=1)),
                                shape=sums.zz.shape)
     else:
-        dipole = _summed(sums.bare + c_se * sums.zeta_sq, n_sites)
+        dipole = _summed(one_body, n_sites)
     return _with_mode(n_sites, levels, m, dipole,
                       _scaled(-c_cross, sums.s), _scaled(c_pi, sums.zeta),
                       omega_field=omega, c_w=c_a2)
@@ -695,6 +917,15 @@ def _two_level_ops(n_sites):
     for array in dense:
         array.setflags(write=False)
     return *dense, (jp - jp.T).tocsr(), jx
+
+
+@functools.lru_cache(maxsize=16)
+def _two_level_dense(n_sites):
+    """J^+ - J^- and J_x of `_two_level_ops` as dense arrays, read-only."""
+    dense = tuple(op.toarray() for op in _two_level_ops(n_sites)[3:])
+    for array in dense:
+        array.setflags(write=False)
+    return dense
 
 
 def dicke_two_level(config: HilbertConfig, params: ReducedParams,
@@ -722,11 +953,14 @@ def dicke_two_level(config: HilbertConfig, params: ReducedParams,
 
     # Rotated interaction: +g'(J+ - J-)(c^dag - c) - g(J+ + J-)(c^dag + c).
     # Formed densely, left to right; csr_matrix stores only its nonzero entries.
-    dipole = sp.csr_matrix(omega_m * jz - (couplings.c_alpha / n_sites) * jx2
-                           + const * identity)
-    return _with_mode(n_sites, 2, m, dipole,
-                      _scaled(couplings.g_prime_alpha / math.sqrt(n_sites), jpm),
-                      _scaled(-(couplings.g_alpha / math.sqrt(n_sites)), jx),
+    dipole = omega_m * jz - (couplings.c_alpha / n_sites) * jx2 + const * identity
+    g_x = couplings.g_prime_alpha / math.sqrt(n_sites)
+    g_y = -(couplings.g_alpha / math.sqrt(n_sites))
+    if _is_banded(n_sites, 2, m):
+        dense_jpm, dense_jx = _two_level_dense(n_sites)
+        return _banded(n_sites, 2, m, dipole, g_x * dense_jpm, g_y * dense_jx,
+                       omega_field=couplings.omega_alpha)
+    return _with_mode(n_sites, 2, m, sp.csr_matrix(dipole), _scaled(g_x, jpm), _scaled(g_y, jx),
                       omega_field=couplings.omega_alpha)
 
 
@@ -874,6 +1108,39 @@ def fock_tail_weight(h: AssembledHamiltonian, vector) -> float:
     return tail if tail > np.finfo(float).eps ** 2 * top.size else 0.0
 
 
+def _dsbevx(band, k):
+    """The k lowest eigenvalues, ascending, of the block whose lower band is
+    `band` (LAPACK storage): one values-only call of LAPACK's dsbevx. Raises
+    ConvergenceError when dsbevx reports a failure."""
+    values, _, _, _, info = lapack.dsbevx(band, 0.0, 0.0, 1, k, compute_v=0, range=2,
+                                          lower=1, overwrite_ab=0)
+    if info:
+        raise ConvergenceError(f"LAPACK's dsbevx failed (info {info}) at dimension {band.shape[1]}")
+    return values[:k]
+
+
+def _inverse_iteration(band, level):
+    """The unit vector x of one step of inverse iteration shifted to `level`,
+    (H - level) x ~ 1 solved by LAPACK's dgbsv on the band; or None when the
+    shifted band is singular or ||H x - level x|| exceeds
+    RESIDUAL_TOL max(1, |level|)."""
+    width, size = band.shape
+    b = width - 1
+    general = np.zeros((3 * b + 1, size), order="F")     # dgbsv's storage, kl = ku = b
+    general[2 * b:] = band
+    for d in range(1, width):
+        general[2 * b - d, d:] = band[d, :size - d]
+    general[2 * b] -= level
+    _, _, x, info = lapack.dgbsv(b, b, general, np.ones((size, 1)), overwrite_ab=1, overwrite_b=1)
+    if info:
+        return None
+    x = x[:, 0] / np.linalg.norm(x)
+    residual = blas.dsbmv(b, 1.0, band, x, lower=1) - level * x
+    if not np.linalg.norm(residual) <= RESIDUAL_TOL * max(1.0, abs(level)):
+        return None
+    return x
+
+
 def ground_pair(h: AssembledHamiltonian):
     """(G, E, Fock-tail weight): the two lowest energies and the weight of
     the highest Fock state in the ground vector, with a warning when that
@@ -885,11 +1152,21 @@ def ground_pair(h: AssembledHamiltonian):
     the whole basis at `h.blocks.index`) are solved apart, each for its
     lowest level. The lower of the two is G. E is the second level over both
     blocks: the other block's lowest level, unless the ground block's second
-    level lies below it. A block of at most DENSE_THRESHOLD states is solved
-    densely for its two lowest levels, so that level comes from the same
-    solve as G, exactly. On a larger block one `_davidson` solve, deflated
-    against the ground vector, ranks it at tolerance RANKING_TOL: when its
-    Ritz value theta less its residual norm does not clear the other block's
+    level lies below it.
+
+    A banded block (a point of at most DENSE_THRESHOLD states per block) of
+    n states and bandwidth b with BAND_CROSSOVER b <= n is solved for its
+    two lowest levels by one values-only dsbevx call. If it holds G, the ground
+    vector comes from one step of inverse iteration shifted to G, accepted
+    when ||H x - G x|| <= RESIDUAL_TOL max(1, |G|). A wider banded block, a
+    ground block whose inverse iteration fails, and a hand-built CSR block
+    of at most DENSE_THRESHOLD states are solved by one dsyevr call for
+    their two lowest levels and vectors. So the ground block's second level
+    comes from the same solve as G, exactly.
+
+    On a larger block one `_davidson` solve, deflated against the ground
+    vector, ranks the second level at tolerance RANKING_TOL: when its Ritz
+    value theta less its residual norm does not clear the other block's
     level, the level is solved again at tolerance 0. E is the lower of the
     two. The budget bounds h, whose size is the sum of the two blocks'.
 
@@ -905,17 +1182,34 @@ def ground_pair(h: AssembledHamiltonian):
     if blocks.leak > PARITY_TOL * blocks.scale:
         raise ValidationError(
             f"parity blocks coupled by {blocks.leak:.2e} (max |H| {blocks.scale:.2e})")
+    # Per block: (levels, ground vector or None until it is needed, block
+    # number). k = 2 fits every block: each of the 2 or more sector states
+    # puts one of its photon numbers 0 and 1 in each block.
     solved = []
-    for matrix, index in zip(blocks.matrices, blocks.index):
-        block = AssembledHamiltonian(matrix, (index.size,))
-        # k = 2 fits every block: each of the 2 or more sector states puts
-        # one of its photon numbers 0 and 1 in each block.
-        k = 2 if block.dimension <= DENSE_THRESHOLD else 1
-        vals, vecs = lowest_eigenvalues(block, k, return_vectors=True)
-        solved.append((vals, vecs[:, 0], index, block))
-    (vals, ground_vector, index, block), (other, *_) = sorted(solved, key=lambda s: s[0][0])
+    for which, index in enumerate(blocks.index):
+        if blocks.bands is not None:
+            band = blocks.bands[which][0]
+            if BAND_CROSSOVER * (band.shape[0] - 1) <= band.shape[1]:
+                solved.append((_dsbevx(band, 2), None, which))
+                continue
+            vals, vecs = _dsyevr(_band_dense(band), 2, True)
+        else:
+            block = AssembledHamiltonian(blocks.matrices[which], (index.size,))
+            vals, vecs = lowest_eigenvalues(block, 2 if index.size <= DENSE_THRESHOLD else 1,
+                                            return_vectors=True)
+        solved.append((vals, vecs[:, 0], which))
+    (vals, ground_vector, which), (other, *_) = sorted(solved, key=lambda s: s[0][0])
+    states = blocks.index[which]
+    if ground_vector is None:
+        band, states = blocks.bands[which]
+        ground_vector = _inverse_iteration(band, vals[0])
+        if ground_vector is None:
+            vals, vecs = _dsyevr(_band_dense(band), 2, True)
+            ground_vector = vecs[:, 0]
+    elif blocks.bands is not None:
+        states = blocks.bands[which][1]
     vector = np.zeros(h.dimension)
-    vector[index] = ground_vector
+    vector[states] = ground_vector
     tail = fock_tail_weight(h, vector)
     if tail > FOCK_TAIL_TOL:
         warnings.warn(
@@ -926,9 +1220,10 @@ def ground_pair(h: AssembledHamiltonian):
     if vals.size > 1:
         second = vals[1]
     else:
-        second, _, residual = _davidson(block.matrix, RANKING_TOL, ground_vector)
+        matrix = blocks.matrices[which]
+        second, _, residual = _davidson(matrix, RANKING_TOL, ground_vector)
         if second - residual <= other[0]:
-            second = _davidson(block.matrix, 0.0, ground_vector)[0]
+            second = _davidson(matrix, 0.0, ground_vector)[0]
     return float(vals[0]), float(min(other[0], second)), tail
 
 

@@ -671,26 +671,49 @@ def sliced_ground_pair(matrix, parity):
     return ground, min(excited, lowest_eigenvalues(block, 2)[1])
 
 
+def spy_builders(monkeypatch):
+    """Record (point, kron_with_mode of its factors, joint parity) for every
+    point either builder makes: `_banded` from dense factors, `_with_mode`
+    from CSR ones."""
+    points = []
+
+    def spy(built):
+        def build(n_sites, levels, m, dipole, x, y, omega_field, c_w=0.0):
+            h = built(n_sites, levels, m, dipole, x, y, omega_field, c_w)
+            points.append((h, kron_with_mode(m, sp.csr_matrix(dipole),
+                                             *(None if op is None else sp.csr_matrix(op)
+                                               for op in (x, y)), omega_field, c_w),
+                           joint_parity(exactn._sector_pattern(n_sites, levels)[0], m)))
+            return h
+        return build
+
+    for name in ("_banded", "_with_mode"):
+        monkeypatch.setattr(exactn, name, spy(getattr(exactn, name)))
+    return points
+
+
+def assert_bands_match(h, ref, scale, tol):
+    """Each band of a banded point holds its block's entries over the
+    block's states in band order, to tol max|H|: nothing of the block lies
+    outside the band, and the band's states are the block's index."""
+    for (band, states), index in zip(h.blocks.bands, h.blocks.index):
+        assert np.array_equal(np.sort(states), index)
+        block = ref[states][:, states].toarray()
+        assert np.abs(exactn._band_dense(band) - block).max() <= tol * scale
+
+
 def test_plan_blocks_match_the_kronecker_build(p33, monkeypatch):
     """Fast path against slow path: every point's parity blocks, read from
-    its index plan, equal the fancy-index slices of the sp.kron build of the
-    same factors entry by entry (1e-15 max|H|), and its whole matrix equals
-    that build exactly, without explicit zeros; the leakage between the
-    blocks and max|H| match; ground_pair's G and E match the sliced solve
-    at rel 1e-12. The sector at N = 1..3 and the two-level model at
-    N = 1..4, in the Coulomb (no Y), JC and multipolar (no X, no A^2)
-    gauges, both conventions, and at eta 0 (no X, Y or A^2 term), 0.05,
-    eta_c - 0.04 and 2.8."""
-    points = []
-    built = exactn._with_mode
-
-    def spy(n_sites, levels, m, dipole, x, y, omega_field, c_w=0.0):
-        h = built(n_sites, levels, m, dipole, x, y, omega_field, c_w)
-        points.append((h, kron_with_mode(m, dipole, x, y, omega_field, c_w),
-                       joint_parity(exactn._sector_pattern(n_sites, levels)[0], m)))
-        return h
-
-    monkeypatch.setattr(exactn, "_with_mode", spy)
+    its bands (banded points) or its index plan, equal the fancy-index
+    slices of the sp.kron build of the same factors entry by entry
+    (1e-15 max|H|), and its whole matrix equals that build exactly, without
+    explicit zeros; the leakage between the blocks and max|H| match;
+    ground_pair's G and E match the sliced solve at rel 1e-12. The sector at
+    N = 1..3 and the two-level model at N = 1..4, in the Coulomb (no Y), JC
+    and multipolar (no X, no A^2) gauges, both conventions, and at eta 0 (no
+    X, Y or A^2 term), 0.05, eta_c - 0.04 and 2.8; the sector at N = 2 with
+    iterative blocks (720 states) at the two gauge ends."""
+    points = spy_builders(monkeypatch)
     eta_c = eta_critical(p33)
     grid = GridSpec(points=64)
     for alpha in (0.0, jc_gauge(p33), 1.0):
@@ -707,10 +730,16 @@ def test_plan_blocks_match_the_kronecker_build(p33, monkeypatch):
             for n in (1, 2, 3, 4):
                 dicke_two_level(HilbertConfig(n, 2, 12, representation=CollectiveSpin()),
                                 p33.with_(n_dipoles=n, alpha=alpha, eta=eta), p33.spectrum)
-    assert len(points) == 3 * 4 * 10
+    for alpha in (0.0, 1.0):
+        assemble(HilbertConfig(2, 8, 40), p33.with_(n_dipoles=2, alpha=alpha, eta=2.8),
+                 p33.spectrum)
+    assert len(points) == 3 * 4 * 10 + 2
+    assert sum(h.blocks.bands is None for h, _, _ in points) == 2
     for h, ref, parity in points:
         scale = abs(ref).max()
         blocks = h.blocks
+        if blocks.bands is not None:
+            assert_bands_match(h, ref, scale, 1e-15)
         for matrix, index, sign in zip(blocks.matrices, blocks.index, (1, -1)):
             assert np.array_equal(index, np.flatnonzero(parity == sign))
             assert abs(matrix - ref[index][:, index]).max() <= 1e-15 * scale
@@ -728,19 +757,11 @@ def test_plan_blocks_match_the_kronecker_build(p33, monkeypatch):
 
 def test_two_fock_states_match_the_kronecker_build(p33, monkeypatch):
     """At fock_cutoff = 2, where a^dag^2 + a^2 has no entry, a point builds:
-    its parity blocks and whole matrix equal the sp.kron build of the same
-    factors exactly, and ground_pair solves it, for the sector (with and
-    without the A^2 term) and the two-level model, at eta 0 and 1.4."""
-    points = []
-    built = exactn._with_mode
-
-    def spy(n_sites, levels, m, dipole, x, y, omega_field, c_w=0.0):
-        h = built(n_sites, levels, m, dipole, x, y, omega_field, c_w)
-        points.append((h, kron_with_mode(m, dipole, x, y, omega_field, c_w),
-                       joint_parity(exactn._sector_pattern(n_sites, levels)[0], m)))
-        return h
-
-    monkeypatch.setattr(exactn, "_with_mode", spy)
+    its parity blocks (read from its bands) and whole matrix equal the
+    sp.kron build of the same factors exactly, and ground_pair solves it,
+    for the sector (with and without the A^2 term) and the two-level model,
+    at eta 0 and 1.4."""
+    points = spy_builders(monkeypatch)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")          # two Fock states leave a heavy tail
         for eta in (0.0, 1.4):
@@ -751,6 +772,7 @@ def test_two_fock_states_match_the_kronecker_build(p33, monkeypatch):
                     HilbertConfig(2, 2, 2, representation=CollectiveSpin()), p, p33.spectrum))
     assert len(points) == 8
     for h, ref, parity in points:
+        assert_bands_match(h, ref, abs(ref).max(), 0.0)
         for matrix, sign in zip(h.blocks.matrices, (1, -1)):
             index = np.flatnonzero(parity == sign)
             assert np.array_equal(matrix.toarray(), ref[index][:, index].toarray())
@@ -761,17 +783,24 @@ def test_plans_are_read_only_and_kept_per_scope(p33):
     """A plan holds integer arrays only, read-only as the sector pattern's
     are; the plans of one (N, L, M) scope sit together, whichever model
     they serve, each keyed by its sparsity pattern: the blocks of eta = 0
-    and eta > 0 each have their own, and reading `matrix` builds none."""
-    cfg = HilbertConfig(2, 4, 10)
-    two = HilbertConfig(2, 2, 10, representation=CollectiveSpin())
+    and eta > 0 each have their own, and reading `matrix` builds none. A
+    banded point's gather map holds integer and boolean arrays only, also
+    read-only, one per (N, L, M) and presence of the A^2 term, whichever
+    model it serves; banded points build no plan."""
+    cfg, two = HilbertConfig(2, 8, 40), HilbertConfig(2, 2, 401, representation=CollectiveSpin())
+    small = HilbertConfig(2, 4, 10)
+    small_two = HilbertConfig(2, 2, 10, representation=CollectiveSpin())
     exactn._scope_plans.cache_clear()
+    exactn._band_map.cache_clear()
     for eta in (0.0, 0.8):
         p = p33.with_(n_dipoles=2, eta=eta, alpha=0.6)
-        assemble(cfg, p, p33.spectrum).matrix
-        dicke_two_level(two, p, p33.spectrum).matrix
-    exact_plans = list(exactn._scope_plans(2, 4, 10).values())
-    two_plans = list(exactn._scope_plans(2, 2, 10).values())
+        for exact, collective in ((cfg, two), (small, small_two)):
+            assemble(exact, p, p33.spectrum).matrix
+            dicke_two_level(collective, p, p33.spectrum).matrix
+    exact_plans = list(exactn._scope_plans(2, 8, 40).values())
+    two_plans = list(exactn._scope_plans(2, 2, 401).values())
     assert len(exact_plans) == 2 and len(two_plans) == 2
+    assert not exactn._scope_plans(2, 4, 10) and not exactn._scope_plans(2, 2, 10)
     for plan in exact_plans + two_plans:
         arrays = [*itertools.chain.from_iterable(plan.blocks), *plan.index,
                   *plan.on_union, plan.same]
@@ -779,14 +808,27 @@ def test_plans_are_read_only_and_kept_per_scope(p33):
             assert array.dtype.kind in "ib" and not array.flags.writeable
         with pytest.raises(ValueError):
             plan.blocks[0][2][0] = 0
+    # eta = 0 has no A^2 term, eta = 0.8 has; the two-level model never has.
+    assert exactn._band_map.cache_info().currsize == 3
+    misses = exactn._band_map.cache_info().misses
+    maps = [exactn._band_map(2, 4, 10, False), exactn._band_map(2, 4, 10, True),
+            exactn._band_map(2, 2, 10, False)]
+    assert exactn._band_map.cache_info().misses == misses
+    for band_map in maps:
+        for array in (band_map.take, *band_map.states, *band_map.index, band_map.same):
+            assert array.dtype.kind in "ib" and not array.flags.writeable
+        with pytest.raises(ValueError):
+            band_map.take[0, 0] = 0
 
 
 def test_a_plan_is_built_once_per_sector_cutoff_and_pattern(p33, monkeypatch):
     """A self-energy-in-bare sweep solves a new well at each point, so each
     point brings its own spectrum; a plan is built once per distinct
     (N, L, M, sparsity pattern) all the same, as many times as there are
-    distinct patterns among the points."""
-    built, patterns = [], set()
+    distinct patterns among the points (N = 2, iterative blocks of 720
+    states), and a banded point's gather map once per distinct (N, L, M,
+    A^2 term present) (N = 2 and 3, banded blocks)."""
+    built, patterns, scopes = [], set(), set()
     plan = exactn._mode_plan
 
     def counted(*args):
@@ -796,17 +838,24 @@ def test_a_plan_is_built_once_per_sector_cutoff_and_pattern(p33, monkeypatch):
     def pattern(op):
         return None if op is None else (op.indptr.tobytes(), op.indices.tobytes())
 
-    with_mode = exactn._with_mode
+    with_mode, banded = exactn._with_mode, exactn._banded
 
     def seen(n_sites, levels, m, dipole, x, y, omega_field, c_w=0.0):
         patterns.add((n_sites, levels, m, c_w == 0.0, pattern(dipole), pattern(x), pattern(y)))
         return with_mode(n_sites, levels, m, dipole, x, y, omega_field, c_w)
 
+    def seen_banded(n_sites, levels, m, dipole, x, y, omega_field, c_w=0.0):
+        scopes.add((n_sites, levels, m, c_w != 0.0))
+        return banded(n_sites, levels, m, dipole, x, y, omega_field, c_w)
+
     monkeypatch.setattr(exactn, "_mode_plan", counted)
     monkeypatch.setattr(exactn, "_with_mode", seen)
+    monkeypatch.setattr(exactn, "_banded", seen_banded)
     exactn._scope_plans.cache_clear()
+    exactn._band_map.cache_clear()
     grid = GridSpec(points=64)
-    for n, cfg in ((2, HilbertConfig(2, 5, 12)), (3, HilbertConfig(3, 4, 10))):
+    for n, cfg in ((2, HilbertConfig(2, 8, 40)), (2, HilbertConfig(2, 5, 12)),
+                   (3, HilbertConfig(3, 4, 10))):
         for alpha in (0.0, jc_gauge(p33), 1.0):
             for eta in (0.4, 1.3, 2.2, 2.8):
                 p = p33.with_(n_dipoles=n, alpha=alpha, eta=eta)
@@ -815,8 +864,10 @@ def test_a_plan_is_built_once_per_sector_cutoff_and_pattern(p33, monkeypatch):
                               renorm=SelfEnergyInBare(alpha, eta / math.sqrt(n), 1.0)),
                     grid, levels=cfg.dipole_levels, gap_tol=1e-5)
                 assemble(cfg, p, absorbed)
-    assert len(patterns) < 2 * 3 * 4
+    assert 0 < len(patterns) < 3 * 4
     assert len(built) == len(patterns)
+    assert len(scopes) == 4
+    assert exactn._band_map.cache_info().misses == len(scopes)
 
 
 @pytest.mark.filterwarnings("ignore:Fock tail")
@@ -824,7 +875,8 @@ def test_a_coulomb_sweep_builds_one_plan(p33, monkeypatch):
     """D sums the one-body part and the pair term entry by entry and keeps
     the entries where they cancel, so its sparsity pattern, and with it the
     plan, does not change with eta: a Coulomb-gauge sweep over 14 couplings
-    builds one plan."""
+    builds one plan (N = 2, iterative blocks of 720 states). A banded sweep
+    over the same couplings builds one gather map (N = 3, L = 4, M = 10)."""
     built = []
     plan = exactn._mode_plan
 
@@ -834,9 +886,15 @@ def test_a_coulomb_sweep_builds_one_plan(p33, monkeypatch):
 
     monkeypatch.setattr(exactn, "_mode_plan", counted)
     exactn._scope_plans.cache_clear()
-    transition_sweep(HilbertConfig(3, 4, 10), p33.with_(n_dipoles=3, alpha=0.0),
-                     np.linspace(0.2, 2.8, 14), include_two_level=False)
+    exactn._band_map.cache_clear()
+    etas = np.linspace(0.2, 2.8, 14)
+    transition_sweep(HilbertConfig(2, 8, 40), p33.with_(n_dipoles=2, alpha=0.0), etas,
+                     include_two_level=False)
     assert len(built) == 1
+    transition_sweep(HilbertConfig(3, 4, 10), p33.with_(n_dipoles=3, alpha=0.0), etas,
+                     include_two_level=False)
+    assert len(built) == 1
+    assert exactn._band_map.cache_info().misses == 1
 
 
 def test_iterative_solve_gives_up_after_bounded_steps(p33):
@@ -1098,39 +1156,143 @@ def test_dense_solves_agree_with_eigh(p33):
 
 
 def test_a_dense_block_is_factorised_once(p33, monkeypatch):
-    """Each dense parity block is solved by one dsyevr call: ground_pair reads
-    G, the ground vector and the ranking level from two calls, one per
-    block, and second_derivative_sweep's G from two per point."""
-    sizes = []
-    dsyevr = exactn.lapack.dsyevr
+    """Each narrow banded parity block is solved by one values-only dsbevx
+    call, and the ground block's vector by one dgbsv call, with no dsyevr
+    call: ground_pair makes two dsbevx calls and one dgbsv call at N = 1,
+    L = 8, M = 40, and second_derivative_sweep the same per point. A wide
+    band (N = 3, L = 4, M = 4) is solved by one dsyevr call per block."""
+    calls = []
 
-    def counted(a, *args, **kwargs):
-        sizes.append(a.shape[0])
-        return dsyevr(a, *args, **kwargs)
+    def counted(name):
+        routine = getattr(exactn.lapack, name)
 
-    monkeypatch.setattr(exactn.lapack, "dsyevr", counted)
+        def call(*args, **kwargs):
+            calls.append(name)
+            return routine(*args, **kwargs)
+        return call
+
+    for name in ("dsyevr", "dsbevx", "dgbsv"):
+        monkeypatch.setattr(exactn.lapack, name, counted(name))
     exactn.ground_pair(assemble(HilbertConfig(1, 8, 40), p33.with_(eta=1.2), p33.spectrum))
-    assert sizes == [160, 160]
+    assert calls == ["dsbevx", "dsbevx", "dgbsv"]
+    del calls[:]
     second_derivative_sweep(HilbertConfig(2, 2, 40, representation=CollectiveSpin()),
                             p33.with_(n_dipoles=2), [1.6, 1.7, 1.8])
-    assert sizes[2:] == [60] * 6
+    assert calls == ["dsbevx", "dsbevx", "dgbsv"] * 3
+    del calls[:]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        exactn.ground_pair(assemble(HilbertConfig(3, 4, 4), p33.with_(n_dipoles=3, eta=1.2),
+                                    p33.spectrum))
+    assert calls == ["dsyevr", "dsyevr"]
+
+
+def dsyevr_pair(h):
+    """(G, E, Fock tail) of a banded point from one dsyevr solve of each
+    block, formed densely from its band, with vectors."""
+    solved = []
+    for band, states in h.blocks.bands:
+        vals, vecs = exactn._dsyevr(exactn._band_dense(band), 2, True)
+        solved.append((vals, vecs[:, 0], states))
+    (vals, vector, states), (other, _, _) = sorted(solved, key=lambda s: s[0][0])
+    whole = np.zeros(h.dimension)
+    whole[states] = vector
+    return vals[0], min(other[0], vals[1]), fock_tail_weight(h, whole)
+
+
+def narrow(band):
+    return exactn.BAND_CROSSOVER * (band.shape[0] - 1) <= band.shape[1]
+
+
+@pytest.mark.filterwarnings("ignore:Fock tail")
+def test_banded_ground_pair_equals_the_dsyevr_solve_of_each_block(p33):
+    """On banded points ground_pair's G and E equal one dsyevr solve of each
+    block to 1e-12 relative and its Fock tail to 1e-12 absolute: the sector
+    (N = 1 and 2) and the two-level model (N = 1..4), in the Coulomb, JC and
+    multipolar gauges (below alpha = 1 the A^2 term couples photon numbers
+    n +- 2), at eta = 0 (diagonal blocks with exact degeneracies), 0.05, 1.3
+    and 2.8; narrow bands, solved by dsbevx and inverse iteration, and wide
+    ones at fock_cutoff 2-4, solved by dsyevr."""
+    kinds = set()
+    for alpha in (0.0, jc_gauge(p33), 1.0):
+        for eta in (0.0, 0.05, 1.3, 2.8):
+            hams = [assemble(cfg, p33.with_(n_dipoles=cfg.n_dipoles, alpha=alpha, eta=eta),
+                             p33.spectrum)
+                    for cfg in (HilbertConfig(1, 8, 40), HilbertConfig(1, 10, 60),
+                                HilbertConfig(2, 4, 24), HilbertConfig(1, 8, 2),
+                                HilbertConfig(2, 4, 3), HilbertConfig(3, 4, 4))]
+            hams += [dicke_two_level(HilbertConfig(n, 2, m, representation=CollectiveSpin()),
+                                     p33.with_(n_dipoles=n, alpha=alpha, eta=eta), p33.spectrum)
+                     for n in (1, 2, 3, 4) for m in (40, 3)]
+            for h in hams:
+                kinds.update(narrow(band) for band, _ in h.blocks.bands)
+                g, e, tail = exactn.ground_pair(h)
+                want_g, want_e, want_tail = dsyevr_pair(h)
+                assert abs(g - want_g) <= 1e-12 * abs(want_g)
+                assert abs(e - want_e) <= 1e-12 * abs(want_e)
+                assert abs(tail - want_tail) <= 1e-12
+    assert kinds == {True, False}
+
+
+def test_inverse_iteration_failure_falls_back_to_dsyevr(p33, monkeypatch):
+    """A near-degenerate pair planted at the bottom of one banded block, two
+    states coupled by 1e-6 and cut off from the rest, has the ground vector
+    (1, -1)/sqrt(2) on them, orthogonal to the all-ones start of inverse
+    iteration: its step lands on the upper member, whose residual fails the
+    bound (the shifted band is not singular). ground_pair then solves that
+    block by dsyevr, and its G, E and Fock tail equal the dense solve's."""
+    h = assemble(HilbertConfig(1, 8, 40), p33.with_(eta=1.3), p33.spectrum)
+    (band, states), other = h.blocks.bands
+    assert exactn._inverse_iteration(band, exactn._dsbevx(band, 2)[0]) is not None
+    planted = band.copy()
+    first, second = 10, 13
+    for j in (first, second):
+        planted[1:, j] = 0.0
+        for d in range(1, min(j, planted.shape[0] - 1) + 1):
+            planted[d, j - d] = 0.0
+    planted[0, [first, second]] = exactn._dsbevx(band, 1)[0] - 0.5
+    planted[second - first, first] = 1e-6
+    point = exactn.AssembledHamiltonian(
+        None, h.axis_dims, blocks=exactn._ParityBlocks(
+            None, h.blocks.index, h.blocks.leak, h.blocks.scale,
+            bands=((planted, states), other)))
+    infos = []
+    dgbsv = exactn.lapack.dgbsv
+
+    def spy(*args, **kwargs):
+        result = dgbsv(*args, **kwargs)
+        infos.append(result[-1])
+        return result
+
+    monkeypatch.setattr(exactn.lapack, "dgbsv", spy)
+    levels = exactn._dsbevx(planted, 2)
+    assert levels[1] - levels[0] == pytest.approx(2e-6, rel=1e-6)
+    assert exactn._inverse_iteration(planted, levels[0]) is None
+    assert infos == [0]
+    assert exactn.ground_pair(point) == pytest.approx(dsyevr_pair(point), rel=1e-15, abs=1e-15)
+    dsyevr = exactn._dsyevr(exactn._band_dense(planted), 2, True)
+    assert exactn.ground_pair(point)[:2] == (dsyevr[0][0], dsyevr[0][1])
 
 
 def test_a_failed_dsyevr_raises_convergence_error(p33, monkeypatch):
     """A failure dsyevr reports (info > 0) raises ConvergenceError from a
-    dense solve and from an iterative one, whose Ritz step calls it."""
-    dsyevr = exactn.lapack.dsyevr
+    dense solve and from an iterative one, whose Ritz step calls it; one
+    dsbevx reports raises it from ground_pair on a banded point."""
+    def failing(routine):
+        def call(*args, **kwargs):
+            *result, _ = routine(*args, **kwargs)
+            return *result, 1
+        return call
 
-    def failing(*args, **kwargs):
-        *result, _ = dsyevr(*args, **kwargs)
-        return *result, 1
-
-    monkeypatch.setattr(exactn.lapack, "dsyevr", failing)
+    monkeypatch.setattr(exactn.lapack, "dsyevr", failing(exactn.lapack.dsyevr))
+    monkeypatch.setattr(exactn.lapack, "dsbevx", failing(exactn.lapack.dsbevx))
     h = assemble(HilbertConfig(1, 8, 80), p33.with_(eta=0.5), p33.spectrum)
     assert h.dimension > exactn.DENSE_THRESHOLD
     for method in ("dense", "sparse"):
         with pytest.raises(ConvergenceError, match="dsyevr failed"):
             lowest_eigenvalues(h, 1, method=method)
+    with pytest.raises(ConvergenceError, match="dsbevx failed"):
+        exactn.ground_pair(assemble(HilbertConfig(1, 8, 40), p33.with_(eta=0.5), p33.spectrum))
 
 
 def test_iterative_solve_seeds_past_deflated_unit_vectors():
@@ -1321,28 +1483,34 @@ def test_two_level_factors_match_the_sparse_sums(p33, monkeypatch):
     of the scipy.sparse sum it replaces, bit for bit, in canonical order
     (the sparse sum left some rows unsorted), and its X and Y, scaled on the
     cached CSR patterns, equal the scaled operators in every CSR array:
-    N = 1..4, four gauges, eta 0 to 2.8."""
+    N = 1..4, four gauges, eta 0 to 2.8, on points with iterative blocks
+    (CSR factors). On banded points (M = 6) the dense factors hold the same
+    values, entry for entry."""
     factors = []
-    with_mode = exactn._with_mode
 
-    def seen(n_sites, levels, m, dipole, x, y, omega_field, c_w=0.0):
-        factors.append((n_sites, dipole, x, y))
-        return with_mode(n_sites, levels, m, dipole, x, y, omega_field, c_w)
+    def spy(built):
+        def build(n_sites, levels, m, dipole, x, y, omega_field, c_w=0.0):
+            factors.append((n_sites, dipole, x, y))
+            return built(n_sites, levels, m, dipole, x, y, omega_field, c_w)
+        return build
 
-    monkeypatch.setattr(exactn, "_with_mode", seen)
+    for name in ("_banded", "_with_mode"):
+        monkeypatch.setattr(exactn, name, spy(getattr(exactn, name)))
     points = []
     for n in (1, 2, 3, 4):
         for alpha in (0.0, jc_gauge(p33), 0.37, 1.0):
             for eta in (0.0, 0.05, 1.3, 2.8):
                 p = p33.with_(n_dipoles=n, alpha=alpha, eta=eta)
-                dicke_two_level(HilbertConfig(n, 2, 6, representation=CollectiveSpin()),
-                                p, p33.spectrum)
-                points.append(p)
+                for m in (6, 1202 // (n + 1) + 1):
+                    dicke_two_level(HilbertConfig(n, 2, m, representation=CollectiveSpin()),
+                                    p, p33.spectrum)
+                    points.append(p)
 
     def arrays(op):
         return None if op is None else (op.indptr.tobytes(), op.indices.tobytes(),
                                          op.data.tobytes(), op.shape)
 
+    banded = 0
     for p, (n, dipole, x, y) in zip(points, factors, strict=True):
         _, _, _, jpm, jx = exactn._two_level_ops(n)
         couplings = derive_couplings(p)
@@ -1351,11 +1519,19 @@ def test_two_level_factors_match_the_sparse_sums(p33, monkeypatch):
         want = (p.spectrum.omega_m * exactn._summed(np.diag([-0.5, 0.5]), n)
                 - (couplings.c_alpha / n) * (jx @ jx).tocsr()
                 + const * sp.identity(n + 1, format="csr"))
+        scaled = ((x, couplings.g_prime_alpha / math.sqrt(n), jpm),
+                  (y, -(couplings.g_alpha / math.sqrt(n)), jx))
+        if isinstance(dipole, np.ndarray):
+            banded += 1
+            assert dipole.tobytes() == want.toarray().tobytes()
+            for op, coefficient, cached in scaled:
+                assert np.array_equal(op, (coefficient * cached).toarray())
+            continue
         assert dipole.has_canonical_format and dipole.nnz == want.nnz
         assert dipole.toarray().tobytes() == want.toarray().tobytes()
-        for op, coefficient, cached in ((x, couplings.g_prime_alpha / math.sqrt(n), jpm),
-                                        (y, -(couplings.g_alpha / math.sqrt(n)), jx)):
+        for op, coefficient, cached in scaled:
             assert arrays(op) == (None if coefficient == 0.0 else arrays(coefficient * cached))
+    assert banded == len(points) // 2
 
 
 def test_sector_is_the_product_basis_at_one_dipole(p33):
