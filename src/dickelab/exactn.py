@@ -76,14 +76,13 @@ as the sparse Kronecker sum of the point's factors.
 A banded block lists its states photon-major, so its couplings join photon
 numbers at most 2 apart and it is held as a lower band about one sector
 wide, in LAPACK's band storage, filled by one gather per point through the
-`_BandMap`. Where the band is narrow enough (BAND_CROSSOVER), one
-values-only dsbevx call gives the block's two lowest levels, and one step of
-inverse iteration (dgbsv on the band shifted to G) gives the ground vector
-when the block holds G; the vector is accepted when its residual is at most
-RESIDUAL_TOL max(1, |G|). A wider band, and a ground block whose vector
-fails that bound, is solved by one dsyevr call (`_dsyevr`) for its two
-lowest levels and their vectors. Either way the ground block's second level
-comes from the same solve as G.
+`_BandMap`. One values-only dsbevx call gives the block's two lowest
+levels, and one step of inverse iteration (dgbsv on the band shifted to G)
+gives the ground vector when the block holds G; the vector is accepted when
+its residual is at most RESIDUAL_TOL max(1, |G|). A ground block whose
+vector fails that bound is solved again by one dsyevr call (`_dsyevr`) for
+its two lowest levels and their vectors, so the ground block's second level
+always comes from the same solve as G.
 
 A block above DENSE_THRESHOLD states is solved by `_davidson`, Davidson's
 method preconditioned by the block's diagonal, which holds the dipole and
@@ -121,28 +120,19 @@ from .gauge import ReducedParams, derive_couplings
 DEFAULT_BUDGET = 200_000
 # Points whose two parity blocks hold at most this many states each are built
 # as banded blocks and solved densely, larger ones by `_davidson`. Per block,
-# at 1 BLAS thread on both blocks of N = 2, L = 8, alpha = 1 (bandwidth 32),
-# eta 1 and 2.8, the dense solve of the two lowest levels and the ground
-# vector (dsbevx and inverse iteration where BAND_CROSSOVER allows, dsyevr
-# otherwise) against a k = 1 solve with its vector and the ranking solve:
-# dense wins at 144 states (0.6 against 0.8-1.4 ms), the two about tie at 216
-# (1.5-1.6 against 1.1-1.5 ms), and from 288 on Davidson wins (2.7-3.5
-# against 1.1-1.8 at 288, 12-17 against 2.0-2.1 at 576, 48-59 against 1.4-4.5
-# at 1080, forced dense). The value stays 600, since moving it moves rows
-# between the solvers. A dense solve is exact, so ground_pair reads a dense
-# block's second level from the same call as its lowest.
+# at 1 BLAS thread, beta 3.3, eta 1 and 2.8, dsbevx for two levels plus one
+# inverse-iteration step against Davidson's k = 1 solve with its vector plus
+# the ranking solve (forced banded or iterative where the size says
+# otherwise): at N = 1, L = 8, alpha = 1 (bandwidth 7) banded wins at 160
+# states (0.45 against 0.6-1.0 ms), and Davidson wins from 300 on (1.3
+# against 0.7-1.1 at 300, 4.5 against 0.8-1.3 at 600, 23 against 1.0-1.7 at
+# 1200); at N = 2, L = 8, alpha = 1 (bandwidth 32) the two about tie at 144
+# (0.8 against 0.6-0.9 ms), and Davidson wins from 216 on (1.6 against
+# 0.8-1.2 at 216, 12 against 1.0-1.8 at 576, 46 against 1.3-2.4 at 1080). The
+# value stays 600, since moving it moves rows between the solvers. A dense
+# solve is exact, so ground_pair reads a dense block's second level from the
+# same call as its lowest.
 DENSE_THRESHOLD = 600
-# A banded block of n states and bandwidth b is solved by dsbevx and inverse
-# iteration when BAND_CROSSOVER b <= n, and by dsyevr above that. Per block,
-# at 1 BLAS thread, beta 3.3, eta 1.5, alpha 0.5, dsbevx for two levels plus
-# one inverse-iteration step against dsyevr for two levels and vectors:
-# n = 160, b = 8 (N = 1, L = 8, M = 40): 0.84 against 1.08 ms; n = 180,
-# b = 15: 1.28 against 1.47; n = 595, b = 35: 18.0 against 22.2; at about
-# n = 12 b they tie (n = 420-432, b = 35-36: 9.0-9.6 against 9.1-9.6 ms);
-# above that dsyevr wins (n = 80, b = 8: 0.28 against 0.26; n = 120, b = 15:
-# 0.68 against 0.58; n = 288, b = 36: 4.8 against 4.1; n = 180, b = 36: 2.1
-# against 1.4).
-BAND_CROSSOVER = 12
 # Davidson steps before an iterative solve gives up with ConvergenceError.
 # The most matrix-vector products any converged solve took was 105 over the
 # test suite (k = 3 at tol 0, 720 states), 68 over the default commands (a
@@ -256,31 +246,24 @@ class AssembledHamiltonian:
         return math.prod(self.axis_dims)
 
 
+@dataclass(frozen=True, eq=False)
 class _ParityBlocks:
     """The even and odd blocks of a Hamiltonian; each block's state indices
     in the whole basis, ascending (`index`); the largest |entry| between the
     blocks, which no block stores; and max |H|.
 
     A point of `_with_mode` holds its blocks as CSR `matrices` over their
-    states in index order. A point of `_banded` holds per block
-    (`bands`) its lower band in LAPACK storage, band[d, j] = H[j + d, j],
-    over its states in band order, and those states in the whole basis; its
-    `matrices` are formed from the bands when they are read.
+    states in index order, and `bands` None. A point of `_banded` holds per
+    block (`bands`) its lower band in LAPACK storage, band[d, j] =
+    H[j + d, j], over its states in band order, and those states in the
+    whole basis; its `matrices` are None.
     """
 
-    def __init__(self, matrices, index, leak, scale, bands=None):
-        self._matrices, self.index, self.leak, self.scale = matrices, index, leak, scale
-        self.bands = bands
-
-    @property
-    def matrices(self):
-        if self._matrices is None:
-            matrices = []
-            for band, states in self.bands:
-                order = np.argsort(states)            # the band's rows in index order
-                matrices.append(sp.csr_matrix(_band_dense(band)[np.ix_(order, order)]))
-            self._matrices = tuple(matrices)
-        return self._matrices
+    matrices: tuple
+    index: tuple
+    leak: float
+    scale: float
+    bands: tuple = None
 
 
 @functools.lru_cache(maxsize=8)
@@ -772,7 +755,7 @@ def _banded(n_sites, levels, m, dipole, x, y, omega_field, c_w=0.0):
         raise ValidationError(f"assembled matrix asymmetric by {asymmetry:.2e}")
     return AssembledHamiltonian(
         None, (dipole.shape[0], m),
-        blocks=_ParityBlocks(None, band_map.index, leak, scale, bands=tuple(bands)),
+        blocks=_ParityBlocks(None, band_map.index, leak, scale, tuple(bands)),
         whole=functools.partial(_kronecker_sum, m, dipole, x, y, omega_field, c_w))
 
 
@@ -1154,13 +1137,12 @@ def ground_pair(h: AssembledHamiltonian):
     blocks: the other block's lowest level, unless the ground block's second
     level lies below it.
 
-    A banded block (a point of at most DENSE_THRESHOLD states per block) of
-    n states and bandwidth b with BAND_CROSSOVER b <= n is solved for its
-    two lowest levels by one values-only dsbevx call. If it holds G, the ground
-    vector comes from one step of inverse iteration shifted to G, accepted
-    when ||H x - G x|| <= RESIDUAL_TOL max(1, |G|). A wider banded block, a
+    A banded block (a point of at most DENSE_THRESHOLD states per block) is
+    solved for its two lowest levels by one values-only dsbevx call. If it
+    holds G, the ground vector comes from one step of inverse iteration
+    shifted to G, accepted when ||H x - G x|| <= RESIDUAL_TOL max(1, |G|). A
     ground block whose inverse iteration fails, and a hand-built CSR block
-    of at most DENSE_THRESHOLD states are solved by one dsyevr call for
+    of at most DENSE_THRESHOLD states, are solved by one dsyevr call for
     their two lowest levels and vectors. So the ground block's second level
     comes from the same solve as G, exactly.
 
@@ -1188,26 +1170,20 @@ def ground_pair(h: AssembledHamiltonian):
     solved = []
     for which, index in enumerate(blocks.index):
         if blocks.bands is not None:
-            band = blocks.bands[which][0]
-            if BAND_CROSSOVER * (band.shape[0] - 1) <= band.shape[1]:
-                solved.append((_dsbevx(band, 2), None, which))
-                continue
-            vals, vecs = _dsyevr(_band_dense(band), 2, True)
-        else:
-            block = AssembledHamiltonian(blocks.matrices[which], (index.size,))
-            vals, vecs = lowest_eigenvalues(block, 2 if index.size <= DENSE_THRESHOLD else 1,
-                                            return_vectors=True)
+            solved.append((_dsbevx(blocks.bands[which][0], 2), None, which))
+            continue
+        block = AssembledHamiltonian(blocks.matrices[which], (index.size,))
+        vals, vecs = lowest_eigenvalues(block, 2 if index.size <= DENSE_THRESHOLD else 1,
+                                        return_vectors=True)
         solved.append((vals, vecs[:, 0], which))
     (vals, ground_vector, which), (other, *_) = sorted(solved, key=lambda s: s[0][0])
     states = blocks.index[which]
-    if ground_vector is None:
+    if blocks.bands is not None:
         band, states = blocks.bands[which]
         ground_vector = _inverse_iteration(band, vals[0])
         if ground_vector is None:
             vals, vecs = _dsyevr(_band_dense(band), 2, True)
             ground_vector = vecs[:, 0]
-    elif blocks.bands is not None:
-        states = blocks.bands[which][1]
     vector = np.zeros(h.dimension)
     vector[states] = ground_vector
     tail = fock_tail_weight(h, vector)

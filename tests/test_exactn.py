@@ -278,12 +278,23 @@ def test_cached_operators_stay_fresh_along_a_sweep(p33, make_params):
                     scale = np.abs(ref).max()
                     assert np.abs(h.matrix.toarray() - ref).max() <= 1e-13 * scale
                     assert np.count_nonzero(h.matrix.data) == h.matrix.nnz
-                    for block, index in zip(h.blocks.matrices, h.blocks.index):
-                        assert np.abs(block.toarray() - ref[np.ix_(index, index)]).max() \
+                    for (block, states), index in zip(dense_blocks(h), h.blocks.index):
+                        assert np.array_equal(np.sort(states), index)
+                        assert np.abs(block - ref[np.ix_(states, states)]).max() \
                             <= 1e-13 * scale
                 misses = exactn._dipole_sums.cache_info().misses
                 exactn._dipole_sums(p.spectrum, n, cfg.dipole_levels)
                 assert exactn._dipole_sums.cache_info().misses == misses
+
+
+def dense_blocks(h):
+    """(dense block, its states in the whole basis) per parity block of a
+    point: a banded point's band formed densely over its states in band
+    order, another point's CSR block over its index."""
+    if h.blocks.bands is not None:
+        return [(exactn._band_dense(band), states) for band, states in h.blocks.bands]
+    return [(matrix.toarray(), index)
+            for matrix, index in zip(h.blocks.matrices, h.blocks.index)]
 
 
 def collective_reference(params, n_sites, m):
@@ -738,11 +749,13 @@ def test_plan_blocks_match_the_kronecker_build(p33, monkeypatch):
     for h, ref, parity in points:
         scale = abs(ref).max()
         blocks = h.blocks
+        for index, sign in zip(blocks.index, (1, -1)):
+            assert np.array_equal(index, np.flatnonzero(parity == sign))
         if blocks.bands is not None:
             assert_bands_match(h, ref, scale, 1e-15)
-        for matrix, index, sign in zip(blocks.matrices, blocks.index, (1, -1)):
-            assert np.array_equal(index, np.flatnonzero(parity == sign))
-            assert abs(matrix - ref[index][:, index]).max() <= 1e-15 * scale
+        else:
+            for matrix, index in zip(blocks.matrices, blocks.index):
+                assert abs(matrix - ref[index][:, index]).max() <= 1e-15 * scale
         assert np.array_equal(h.matrix.toarray(), ref.toarray())
         assert np.count_nonzero(h.matrix.data) == h.matrix.nnz
         between = ref.tocoo()
@@ -772,10 +785,9 @@ def test_two_fock_states_match_the_kronecker_build(p33, monkeypatch):
                     HilbertConfig(2, 2, 2, representation=CollectiveSpin()), p, p33.spectrum))
     assert len(points) == 8
     for h, ref, parity in points:
+        for index, sign in zip(h.blocks.index, (1, -1)):
+            assert np.array_equal(index, np.flatnonzero(parity == sign))
         assert_bands_match(h, ref, abs(ref).max(), 0.0)
-        for matrix, sign in zip(h.blocks.matrices, (1, -1)):
-            index = np.flatnonzero(parity == sign)
-            assert np.array_equal(matrix.toarray(), ref[index][:, index].toarray())
         assert np.array_equal(h.matrix.toarray(), ref.toarray())
 
 
@@ -1134,7 +1146,8 @@ def test_dense_solves_agree_with_eigh(p33):
                               (3, HilbertConfig(3, 2, 12, representation=CollectiveSpin()),
                                dicke_two_level)):
             p = p33.with_(n_dipoles=n, alpha=0.6, eta=eta)
-            blocks += build(cfg, p, p33.spectrum).blocks.matrices
+            blocks += [sp.csr_matrix(block)
+                       for block, _ in dense_blocks(build(cfg, p, p33.spectrum))]
     blocks += [blocks[-1] * 1e-150, blocks[-1] * 1e80, sp.csr_matrix([[2.5]]),
                sp.diags([2.0, 1.0, 3.0, 0.5, 4.0], format="csr")]
     assert {600, 3, 2, 1} <= {block.shape[0] for block in blocks}
@@ -1156,11 +1169,11 @@ def test_dense_solves_agree_with_eigh(p33):
 
 
 def test_a_dense_block_is_factorised_once(p33, monkeypatch):
-    """Each narrow banded parity block is solved by one values-only dsbevx
-    call, and the ground block's vector by one dgbsv call, with no dsyevr
-    call: ground_pair makes two dsbevx calls and one dgbsv call at N = 1,
-    L = 8, M = 40, and second_derivative_sweep the same per point. A wide
-    band (N = 3, L = 4, M = 4) is solved by one dsyevr call per block."""
+    """Each banded parity block is solved by one values-only dsbevx call,
+    and the ground block's vector by one dgbsv call, with no dsyevr call:
+    ground_pair makes two dsbevx calls and one dgbsv call at N = 1, L = 8,
+    M = 40, and second_derivative_sweep the same per point; so does a band
+    half as wide as its block (N = 3, L = 4, M = 4)."""
     calls = []
 
     def counted(name):
@@ -1184,7 +1197,7 @@ def test_a_dense_block_is_factorised_once(p33, monkeypatch):
         warnings.simplefilter("ignore")
         exactn.ground_pair(assemble(HilbertConfig(3, 4, 4), p33.with_(n_dipoles=3, eta=1.2),
                                     p33.spectrum))
-    assert calls == ["dsyevr", "dsyevr"]
+    assert calls == ["dsbevx", "dsbevx", "dgbsv"]
 
 
 def dsyevr_pair(h):
@@ -1200,10 +1213,6 @@ def dsyevr_pair(h):
     return vals[0], min(other[0], vals[1]), fock_tail_weight(h, whole)
 
 
-def narrow(band):
-    return exactn.BAND_CROSSOVER * (band.shape[0] - 1) <= band.shape[1]
-
-
 @pytest.mark.filterwarnings("ignore:Fock tail")
 def test_banded_ground_pair_equals_the_dsyevr_solve_of_each_block(p33):
     """On banded points ground_pair's G and E equal one dsyevr solve of each
@@ -1211,9 +1220,9 @@ def test_banded_ground_pair_equals_the_dsyevr_solve_of_each_block(p33):
     (N = 1 and 2) and the two-level model (N = 1..4), in the Coulomb, JC and
     multipolar gauges (below alpha = 1 the A^2 term couples photon numbers
     n +- 2), at eta = 0 (diagonal blocks with exact degeneracies), 0.05, 1.3
-    and 2.8; narrow bands, solved by dsbevx and inverse iteration, and wide
-    ones at fock_cutoff 2-4, solved by dsyevr."""
-    kinds = set()
+    and 2.8; narrow bands, and wide ones at fock_cutoff 2-4, whose bandwidth
+    reaches half the block's size."""
+    widest = 0.0
     for alpha in (0.0, jc_gauge(p33), 1.0):
         for eta in (0.0, 0.05, 1.3, 2.8):
             hams = [assemble(cfg, p33.with_(n_dipoles=cfg.n_dipoles, alpha=alpha, eta=eta),
@@ -1225,13 +1234,14 @@ def test_banded_ground_pair_equals_the_dsyevr_solve_of_each_block(p33):
                                      p33.with_(n_dipoles=n, alpha=alpha, eta=eta), p33.spectrum)
                      for n in (1, 2, 3, 4) for m in (40, 3)]
             for h in hams:
-                kinds.update(narrow(band) for band, _ in h.blocks.bands)
+                widest = max([widest] + [(band.shape[0] - 1) / band.shape[1]
+                                         for band, _ in h.blocks.bands])
                 g, e, tail = exactn.ground_pair(h)
                 want_g, want_e, want_tail = dsyevr_pair(h)
                 assert abs(g - want_g) <= 1e-12 * abs(want_g)
                 assert abs(e - want_e) <= 1e-12 * abs(want_e)
                 assert abs(tail - want_tail) <= 1e-12
-    assert kinds == {True, False}
+    assert widest >= 0.5
 
 
 def test_inverse_iteration_failure_falls_back_to_dsyevr(p33, monkeypatch):
