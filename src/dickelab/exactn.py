@@ -23,11 +23,13 @@ ever built:
 
 Every finite-N Hamiltonian has the form
 D x 1 + 1 x F + X x (a^dag - a) + Y x (a^dag + a) with D, X, Y on the dipoles
-and F on the mode, formed by one of two builders, the only places that form
-products with the mode: `_banded` for a point whose two parity blocks each
-hold at most DENSE_THRESHOLD states, from dense D, X and Y, and `_with_mode`
-above that, from CSR ones. Pair sums use sum_{mu != nu}
-zeta_mu zeta_nu = Z^2 - sum_mu (zeta^2)_mu with Z = sum_mu zeta_mu. The
+and F on the mode. Its factors are dense arrays when the sector holds at
+most DENSE_THRESHOLD states and CSR above. One of two builders, the only
+places that form products with the mode, turns them into the point's
+parity blocks: `_banded` for a point whose two parity blocks each hold at
+most DENSE_THRESHOLD states, and `_panels` above that. Pair sums use
+sum_{mu != nu} zeta_mu zeta_nu = Z^2 - sum_mu (zeta^2)_mu with
+Z = sum_mu zeta_mu. The
 two-level collective-spin Dicke Hamiltonian comes from its replacement form;
 it differs from the L=2 projection in the self-energy term, which is the
 point of keeping both. `assemble` reads the self-energy convention off the
@@ -40,36 +42,33 @@ operators, so those are built once and each point only combines them:
 - the Fock operators and the identity, per cutoff (`_photon_ops`);
 - the symmetric sector's states and one-body pattern, per (N, L)
   (`_sector_pattern`), so a sector sum is one gather and one COO -> CSR, or
-  one bincount for a dense one;
-- J^z, J_x^2 and the identity of the two-level model, dense, which each
-  point sums into its dipole factor, and J^+ - J^- and J_x, per dipole count
-  (`_two_level_ops`, and dense in `_two_level_dense`); X and Y are those
+  one bincount for a dense one, and its states ordered by dipole parity
+  (`_class_order`);
+- J^z, J_x^2, the identity, J^+ - J^- and J_x of the two-level model,
+  dense, per dipole count (`_two_level_ops`); X and Y are the last two
   scaled;
 - the dipole operators of `assemble` (Z, the summed momentum factor S, Z Z
   and the one-dipole blocks), per (spectrum, N, L) (`_dipole_sums`, with
   their dense copies), for the last key only; a spectrum hashes by identity;
 - for banded points, the gather map of the two blocks' bands (`_BandMap`),
   per (N, L, M) and the presence of the A^2 term (`_band_map`), whatever
-  spectrum the values come from;
-- for larger points, the index plan of each sparsity pattern of (D, X, Y,
-  F) (`_ModePlan`), per (N, L, M) (`_scope_plans`), for the last two keys: a
-  sweep alternates the exact model and the two-level one (L = 2). A plan
-  holds integer arrays only, whatever spectrum the values come from; each
-  point's values are gathered through it. An X or Y term whose coefficient
-  is zero is left out, and a sparsity pattern without it has its own plan.
+  spectrum the values come from.
 
 Every Hamiltonian conserves the joint parity (-1)^(sum of the dipole
 levels + photon number); a point's partition is `h.blocks.index`, each
-block's states in the whole basis. Both builders map each Kronecker
-contribution straight into the storage of the even and odd blocks, and no
-solve reads anything else. `ground_pair` is the one reader of a point's
-blocks: it solves each block for its lowest level, and E is the other
-block's lowest level unless the ground block's second level lies below it;
-`second_derivative_sweep` reads G as `ground_pair(h)[0]`. The entries
-between the blocks, which no block stores, are rounding from the well
-solve. Each point reads the largest of them, and H - H^T, off the dipole
-factors, and checks them against PARITY_TOL and SYMMETRY_TOL. The budget and
-the basis order still cover the whole matrix, both blocks together, and
+block's states in the whole basis. A banded point gathers each Kronecker
+contribution straight into the band storage of its even and odd blocks; a
+larger point keeps each block as a `_PanelBlock`, which applies the block
+from the dipole-class slices of the factors and stores nothing of the
+block itself. No solve reads anything else. `ground_pair` is the one
+reader of a point's blocks: it solves each block for its lowest level, and
+E is the other block's lowest level unless the ground block's second level
+lies below it; `second_derivative_sweep` reads G as `ground_pair(h)[0]`.
+The entries between the blocks, which no block stores, are rounding from
+the well solve. Each point reads the largest of them, and H - H^T, off the
+class slices of the dipole factors (`_parity_checks`), and checks them
+against PARITY_TOL and SYMMETRY_TOL. The budget and the basis order still
+cover the whole matrix, both blocks together, and
 `AssembledHamiltonian.matrix`, the whole matrix, is formed when it is read,
 as the sparse Kronecker sum of the point's factors.
 
@@ -86,9 +85,9 @@ always comes from the same solve as G.
 
 A block above DENSE_THRESHOLD states is solved by `_davidson`, Davidson's
 method preconditioned by the block's diagonal, which holds the dipole and
-photon energies and dominates the block; it needs only numpy and the CSR
-product. Each solve finds one level, deflated against the vectors of the
-levels below it: `ground_pair`'s ranking solve is one such solve, deflated
+photon energies and dominates the block; it needs only numpy and the
+block's product. Each solve finds one level, deflated against the vectors
+of the levels below it: `ground_pair`'s ranking solve is one such solve, deflated
 against the ground vector. A solve starts from the block's diagonal alone
 (the unit vectors of its lowest entries) and has no random restart, so each
 point's result depends on that point only, not on the grid around it nor on
@@ -96,7 +95,6 @@ the solves before it. The banded solves start from the band alone (inverse
 iteration from the all-ones vector), so the same holds for them.
 """
 
-import copy
 import functools
 import itertools
 import math
@@ -119,25 +117,27 @@ from .gauge import ReducedParams, derive_couplings
 
 DEFAULT_BUDGET = 200_000
 # Points whose two parity blocks hold at most this many states each are built
-# as banded blocks and solved densely, larger ones by `_davidson`. Per block,
-# at 1 BLAS thread, beta 3.3, eta 1 and 2.8, dsbevx for two levels plus one
-# inverse-iteration step against Davidson's k = 1 solve with its vector plus
-# the ranking solve (forced banded or iterative where the size says
-# otherwise): at N = 1, L = 8, alpha = 1 (bandwidth 7) banded wins at 160
-# states (0.45 against 0.6-1.0 ms), and Davidson wins from 300 on (1.3
-# against 0.7-1.1 at 300, 4.5 against 0.8-1.3 at 600, 23 against 1.0-1.7 at
-# 1200); at N = 2, L = 8, alpha = 1 (bandwidth 32) the two about tie at 144
-# (0.8 against 0.6-0.9 ms), and Davidson wins from 216 on (1.6 against
-# 0.8-1.2 at 216, 12 against 1.0-1.8 at 576, 46 against 1.3-2.4 at 1080). The
-# value stays 600, since moving it moves rows between the solvers. A dense
-# solve is exact, so ground_pair reads a dense block's second level from the
-# same call as its lowest.
+# as banded blocks and solved densely, larger ones as panel blocks solved by
+# `_davidson`; a sector of at most this many states keeps its factors dense.
+# Per block, at 1 BLAS thread, beta 3.3, eta 1 and 2.8, dsbevx for two levels
+# plus one inverse-iteration step against Davidson's k = 1 solve with its
+# vector plus the ranking solve on a panel block (forced banded or panel
+# where the size says otherwise): at N = 1, L = 8, alpha = 1 (bandwidth 7)
+# banded wins at 160 states (0.45 against 0.8-1.5 ms), the two about tie at
+# 300 (1.3 against 0.9-1.7), and Davidson wins from 600 on (4.5 against
+# 1.1-1.8 at 600, 23 against 1.6-2.7 at 1200); at N = 2, L = 8, alpha = 1
+# (bandwidth 32) banded wins at 144 (0.8 against 0.9-1.2 ms), and Davidson
+# wins from 216 on (1.6 against 1.0-1.5 at 216, 12 against 1.1-2.2 at 576,
+# 46 against 1.5-2.7 at 1080). The value stays 600, since moving it moves
+# rows between the solvers. A dense solve is exact, so ground_pair reads a
+# dense block's second level from the same call as its lowest.
 DENSE_THRESHOLD = 600
 # Davidson steps before an iterative solve gives up with ConvergenceError.
-# The most matrix-vector products any converged solve took was 105 over the
-# test suite (k = 3 at tol 0, 720 states), 68 over the default commands (a
-# 2,400-state block of s-figs-gauges) and 84 over CI's replay lines (720
-# states). 1000 steps at tol 1e-20 on a 720-state block take about 0.05 s.
+# The most block products any converged solve took on panel blocks was 105
+# over the test suite (k = 3 at tol 0, 720 states), 68 over the default
+# commands (a 2,400-state block of s-figs-gauges) and 87 over CI's replay
+# lines (a 2,400-state block of the N = 3 Coulomb-gauge line). 1000 steps at
+# tol 1e-20 on a 720-state block take about 0.05 s at 1 BLAS thread.
 DAVIDSON_MAXITER = 1000
 # Residual |H x - theta x| / max(1, |theta|) at which a tol = 0 iterative solve
 # stops. An eigenvalue lies within |r| of theta, and theta lies within about
@@ -149,9 +149,10 @@ _BASIS = 24
 # start built from the whole diagonal, without them, converged to the upper
 # member of the odd block's resonant doublet at eta = 1e-6 (N = 2, 3 and 5,
 # every gauge; E 4.9e-7 too high). 1 to 4 seeds all reach the dense levels
-# within 1e-12 on the test suite's iterative points; over ground_pair at
-# N = 2, 3 and 5, L = 8, M = 40, alpha 0, 0.5 and 1, eta 1e-6 to 2.8, 1, 2, 3,
-# 4 and 6 seeds took 2599, 2407, 2483, 2586 and 2796 products.
+# within 1e-12 on the test suite's iterative points (within 1.1e-15 on the
+# panel blocks); over ground_pair at N = 2, 3 and 5, L = 8, M = 40, alpha 0,
+# 0.5 and 1, eta 1e-6, 1, 2 and 2.8, 1, 2, 3, 4 and 6 seeds took 2418, 2291,
+# 2348, 2426 and 2582 products.
 _SEEDS = 4
 # Smallest d - theta of the diagonal correction r / (d - theta): entries with
 # |d - theta| below it are set to it.
@@ -161,9 +162,9 @@ SYMMETRY_TOL = 1e-12
 # Relative tolerance of ground_pair's solve that ranks the ground block's
 # second level against the other block's lowest. At tolerance 0 that solve
 # also converged, so this only saves work: at N = 2 and 3, L = 8, M = 40,
-# alpha 0 and 1, eta 1e-6 to 2.8, it took 6-36 products against 7-89 at
-# tolerance 0 (at N = 3, 0.6-7.6 against 0.7-21.6 ms), and the level cleared
-# the other by 0.57 or more, so none was solved again.
+# alpha 0 and 1, eta 1e-6, 1, 2 and 2.8, it took 5-35 products against 6-89
+# at tolerance 0 (at N = 3, 0.5-4.3 against 0.6-12.5 ms at 1 BLAS thread),
+# and the level cleared the other by 0.57 or more, so none was solved again.
 RANKING_TOL = 1e-4
 # Largest entry between the parity blocks, relative to max |H|, that
 # ground_pair may drop; the well solve leaves about 1e-13.
@@ -219,12 +220,13 @@ class AssembledHamiltonian:
     """A real symmetric Hamiltonian, of one of two kinds:
 
     - an assembled point, from `assemble` or `dicke_two_level`, on (sector
-      states, Fock cutoff): its `blocks`, which every solve reads and whose
-      `index` is the point's joint-parity partition, and `whole`, which
-      forms `matrix` on first read as the Kronecker sum
-      D x 1 + 1 x F + X x t + Y x q of its factors;
+      states, Fock cutoff): its `blocks`, banded or panel blocks, which
+      every solve reads and whose `index` is the point's joint-parity
+      partition, and `whole`, which forms `matrix` on first read as the
+      Kronecker sum D x 1 + 1 x F + X x t + Y x q of its factors;
     - a bare `matrix` for `lowest_eigenvalues`, e.g. one parity block
-      (`axis_dims` of one entry); its `blocks` are None.
+      (`axis_dims` of one entry), a CSR matrix or a `_PanelBlock`; its
+      `blocks` are None.
 
     The matrix is never modified: each dense solve is one dsyevr call on a
     dense copy of it.
@@ -252,11 +254,12 @@ class _ParityBlocks:
     in the whole basis, ascending (`index`); the largest |entry| between the
     blocks, which no block stores; and max |H|.
 
-    A point of `_with_mode` holds its blocks as CSR `matrices` over their
-    states in index order, and `bands` None. A point of `_banded` holds per
-    block (`bands`) its lower band in LAPACK storage, band[d, j] =
-    H[j + d, j], over its states in band order, and those states in the
-    whole basis; its `matrices` are None.
+    A point of `_panels` holds its blocks as `_PanelBlock`s in `matrices`,
+    each with its states in block order, and `bands` None. A point of
+    `_banded` holds per block (`bands`) its lower band in LAPACK storage,
+    band[d, j] = H[j + d, j], over its states in band order, and those
+    states in the whole basis; its `matrices` are None. A hand-built point
+    may hold CSR `matrices` over each block's states in index order.
     """
 
     matrices: tuple
@@ -295,12 +298,12 @@ def _sector_pattern(n_sites, levels):
     (N, L) as read-only arrays.
 
     `occupations` holds one state per row, in the order of
-    itertools.combinations_with_replacement; `_mode_plan` reads each state's
-    dipole parity (-1)^(sum of its levels) off it, and with the photon
-    parity the blocks' partition `h.blocks.index`. The other four list the
-    entries of sum_ij op_ji b_j^dag b_i: the entry moving a dipole from
-    level i to level j carries op_ji (level pair j * levels + i) times
-    sqrt(n_i (n_j + 1)), or n_i on the diagonal (j = i).
+    itertools.combinations_with_replacement; `_class_order` reads each
+    state's dipole parity (-1)^(sum of its levels) off it, which with the
+    photon parity gives the blocks' partition `h.blocks.index`. The other
+    four list the entries of sum_ij op_ji b_j^dag b_i: the entry moving a
+    dipole from level i to level j carries op_ji (level pair j * levels + i)
+    times sqrt(n_i (n_j + 1)), or n_i on the diagonal (j = i).
     """
     occupations = np.array([
         np.bincount(state, minlength=levels)
@@ -348,269 +351,58 @@ def _summed_dense(op, n_sites):
                        minlength=size * size).reshape(size, size)
 
 
-def _scaled(coefficient, op):
-    """coefficient * op, a shallow copy of the CSR matrix op that shares its
-    index arrays, or None (an absent term) when the coefficient is 0."""
-    if coefficient == 0.0:
-        return None
-    scaled = copy.copy(op)
-    scaled.data = op.data * coefficient
-    return scaled
-
-
 def _coordinates(op):
     """Row and column of each stored entry of a CSR matrix, in storage order."""
     return np.repeat(np.arange(op.shape[0]), np.diff(op.indptr)), op.indices
 
 
-# Photon offsets n' - n of the Kronecker terms: F on 0 and +-2, t and q on +-1.
-_OFFSETS = np.arange(-2, 3)
-# Candidate entries (photon rows x entries of U x offsets) a plan build
-# handles at once: a whole small plan in one pass, a large one a few photon
-# rows at a time, so the build needs a few MB beyond the plan itself.
-_CHUNK = 1 << 16
-# Plans kept per (N, L, M) scope, oldest dropped first. A command keeps at
-# most three patterns of one scope in use: s-figs-gauges cycles through one
-# per gauge at each eta (2 kept: 369 builds, 3 or more: 18). A
-# self-energy-in-bare sweep solves a new well per point, whose pattern mostly
-# repeats the one before: `exact-sweep convention=self-energy-in-bare
-# n_dipoles=3 eta_grid=0,2,6` (3 gauges, 6 etas) builds 4 plans whether 3 or
-# 100 are kept, and 5 with 2 kept.
-_PLANS_KEPT = 3
+@functools.lru_cache(maxsize=16)
+def _class_order(n_sites, levels):
+    """(order, split): the states of the symmetric sector of n_sites dipoles
+    with `levels` levels ordered by dipole class, its first `split` states
+    of even dipole parity (-1)^(sum of the levels), then those of odd
+    parity, each class ascending; read-only. Both classes hold a state: all
+    dipoles in level 0, and one of them in level 1."""
+    occupations = _sector_pattern(n_sites, levels)[0]
+    parity = occupations @ np.arange(levels) % 2
+    order = np.argsort(parity, kind="stable")
+    order.setflags(write=False)
+    return order, int(np.sum(parity == 0))
 
 
-@dataclass(frozen=True, eq=False)
-class _ModePlan:
-    """Where every Kronecker contribution of one sparsity pattern of
-    D x 1 + 1 x F + X x t + Y x q lands in the CSR storage of the two
-    joint-parity blocks.
-
-    A point's values are its table: D's data, F's data, X_e t_k and Y_e q_k
-    (`_mode_table`), then a 0. A stored entry is table[first], plus
-    table[second] at `pairs`, where two contributions meet (D_ii + F_nn or
-    X_e t_k + Y_e q_k); no entry has more.
-
-    The checks read the factors on the union U of the patterns of D, X, Y
-    and the identity: each entry's position in D, X and Y (a factor's nnz
-    where it has none), the position of its mirror in U (U's size where
-    there is none), and whether its two dipole states share their parity.
-    F needs no check: it is symmetric by construction and keeps the photon
-    parity. Every array is an integer array, read-only.
-    """
-
-    blocks: tuple         # per block: (indptr, indices, first, pairs, second)
-    index: tuple          # per block: its states' indices in the whole basis
-    on_union: tuple       # (in D, in X, in Y, mirror) per entry of U
-    same: np.ndarray      # per entry of U: its dipole states share their parity
-
-    def fill(self, table):
-        """The blocks as CSR matrices for one point's table."""
-        matrices = []
-        for (indptr, indices, first, pairs, second), states in zip(self.blocks, self.index):
-            data = table[first]
-            data[pairs] += table[second]
-            matrices.append(sp.csr_matrix((data, indices, indptr),
-                                          shape=(states.size, states.size)))
-        return matrices
-
-    def checks(self, dipole, x, y, photon_max):
-        """(largest |entry| between the blocks, largest |H - H^T|), both read
-        on the factors at the largest photon matrix element photon_max of
-        t and q, which holds each maximum up to rounding."""
-        at_d, at_x, at_y, mirror = self.on_union
-        d, x, y = (np.append(op.data, 0.0)[at] if op is not None else np.zeros(at.size)
-                   for op, at in ((dipole, at_d), (x, at_x), (y, at_y)))
-        # A hop entry X_u x t + Y_u x q reads (+-x + y) * photon_max on the
-        # links where t = +-photon_max; its mirror's link has the other sign.
-        x, y = x * photon_max, y * photon_max
-        up, down = x + y, y - x
-        between = np.concatenate((d[~self.same], up[self.same], down[self.same]))
-        asymmetry = np.concatenate((d - np.append(d, 0.0)[mirror],
-                                    up - np.append(down, 0.0)[mirror]))
-        return (np.abs(between).max() if between.size else 0.0,
-                np.abs(asymmetry).max() if asymmetry.size else 0.0)
+def _by_class(op, order):
+    """op, dense or CSR as it is, with its rows and columns in `_class_order`."""
+    return op[order][:, order]
 
 
-def _mode_plan(occupations, m, dipole, x, y, f):
-    """The `_ModePlan` of D x 1 + 1 x F + X x t + Y x q (X or Y None when
-    absent) on the sector states `occupations` x Fock(m), for the blocks of
-    the joint parity, which is formed here and nowhere else.
-
-    The entries of row (i, n) are, for each entry (i, j) of U in order, the
-    photon offsets n' - n its terms put there; they are laid out a chunk of
-    photon rows at a time."""
-    n_dip = dipole.shape[0]
-    _, _, q, t, _, _ = _photon_ops(m)      # q has t's pattern
-
-    def keys(op):
-        if op is None:
-            return np.empty(0, dtype=np.int64)
-        rows, cols = _coordinates(op)
-        return rows.astype(np.int64) * n_dip + cols
-
-    def position(stored, wanted):
-        """Where each wanted key is stored, or stored.size where it is not."""
-        if stored.size == 0:
-            return np.zeros(wanted.size, dtype=np.intp)
-        order = np.argsort(stored, kind="stable")
-        at = order[np.minimum(np.searchsorted(stored, wanted, sorter=order), stored.size - 1)]
-        return np.where(stored[at] == wanted, at, stored.size)
-
-    stored = [keys(op) for op in (dipole, x, y)]
-    diagonal = np.arange(n_dip, dtype=np.int64) * (n_dip + 1)
-    union = np.unique(np.concatenate(stored + [diagonal]))
-    u_rows, u_cols = np.divmod(union, n_dip)
-    at_d, at_x, at_y = (position(k, union) for k in stored)
-    in_d, in_x, in_y = (at < k.size for at, k in zip((at_d, at_x, at_y), stored))
-    mirror = position(union, u_cols * n_dip + u_rows)
-    dipole_parity = (-1) ** (occupations @ np.arange(occupations.shape[1]))
-    same = dipole_parity[u_rows] == dipole_parity[u_cols]
-    is_diag = u_rows == u_cols
-
-    # Which offsets (-2..2) each entry of U carries within a block: even
-    # offsets join states of equal dipole parity, odd ones the others.
-    carries = np.zeros((union.size, 5), dtype=bool)
-    carries[:, 2] = in_d | is_diag
-    carries[:, [0, 4]] = (is_diag & (f.nnz > m))[:, None]     # F beyond its diagonal
-    carries[:, [1, 3]] = (in_x | in_y)[:, None]
-    carries &= (same[:, None] == (_OFFSETS % 2 == 0))
-    # Each block's states, the even block first, and each state's place in its block.
-    parity = np.kron(dipole_parity, (-1) ** np.arange(m))
-    index = (np.flatnonzero(parity > 0), np.flatnonzero(parity < 0))
-    rank = np.empty(parity.size, dtype=np.intp)
-    for states in index:
-        rank[states] = np.arange(states.size)
-
-    # Photon tables: the position of F's, and of t's (= q's), entry (n, n + offset).
-    photon_at = np.full((m, 5), -1)
-    for op in (f, t):
-        rows, cols = _coordinates(op)
-        photon_at[rows, cols - rows + 2] = np.arange(op.nnz)
-    inside = (np.arange(m)[:, None] + _OFFSETS >= 0) & (np.arange(m)[:, None] + _OFFSETS < m)
-
-    # Row lengths, each block's indptr, and where each row starts in the
-    # storage of all blocks, which lie one after the other.
-    starts = np.searchsorted(u_rows, np.arange(n_dip))
-    lengths = (np.add.reduceat(carries.astype(np.intp), starts, axis=0) @ inside.T).ravel()
-    f_base = dipole.nnz
-    x_base = f_base + f.nnz
-    y_base = x_base + (x.nnz * t.nnz if x is not None else 0)
-    zero = y_base + (y.nnz * q.nnz if y is not None else 0)
-    dtype = np.int32 if max(zero, lengths.sum() + 1) < 2**31 else np.int64
-    indptrs = [np.concatenate(([0], np.cumsum(lengths[states]))).astype(dtype)
-               for states in index]
-    bases = np.cumsum([0] + [ptr[-1] for ptr in indptrs])
-    row_start = np.empty(n_dip * m, dtype=np.intp)
-    for states, indptr, base in zip(index, indptrs, bases):
-        row_start[states] = base + indptr[:-1]
-    indices, firsts = np.empty(bases[-1], dtype=dtype), np.empty(bases[-1], dtype=dtype)
-    pairs = []
-
-    # A chunk of photon rows at a time: its entries in (n, i, j, offset) order.
-    step = max(1, _CHUNK // carries.size)
-    for n0 in range(0, m, step):
-        photons = np.arange(n0, min(m, n0 + step))
-        n, u, o = np.nonzero(carries & inside[photons][:, None, :])
-        n, off = photons[n], _OFFSETS[o]
-        row = u_rows[u] * m + n
-        k = photon_at[n, o]
-        hop = off % 2 == 1
-        first = np.where(hop, np.where(in_x[u], x_base + at_x[u] * t.nnz + k,
-                                       y_base + at_y[u] * q.nnz + k),
-                         np.where((off == 0) & in_d[u], at_d[u], f_base + k))
-        second = np.where(hop, np.where(in_x[u] & in_y[u], y_base + at_y[u] * q.nnz + k, zero),
-                          np.where((off == 0) & in_d[u] & is_diag[u], f_base + k, zero))
-        # A row's entries are consecutive; number them from its start.
-        run = np.flatnonzero(np.concatenate(([True], row[1:] != row[:-1])))
-        dest = row_start[row] + np.arange(row.size) - np.repeat(run, np.diff(np.append(run, row.size)))
-        indices[dest] = rank[u_cols[u] * m + n + off]
-        firsts[dest] = first
-        two = second != zero
-        pairs.append((dest[two], second[two]))
-
-    at, src = (np.concatenate(column) for column in zip(*pairs))
-    blocks = []
-    for indptr, lo, hi in zip(indptrs, bases[:-1], bases[1:]):
-        mine = (at >= lo) & (at < hi)
-        blocks.append((indptr, indices[lo:hi], firsts[lo:hi],
-                       (at[mine] - lo).astype(dtype), src[mine].astype(dtype)))
-    plan = _ModePlan(tuple(blocks), tuple(index),
-                     tuple(a.astype(dtype) for a in (at_d, at_x, at_y, mirror)), same)
-    for array in (*itertools.chain.from_iterable(blocks), *plan.index, *plan.on_union, same):
-        array.setflags(write=False)
-    return plan
-
-
-def _mode_table(m, dipole, x, y, omega_field, c_w):
-    """(F's CSR pattern, the point's table of values), with F = omega_field
-    (a^dag a + 1/2) + c_w (rotated (a^dag + a)^2): diagonal when c_w = 0,
-    so a zero A^2 term stores nothing."""
-    half, half_on_w, q, t, w, identity = _photon_ops(m)
-    if c_w == 0.0:
-        f, f_data = identity, omega_field * half
-    else:
-        f, f_data = w, omega_field * half_on_w + c_w * w.data
-    table = np.concatenate([dipole.data, f_data]
-                           + [np.multiply.outer(op.data, photon.data).ravel()
-                              for op, photon in ((x, t), (y, q)) if op is not None]
-                           + [[0.0]])
-    return f, table
-
-
-@functools.lru_cache(maxsize=2)
-def _scope_plans(n_sites, levels, m):
-    """`_planned`'s plans on one sector x Fock(m), per pattern, oldest first."""
-    return {}
-
-
-def _planned(n_sites, levels, m, dipole, x, y, f):
-    """The plan of this sparsity pattern on its sector x Fock(m), built on first use."""
-    plans = _scope_plans(n_sites, levels, m)
-    key = (f.nnz, *((op.indptr.tobytes(), op.indices.tobytes()) if op is not None else None
-                    for op in (dipole, x, y)))
-    plan = plans.get(key)
-    if plan is None:
-        if len(plans) >= _PLANS_KEPT:
-            del plans[next(iter(plans))]          # the oldest
-        plan = plans[key] = _mode_plan(_sector_pattern(n_sites, levels)[0], m,
-                                       dipole, x, y, f)
-    return plan
-
-
-def _with_mode(n_sites, levels, m, dipole, x, y, omega_field, c_w=0.0):
-    """The Hamiltonian D x 1 + 1 x F + X x (a^dag - a) + Y x (a^dag + a) on
-    the sector of n_sites dipoles with `levels` levels x Fock(m), with
-    F = omega_field (a^dag a + 1/2) + c_w (rotated (a^dag + a)^2), built as
-    its two joint-parity blocks through the plan of its sparsity pattern.
-    X or Y may be None for an absent term.
-
-    Raises ValidationError when H - H^T exceeds SYMMETRY_TOL max|H|.
-    """
-    f, table = _mode_table(m, dipole, x, y, omega_field, c_w)
-    plan = _planned(n_sites, levels, m, dipole, x, y, f)
-    matrices = plan.fill(table)
-    photon_max = np.sqrt(m - 1.0)       # the largest |entry| of t and q
-    leak, asymmetry = plan.checks(dipole, x, y, photon_max)
-    scale = max([leak] + [np.abs(block.data).max() for block in matrices if block.nnz])
-    if asymmetry > SYMMETRY_TOL * max(scale, 1.0):
-        raise ValidationError(f"assembled matrix asymmetric by {asymmetry:.2e}")
-    return AssembledHamiltonian(
-        None, (dipole.shape[0], m),
-        blocks=_ParityBlocks(tuple(matrices), plan.index, leak, scale),
-        whole=functools.partial(_kronecker_sum, m, dipole, x, y, omega_field, c_w))
+def _parity_checks(dipole, x, y, split, photon_max):
+    """(largest |entry| between the parity blocks, largest |H - H^T|) of
+    D x 1 + 1 x F + X x t + Y x q, read on D, X and Y `_by_class`, dense or
+    CSR, whose first `split` states are the even class's: D joins the
+    blocks between the classes, X and Y within one. Both are read at the
+    largest photon matrix element photon_max of t and q, which holds each
+    maximum up to rounding. F needs no check: it is symmetric by
+    construction and keeps the photon parity."""
+    # A hop entry X_u x t + Y_u x q reads (+-x + y) * photon_max on the
+    # links where t = +-photon_max; its mirror's link has the other sign.
+    x_max, y_max = x * photon_max, y * photon_max
+    up, down = x_max + y_max, y_max - x_max
+    between = (dipole[:split, split:], dipole[split:, :split], up[:split, :split],
+               up[split:, split:], down[:split, :split], down[split:, split:])
+    return (max(abs(op).max() for op in between),
+            max(abs(dipole - dipole.T).max(), abs(up - down.T).max()))
 
 
 def _kronecker_sum(m, dipole, x, y, omega_field, c_w):
     """The whole matrix D x 1 + 1 x F + X x t + Y x q as CSR, from sparse or
-    dense factors (X or Y None when absent). No entry has more than two
-    terms, so each sum is the blocks' sum; sparse sums store no zeros."""
+    dense factors. No entry has more than two terms, so each equals its
+    banded point's band entry; sparse sums store no zeros."""
     half, _, q, t, w, identity = _photon_ops(m)
     mode = omega_field * sp.diags(half) + c_w * w
     total = (sp.kron(sp.csr_matrix(dipole), identity, format="csr")
              + sp.kron(sp.identity(dipole.shape[0]), mode, format="csr"))
     for op, photon in ((x, t), (y, q)):
-        if op is not None:
-            total = total + sp.kron(sp.csr_matrix(op), photon, format="csr")
+        total = total + sp.kron(sp.csr_matrix(op), photon, format="csr")
     return total
 
 
@@ -721,10 +513,12 @@ def _band_map(n_sites, levels, m, a2):
 
 
 def _banded(n_sites, levels, m, dipole, x, y, omega_field, c_w=0.0):
-    """The Hamiltonian D x 1 + 1 x F + X x (a^dag - a) + Y x (a^dag + a), as
-    `_with_mode`, from dense factors D, X and Y (each sector x sector), built
-    as the lower bands of its two joint-parity blocks by one gather through
-    the point's `_BandMap`.
+    """The Hamiltonian D x 1 + 1 x F + X x (a^dag - a) + Y x (a^dag + a) on
+    the sector of n_sites dipoles with `levels` levels x Fock(m), with
+    F = omega_field (a^dag a + 1/2) + c_w (rotated (a^dag + a)^2), from
+    dense factors D, X and Y (each sector x sector), built as the lower
+    bands of its two joint-parity blocks by one gather through the point's
+    `_BandMap`.
 
     Raises ValidationError when H - H^T exceeds SYMMETRY_TOL max|H|.
     """
@@ -741,15 +535,9 @@ def _banded(n_sites, levels, m, dipole, x, y, omega_field, c_w=0.0):
         bands.append((values[start:start + width * size].reshape(size, width).T, states))
         start += width * size
 
-    # The entries between the blocks and H - H^T, read on the factors at the
-    # largest photon matrix element of t and q, as `_ModePlan.checks` reads them.
-    photon_max = np.sqrt(m - 1.0)
-    x_max, y_max = x * photon_max, y * photon_max
-    up, down = x_max + y_max, y_max - x_max
-    same = band_map.same
-    leak = max(np.abs(dipole[~same]).max(initial=0.0), np.abs(up[same]).max(initial=0.0),
-               np.abs(down[same]).max(initial=0.0))
-    asymmetry = max(np.abs(dipole - dipole.T).max(), np.abs(up - down.T).max())
+    order, split = _class_order(n_sites, levels)
+    leak, asymmetry = _parity_checks(*(_by_class(op, order) for op in (dipole, x, y)),
+                                     split, np.sqrt(m - 1.0))
     scale = max(leak, np.abs(values).max())
     if asymmetry > SYMMETRY_TOL * max(scale, 1.0):
         raise ValidationError(f"assembled matrix asymmetric by {asymmetry:.2e}")
@@ -769,6 +557,127 @@ def _band_dense(band):
     return dense
 
 
+def _photon_major(a, b):
+    """A block's vector in its photon-major state order, from its panels: a
+    over (the class of its even photon numbers, those photon numbers), b
+    over (the other class, the odd photon numbers)."""
+    (n_a, m_e), (n_b, m_o) = a.shape, b.shape
+    cut = m_o * (n_a + n_b)
+    vector = np.empty(cut + n_a * (m_e - m_o), dtype=a.dtype)
+    pairs = vector[:cut].reshape(m_o, n_a + n_b)      # photon numbers 2k and 2k + 1
+    pairs[:, :n_a] = a[:, :m_o].T
+    pairs[:, n_a:] = b.T
+    vector[cut:] = a[:, m_o:].T.ravel()               # the last photon number of an odd m
+    return vector
+
+
+@dataclass(frozen=True, eq=False)
+class _PanelBlock:
+    """One joint-parity block of D x 1 + 1 x F + X x t + Y x q, applied from
+    the dipole-class slices of its factors, for `_davidson`: it has `shape`,
+    `diagonal()` and `@`, and stores nothing of the block itself.
+
+    Its states are ordered photon-major, as a `_BandMap` orders a block's:
+    photon number n = 0, 1, ..., and within it the sector states of the
+    dipole parity that makes the joint parity the block's, in sector order.
+    A vector is two panels: A over (class a, even photon numbers) and B
+    over (class b, odd photon numbers). The product is
+    D_aa A + A F_ee + X_ab (B T) + Y_ab (B Q), and its mirror for B, with
+    each photon matrix stored as it acts from the right (F_ee = F^T over
+    the even photon numbers, T = t^T from the odd ones to the even ones).
+    """
+
+    dipole: tuple         # per panel: D over its class, dense or CSR
+    mode: tuple           # per panel: F from the right over its photon numbers
+    hops: tuple           # per panel: ((X or Y from the other class, t or q from the right), ...)
+    states: np.ndarray    # its states in the whole basis, in block order
+    diag: np.ndarray      # its diagonal, D_ii + F_nn, in block order
+
+    @property
+    def shape(self):
+        return (self.states.size,) * 2
+
+    def diagonal(self):
+        return self.diag
+
+    def __matmul__(self, vector):
+        """The block times a vector in block order."""
+        (n_a, n_b), m_o = (op.shape[0] for op in self.dipole), self.mode[1].shape[0]
+        cut = m_o * (n_a + n_b)
+        pairs = vector[:cut].reshape(m_o, n_a + n_b)
+        a = pairs[:, :n_a] if cut == vector.size else np.concatenate(
+            (pairs[:, :n_a], vector[cut:].reshape(1, n_a)))
+        panels = (a.T.copy(), pairs[:, n_a:].T.copy())
+        out = [dipole @ panel + panel @ mode
+               for dipole, panel, mode in zip(self.dipole, panels, self.mode)]
+        for k, hops in enumerate(self.hops):
+            for op, photon in hops:
+                out[k] += op @ (panels[1 - k] @ photon)
+        return _photon_major(*out)
+
+    def toarray(self):
+        """The block as a dense array, one product per column; for dense
+        solves of a block of at most DENSE_THRESHOLD states."""
+        return np.column_stack([self @ unit for unit in np.identity(self.states.size)])
+
+
+def _panels(n_sites, levels, m, dipole, x, y, omega_field, c_w=0.0):
+    """The Hamiltonian D x 1 + 1 x F + X x (a^dag - a) + Y x (a^dag + a), as
+    `_banded` builds it, from dense or CSR factors D, X and Y (each sector x
+    sector), as its two joint-parity blocks, each a `_PanelBlock` on the
+    factors' dipole-class slices. X or Y without a nonzero entry is left out
+    of the products.
+
+    Raises ValidationError when H - H^T exceeds SYMMETRY_TOL max|H|.
+    """
+    order, split = _class_order(n_sites, levels)
+    d, x_c, y_c = (_by_class(op, order) for op in (dipole, x, y))
+    photon_max = np.sqrt(m - 1.0)
+    leak, asymmetry = _parity_checks(d, x_c, y_c, split, photon_max)
+    half, _, q, t, w, _ = _photon_ops(m)
+    mode = omega_field * np.diag(half) + c_w * w.toarray()
+    part = (slice(None, split), slice(split, None))       # each class in the factors
+    photons = (np.arange(0, m, 2), np.arange(1, m, 2))
+
+    def right(op, k, j):
+        """The photon matrix op from photon numbers photons[j] to photons[k],
+        as it acts on a panel from the right."""
+        return np.ascontiguousarray(op[np.ix_(photons[k], photons[j])].T)
+
+    couplings = [(op, photon.toarray()) for op, photon in ((x_c, t), (y_c, q))
+                 if abs(op).max() > 0.0]
+    blocks = []
+    for parity in (0, 1):
+        c = (parity, 1 - parity)          # each panel's dipole class
+        dipoles = tuple(d[part[c[k]], part[c[k]]] for k in (0, 1))
+        modes = (right(mode, 0, 0), right(mode, 1, 1))
+        hops = tuple(tuple((op[part[c[k]], part[c[1 - k]]], right(photon, k, 1 - k))
+                           for op, photon in couplings) for k in (0, 1))
+        diag = _photon_major(*(dipoles[k].diagonal()[:, None] + modes[k].diagonal()
+                               for k in (0, 1)))
+        states = _photon_major(*(order[part[c[k]], None] * m + photons[k] for k in (0, 1)))
+        blocks.append(_PanelBlock(dipoles, modes, hops, states, diag))
+
+    # max |H|: the diagonals, D off its diagonal within a class, F off its
+    # diagonal, and the hops within the blocks at photon_max, which the
+    # checks read the same way.
+    inside = [np.abs(block.diag).max() for block in blocks]
+    inside.append(np.abs(mode - np.diag(mode.diagonal())).max())
+    for r, c in ((0, 1), (1, 0)):
+        coo = sp.coo_array(d[part[r], part[r]])
+        inside.append(np.abs(coo.data[coo.row != coo.col]).max(initial=0.0))
+        hop_x, hop_y = x_c[part[r], part[c]] * photon_max, y_c[part[r], part[c]] * photon_max
+        inside += [abs(hop_x + hop_y).max(), abs(hop_y - hop_x).max()]
+    scale = max(leak, *inside)
+    if asymmetry > SYMMETRY_TOL * max(scale, 1.0):
+        raise ValidationError(f"assembled matrix asymmetric by {asymmetry:.2e}")
+    return AssembledHamiltonian(
+        None, (dipole.shape[0], m),
+        blocks=_ParityBlocks(tuple(blocks), tuple(np.sort(block.states) for block in blocks),
+                             leak, scale),
+        whole=functools.partial(_kronecker_sum, m, dipole, x, y, omega_field, c_w))
+
+
 @dataclass(frozen=True, eq=False)
 class _DipoleSums:
     """The eta- and alpha-independent dipole operators of `assemble` for one
@@ -783,8 +692,9 @@ class _DipoleSums:
 
     @functools.cached_property
     def dense(self):
-        """(Z, S, Z Z or None) as dense arrays, for `_banded`, formed on
-        first read: the same entries as the CSR operators."""
+        """(Z, S, Z Z or None) as dense arrays, for the dense factors of a
+        sector of at most DENSE_THRESHOLD states, formed on first read: the
+        same entries as the CSR operators."""
         return tuple(None if op is None else op.toarray() for op in (self.zeta, self.s, self.zz))
 
 
@@ -859,56 +769,39 @@ def assemble(config: HilbertConfig, params: ReducedParams,
     # dipole has no pairs, and Z Z - zeta zeta would leave rounding residue.
     # The on-site operator is summed over the dipoles per point, on the
     # dipole space only: adding cached sums instead regroups the diagonal,
-    # which moved N = 4 gaps by 1.5e-12. The two terms are summed as one COO
-    # list, which keeps the entries where they cancel: a sparse + would drop
-    # them, and D's pattern, and with it its plan, would change with eta.
+    # which moved N = 4 gaps by 1.5e-12.
     sums = _dipole_sums(spectrum, n_sites, levels)
     pair = sums.zz is not None and c_dd != 0.0
     one_body = sums.bare + c_se * sums.zeta_sq
     if pair:
         one_body = one_body - c_dd * sums.zeta_zeta
-    if _is_banded(n_sites, levels, m):
+    if len(_sector_pattern(n_sites, levels)[0]) <= DENSE_THRESHOLD:
         zeta, s, zz = sums.dense
         dipole = _summed_dense(one_body, n_sites)
-        if pair:
-            dipole += c_dd * zz
-        return _banded(n_sites, levels, m, dipole, -c_cross * s, c_pi * zeta,
-                       omega_field=omega, c_w=c_a2)
-    if pair:
-        terms = (_summed(one_body, n_sites), c_dd * sums.zz)
-        dipole = sp.csr_matrix((np.concatenate([op.data for op in terms]),
-                                np.concatenate([_coordinates(op) for op in terms], axis=1)),
-                               shape=sums.zz.shape)
     else:
+        zeta, s, zz = sums.zeta, sums.s, sums.zz
         dipole = _summed(one_body, n_sites)
-    return _with_mode(n_sites, levels, m, dipole,
-                      _scaled(-c_cross, sums.s), _scaled(c_pi, sums.zeta),
-                      omega_field=omega, c_w=c_a2)
+    if pair:
+        dipole = dipole + c_dd * zz
+    build = _banded if _is_banded(n_sites, levels, m) else _panels
+    return build(n_sites, levels, m, dipole, -c_cross * s, c_pi * zeta,
+                 omega_field=omega, c_w=c_a2)
 
 
 @functools.lru_cache(maxsize=16)
 def _two_level_ops(n_sites):
     """(J^z, J_x^2, 1, J^+ - J^-, J_x) of the two-level model on n_sites
-    dipoles, with J_x = J^+ + J^-, on the collective spin (m = -j..j), built
-    once per count, never modified: the first three as dense arrays, which
-    the dipole factor combines, the others as CSR."""
+    dipoles, with J_x = J^+ + J^-, on the collective spin (m = -j..j), as
+    dense arrays, built once per count, read-only."""
     # sigma^z has eigenvalues -1/2 (ground) and +1/2; sigma^+ raises.
-    jz = _summed(np.diag([-0.5, 0.5]), n_sites).toarray()
+    jz = _summed(np.diag([-0.5, 0.5]), n_sites)
     jp = _summed(np.array([[0.0, 0.0], [1.0, 0.0]]), n_sites)
-    jx = (jp + jp.T).tocsr()
-    dense = (jz, (jx @ jx).toarray(), np.identity(n_sites + 1))
-    for array in dense:
+    jx = jp + jp.T
+    ops = (jz.toarray(), (jx @ jx).toarray(), np.identity(n_sites + 1),
+           (jp - jp.T).toarray(), jx.toarray())
+    for array in ops:
         array.setflags(write=False)
-    return *dense, (jp - jp.T).tocsr(), jx
-
-
-@functools.lru_cache(maxsize=16)
-def _two_level_dense(n_sites):
-    """J^+ - J^- and J_x of `_two_level_ops` as dense arrays, read-only."""
-    dense = tuple(op.toarray() for op in _two_level_ops(n_sites)[3:])
-    for array in dense:
-        array.setflags(write=False)
-    return dense
+    return ops
 
 
 def dicke_two_level(config: HilbertConfig, params: ReducedParams,
@@ -935,16 +828,15 @@ def dicke_two_level(config: HilbertConfig, params: ReducedParams,
     jz, jx2, identity, jpm, jx = _two_level_ops(n_sites)
 
     # Rotated interaction: +g'(J+ - J-)(c^dag - c) - g(J+ + J-)(c^dag + c).
-    # Formed densely, left to right; csr_matrix stores only its nonzero entries.
-    dipole = omega_m * jz - (couplings.c_alpha / n_sites) * jx2 + const * identity
-    g_x = couplings.g_prime_alpha / math.sqrt(n_sites)
-    g_y = -(couplings.g_alpha / math.sqrt(n_sites))
-    if _is_banded(n_sites, 2, m):
-        dense_jpm, dense_jx = _two_level_dense(n_sites)
-        return _banded(n_sites, 2, m, dipole, g_x * dense_jpm, g_y * dense_jx,
-                       omega_field=couplings.omega_alpha)
-    return _with_mode(n_sites, 2, m, sp.csr_matrix(dipole), _scaled(g_x, jpm), _scaled(g_y, jx),
-                      omega_field=couplings.omega_alpha)
+    # Formed densely, left to right; above DENSE_THRESHOLD sector states the
+    # factors are CSR, which store only their nonzero entries.
+    factors = (omega_m * jz - (couplings.c_alpha / n_sites) * jx2 + const * identity,
+               couplings.g_prime_alpha / math.sqrt(n_sites) * jpm,
+               -(couplings.g_alpha / math.sqrt(n_sites)) * jx)
+    if n_sites + 1 > DENSE_THRESHOLD:
+        factors = tuple(sp.csr_matrix(op) for op in factors)
+    build = _banded if _is_banded(n_sites, 2, m) else _panels
+    return build(n_sites, 2, m, *factors, omega_field=couplings.omega_alpha)
 
 
 def _dsyevr(a, k, vectors):
@@ -960,8 +852,9 @@ def _dsyevr(a, k, vectors):
 
 
 def _davidson(matrix, tol, deflate=()):
-    """(theta, x, |r|): the lowest eigenpair of the real symmetric CSR matrix
-    on the orthogonal complement of the orthonormal vectors `deflate`, by
+    """(theta, x, |r|): the lowest eigenpair of the real symmetric block
+    `matrix`, a CSR matrix or a `_PanelBlock` (anything with `shape`,
+    `diagonal()` and `@`), on the orthogonal complement of the orthonormal vectors `deflate`, by
     Davidson's method with the diagonal as preconditioner, and the norm of
     its residual r = H x - theta x projected on that complement.
 
@@ -1141,15 +1034,17 @@ def ground_pair(h: AssembledHamiltonian):
     solved for its two lowest levels by one values-only dsbevx call. If it
     holds G, the ground vector comes from one step of inverse iteration
     shifted to G, accepted when ||H x - G x|| <= RESIDUAL_TOL max(1, |G|). A
-    ground block whose inverse iteration fails, and a hand-built CSR block
-    of at most DENSE_THRESHOLD states, are solved by one dsyevr call for
-    their two lowest levels and vectors. So the ground block's second level
-    comes from the same solve as G, exactly.
+    ground block whose inverse iteration fails, and a panel or hand-built
+    CSR block of at most DENSE_THRESHOLD states, are solved by one dsyevr
+    call for their two lowest levels and vectors. So the ground block's
+    second level comes from the same solve as G, exactly.
 
-    On a larger block one `_davidson` solve, deflated against the ground
-    vector, ranks the second level at tolerance RANKING_TOL: when its Ritz
-    value theta less its residual norm does not clear the other block's
-    level, the level is solved again at tolerance 0. E is the lower of the
+    A larger block, a `_PanelBlock` of an assembled point, is solved by
+    `_davidson` for its lowest level and vector. One more `_davidson`
+    solve, deflated against the ground vector, ranks the second level at
+    tolerance RANKING_TOL: when its Ritz value theta less its residual norm
+    does not clear the other block's level, the level is solved again at
+    tolerance 0. E is the lower of the
     two. The budget bounds h, whose size is the sum of the two blocks'.
 
     The blocks leave out the entries between them, which are rounding from
@@ -1177,13 +1072,15 @@ def ground_pair(h: AssembledHamiltonian):
                                         return_vectors=True)
         solved.append((vals, vecs[:, 0], which))
     (vals, ground_vector, which), (other, *_) = sorted(solved, key=lambda s: s[0][0])
-    states = blocks.index[which]
     if blocks.bands is not None:
         band, states = blocks.bands[which]
         ground_vector = _inverse_iteration(band, vals[0])
         if ground_vector is None:
             vals, vecs = _dsyevr(_band_dense(band), 2, True)
             ground_vector = vecs[:, 0]
+    else:
+        block = blocks.matrices[which]
+        states = block.states if isinstance(block, _PanelBlock) else blocks.index[which]
     vector = np.zeros(h.dimension)
     vector[states] = ground_vector
     tail = fock_tail_weight(h, vector)
@@ -1196,10 +1093,9 @@ def ground_pair(h: AssembledHamiltonian):
     if vals.size > 1:
         second = vals[1]
     else:
-        matrix = blocks.matrices[which]
-        second, _, residual = _davidson(matrix, RANKING_TOL, ground_vector)
+        second, _, residual = _davidson(block, RANKING_TOL, ground_vector)
         if second - residual <= other[0]:
-            second = _davidson(matrix, 0.0, ground_vector)[0]
+            second = _davidson(block, 0.0, ground_vector)[0]
     return float(vals[0]), float(min(other[0], second)), tail
 
 
@@ -1276,7 +1172,10 @@ def convergence_report(config_ladder, params: ReducedParams, spectrum: DipoleSpe
     """Ground/first-excited energies along a (L, M) cutoff ladder.
 
     Reports successive deltas and flags rungs whose Fock tail is heavy or
-    whose deltas stop shrinking (non-Cauchy behaviour).
+    whose deltas stop shrinking (non-Cauchy behaviour). At converged rungs
+    delta_G and delta_E are differences of values that agree to about 1e-8,
+    so they carry about eps |G| of rounding: their last 6-7 digits are not
+    significant.
     """
     rows = []
     prev_g = prev_e = None

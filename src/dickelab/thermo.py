@@ -58,7 +58,7 @@ def classify(couplings: CouplingSet, omega_m: float) -> Phase:
     return Phase.CRITICAL
 
 
-def _scaled_coupling(scale_sq_num, scale_sq_den, g):
+def _rescaled_coupling(scale_sq_num, scale_sq_den, g):
     # sqrt(num/den) * g with the 0/0 limit resolved to 0 when g vanishes.
     if g == 0.0:
         return 0.0
@@ -80,8 +80,8 @@ def normal_phase(couplings: CouplingSet, omega_m: float,
         raise PhaseError(f"normal branch evaluated at tau = {tau} < 1")
     wt_sq = omega_m * (omega_m - 4.0 * couplings.c_alpha)
     omega_tilde = math.sqrt(max(wt_sq, 0.0))
-    g_tilde = _scaled_coupling(omega_m, omega_tilde, couplings.g_alpha)
-    gp_tilde = _scaled_coupling(omega_tilde, omega_m, couplings.g_prime_alpha)
+    g_tilde = _rescaled_coupling(omega_m, omega_tilde, couplings.g_alpha)
+    gp_tilde = _rescaled_coupling(omega_tilde, omega_m, couplings.g_prime_alpha)
     pair = polariton_closed_form(
         BilinearForm(w=omega_tilde, w_prime=couplings.omega_alpha,
                      g=g_tilde, g_prime=gp_tilde)
@@ -119,8 +119,8 @@ def abnormal_phase(couplings: CouplingSet, omega_m: float,
     one_minus_a2 = 2.0 * couplings.c_alpha / couplings.rho_d2
     wu_sq = (omega_m / tau) ** 2 * (1.0 - one_minus_a2 * tau**2)
     omega_under = math.sqrt(max(wu_sq, 0.0))
-    g_under = _scaled_coupling(tau * omega_m, omega_under, couplings.g_alpha)
-    gp_under = _scaled_coupling(tau * omega_under, omega_m, couplings.g_prime_alpha)
+    g_under = _rescaled_coupling(tau * omega_m, omega_under, couplings.g_alpha)
+    gp_under = _rescaled_coupling(tau * omega_under, omega_m, couplings.g_prime_alpha)
     pair = polariton_closed_form(
         BilinearForm(w=omega_under, w_prime=couplings.omega_alpha,
                      g=g_under, g_prime=gp_under)
